@@ -11,13 +11,13 @@ tensor rank, computed by breadth-first search over rank-1 perturbations.
 from .group import (GeneratorSet, GLMatrix, generator_set, large_group_order,
                     small_group_order)
 from .orbits import (LargeOrbitAtlas, MemoryCapError, OrbitAtlas, OrbitRecord,
-                     build_link_table, enumerate_orbits, load_atlas,
-                     merge_large_orbits, save_atlas, spin)
+                     enumerate_orbits, load_atlas, merge_large_orbits, save_atlas,
+                     spin)
 from .ranks import (RankAtlas, brute_force_rank, propagate_ranks,
                     rank_distribution, seed_rank_one)
 from .report import (ClassificationRow, ConjectureReport, DiffReport,
-                     NoReferenceError, check_conjecture_p22, classify_format,
-                     emit, load_reference, summarize, verify_reference)
+                     NoReferenceError, check_conjecture_p22, emit, load_reference,
+                     summarize, verify_reference)
 from .tensor import (MAX_ENTRIES, Shape, enumerate_simple_tensors, parse_shape,
                      simple_tensor, transpose)
 
@@ -29,12 +29,12 @@ __all__ = [
     "GLMatrix", "GeneratorSet", "generator_set",
     "small_group_order", "large_group_order",
     "OrbitAtlas", "OrbitRecord", "LargeOrbitAtlas", "MemoryCapError",
-    "spin", "enumerate_orbits", "build_link_table", "merge_large_orbits",
+    "spin", "enumerate_orbits", "merge_large_orbits",
     "save_atlas", "load_atlas",
     "RankAtlas", "seed_rank_one", "propagate_ranks", "brute_force_rank",
     "rank_distribution",
     "ClassificationRow", "DiffReport", "ConjectureReport", "NoReferenceError",
     "summarize", "load_reference", "verify_reference", "check_conjecture_p22",
-    "classify_format", "emit",
+    "emit",
     "__version__",
 ]

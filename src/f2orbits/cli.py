@@ -16,7 +16,7 @@ import numpy as np
 
 from .group import large_group_order, small_group_order
 from .orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits, load_atlas,
-                     merge_large_orbits, required_bytes, resolve_strategy, save_atlas)
+                     merge_large_orbits, required_bytes, save_atlas)
 from .ranks import propagate_ranks, rank_distribution
 from .report import (NoReferenceError, check_conjecture_p22, emit, load_reference,
                      summarize, verify_reference)
@@ -37,8 +37,6 @@ def _build_parser():
             sp.add_argument("--flavor", choices=("small", "large"), default="small",
                             help="small: products of linear groups only; "
                                  "large: also permute equal-dimension modes")
-        sp.add_argument("--strategy", choices=("auto", "link-table", "orbit-graph"),
-                        default="auto", help="rank propagation strategy")
         sp.add_argument("--mem-cap", type=int, default=None, metavar="BYTES",
                         help="refuse runs whose tables exceed this many bytes")
         sp.add_argument("--cell-width", type=int, choices=(2, 4), default=2,
@@ -73,9 +71,13 @@ def _resolve_cap(args):
     if getattr(args, "mem_cap", None) is not None:
         return args.mem_cap
     env = os.environ.get("F2TO_MEM_CAP")
-    if env is not None:
+    if env is None:
+        return DEFAULT_MEM_CAP
+    try:
         return int(env)
-    return DEFAULT_MEM_CAP
+    except ValueError:
+        raise ValueError(
+            f"F2TO_MEM_CAP must be a whole number of bytes, got {env!r}") from None
 
 
 class _Phases:
@@ -88,15 +90,15 @@ class _Phases:
         self._last = now
 
 
-def _compute(args, cap, want_large):
-    shape = parse_shape(args.format)
-    strategy = resolve_strategy(args.strategy, shape)
-    est = required_bytes(shape, strategy, args.cell_width)
+def _compute(shape, cap, want_large, snapshot=None, cell_width=2):
+    """The one classification pipeline: load the snapshot or enumerate
+    (saving the snapshot if asked), rank, and merge under mode swaps if
+    want_large.  Returns (atlas, ranks, large or None)."""
+    est = required_bytes(shape, cell_width)
     print(f"estimated table bytes: {est}", file=sys.stderr)
     phases = _Phases()
 
     atlas = None
-    snapshot = getattr(args, "snapshot", None)
     if snapshot and os.path.exists(snapshot):
         atlas = load_atlas(snapshot)
         if atlas.shape != shape:
@@ -104,24 +106,26 @@ def _compute(args, cap, want_large):
                 f"snapshot {snapshot} holds {atlas.shape}, not {shape}")
         phases.mark("snapshot load")
     if atlas is None:
-        atlas = enumerate_orbits(shape, cell_width=args.cell_width, mem_cap=cap)
+        atlas = enumerate_orbits(shape, cell_width=cell_width, mem_cap=cap)
         phases.mark("enumeration")
         if snapshot:
             save_atlas(atlas, snapshot)
             phases.mark("snapshot save")
 
-    ranks = propagate_ranks(shape, atlas, strategy=strategy)
-    phases.mark(f"ranks ({strategy})")
+    ranks = propagate_ranks(shape, atlas)
+    phases.mark("ranks")
     large = None
     if want_large:
         large = merge_large_orbits(shape, atlas)
         phases.mark("merge")
-    return shape, atlas, ranks, large
+    return atlas, ranks, large
 
 
 def cmd_classify(args):
+    shape = parse_shape(args.format)
     cap = _resolve_cap(args)
-    shape, atlas, ranks, large = _compute(args, cap, args.flavor == "large")
+    atlas, ranks, large = _compute(shape, cap, args.flavor == "large",
+                                   args.snapshot, args.cell_width)
     rows = summarize(shape, atlas, ranks, flavor=args.flavor, large=large)
     dist = rank_distribution(atlas, ranks, large=large)
     if args.emit == "json":
@@ -149,8 +153,10 @@ def cmd_verify(args):
     # the reference lookup comes first so an unknown format is reported as
     # a missing reference, not a shape error
     load_reference(args.format, args.flavor)
+    shape = parse_shape(args.format)
     cap = _resolve_cap(args)
-    shape, atlas, ranks, large = _compute(args, cap, args.flavor == "large")
+    atlas, ranks, large = _compute(shape, cap, args.flavor == "large",
+                                   cell_width=args.cell_width)
     rows = summarize(shape, atlas, ranks, flavor=args.flavor, large=large)
     dist = rank_distribution(atlas, ranks, large=large)
     order = (large_group_order(shape) if args.flavor == "large"
@@ -170,9 +176,7 @@ def cmd_conjecture(args):
     for p in args.p:
         if p < 4:
             raise ValueError(f"stabilization is stated for p >= 4, got p={p}")
-        shape = parse_shape(f"{p}x2x2")
-        atlas = enumerate_orbits(shape, mem_cap=cap)
-        ranks = propagate_ranks(shape, atlas)
+        atlas, ranks, _ = _compute(parse_shape(f"{p}x2x2"), cap, False)
         rep = check_conjecture_p22(p, atlas, ranks)
         verdict = "pass" if rep.ok else "FAIL"
         print(f"p={p}: {sum(rep.forms_match)}/10 canonical forms match "
@@ -183,12 +187,13 @@ def cmd_conjecture(args):
 
 
 def cmd_show_orbit(args):
-    cap = _resolve_cap(args)
-    shape, atlas, ranks, _ = _compute(args, cap, False)
+    shape = parse_shape(args.format)
     code = args.code
     if not 0 < code < shape.code_bound:
         raise ValueError(f"code {code} out of range for {shape} "
                          f"(1..{shape.code_bound - 1})")
+    cap = _resolve_cap(args)
+    atlas, ranks, _ = _compute(shape, cap, False, cell_width=args.cell_width)
     oid = atlas.orbit_id(code)
     rec = atlas.record(oid)
     rows = summarize(shape, atlas, ranks)

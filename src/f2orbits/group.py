@@ -133,11 +133,10 @@ def large_group_order(shape: Shape) -> int:
     return out
 
 
-def block_permutations(shape: Shape, blocks=None) -> list[tuple[int, ...]]:
+def block_permutations(shape: Shape) -> list[tuple[int, ...]]:
     """All mode permutations preserving dimensions, identity first."""
     perms = []
-    if blocks is None:
-        blocks = equal_dim_blocks(shape)
+    blocks = equal_dim_blocks(shape)
     for choice in itertools.product(
             *(itertools.permutations(b) for b in blocks)):
         sigma = list(range(1, shape.n + 1))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import (GeneratorSet, block_permutations, compile_generators,
-                    generator_set)
-from .tensor import Shape, transpose
+                    generator_set, transpose_program)
+from .tensor import Shape
 
 DEFAULT_MEM_CAP = 2 * 1024 ** 3
 
@@ -59,7 +59,6 @@ class OrbitAtlas:
         self.shape = shape
         self.assignment = assignment
         self.records = list(records)
-        self._blocks = None
 
     @property
     def orbit_count(self) -> int:
@@ -77,23 +76,11 @@ class OrbitAtlas:
         return self.records[orbit_id - 1]
 
 
-def required_bytes(shape: Shape, strategy: str = "auto", cell_width: int = 2) -> int:
-    """Size of the long-lived tables a classify run allocates.  Transient
-    frontier buffers are bounded by the chunk size and not counted."""
-    cb = shape.code_bound
-    total = cb * cell_width
-    if resolve_strategy(strategy, shape) == "link-table":
-        # argsort scratch (8), successor table (4), per-code ranks (1)
-        total += cb * (8 + 4 + 1)
-    return total
-
-
-def resolve_strategy(strategy: str, shape: Shape) -> str:
-    if strategy == "auto":
-        return "link-table" if shape.entry_count <= 24 else "orbit-graph"
-    if strategy not in ("link-table", "orbit-graph"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return strategy
+def required_bytes(shape: Shape, cell_width: int = 2) -> int:
+    """Size of the long-lived table a classify run allocates: one cell per
+    code.  Transient frontier and adjacency buffers are bounded by the
+    chunk sizes and not counted."""
+    return shape.code_bound * cell_width
 
 
 # ---- spinning ----
@@ -120,7 +107,7 @@ def _spin_into(assignment, sentinel, orbit_id, start, programs):
 def _fresh_assignment(shape, cell_width, mem_cap):
     if cell_width not in (2, 4):
         raise ValueError("cell_width must be 2 or 4")
-    need = shape.code_bound * cell_width
+    need = required_bytes(shape, cell_width)
     if mem_cap is not None and need > mem_cap:
         raise MemoryCapError(need, mem_cap)
     dtype = np.uint16 if cell_width == 2 else np.uint32
@@ -183,41 +170,6 @@ def enumerate_orbits(shape: Shape, gens: GeneratorSet | None = None, *,
     return OrbitAtlas(shape, assignment, records)
 
 
-# ---- link table ----
-
-def orbit_member_blocks(atlas: OrbitAtlas):
-    """(order, offsets): order lists all nonzero codes grouped by orbit id,
-    ascending inside each group; orbit i occupies
-    order[offsets[i-1]:offsets[i]].  Cached on the atlas."""
-    if atlas._blocks is None:
-        order = np.argsort(atlas.assignment[1:], kind="stable").astype(np.uint32)
-        order += 1
-        sizes = np.array([r.size for r in atlas.records], dtype=np.int64)
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        atlas._blocks = (order, offsets)
-    return atlas._blocks
-
-
-class LinkTable:
-    """successor[code] = next code of the same orbit in ascending order,
-    wrapping from the orbit's maximum back to its minimum."""
-
-    def __init__(self, shape: Shape, successor: np.ndarray):
-        self.shape = shape
-        self.successor = successor
-
-
-def build_link_table(atlas: OrbitAtlas) -> LinkTable:
-    order, offsets = orbit_member_blocks(atlas)
-    successor = np.zeros(atlas.shape.code_bound, dtype=np.uint32)
-    successor[order[:-1]] = order[1:]
-    lasts = order[offsets[1:] - 1]
-    firsts = order[offsets[:-1]]
-    successor[lasts] = firsts
-    return LinkTable(atlas.shape, successor)
-
-
 # ---- large orbits ----
 
 @dataclass(frozen=True)
@@ -236,12 +188,11 @@ class LargeOrbitAtlas:
         return len(self.records)
 
 
-def merge_large_orbits(shape: Shape, atlas: OrbitAtlas,
-                       blocks=None) -> LargeOrbitAtlas:
+def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
     """Union small orbits whose canonical forms are related by a mode
     permutation.  Permuting equal-dimension modes normalizes the small
     group, so images of canonical forms locate whole orbits."""
-    perms = block_permutations(shape, blocks)
+    canonicals = np.array([r.canonical for r in atlas.records], dtype=np.uint32)
     parent = list(range(len(atlas.records) + 1))
 
     def find(x):
@@ -250,9 +201,10 @@ def merge_large_orbits(shape: Shape, atlas: OrbitAtlas,
             x = parent[x]
         return x
 
-    for rec in atlas.records:
-        for sigma in perms[1:]:
-            other = atlas.orbit_id(transpose(shape, rec.canonical, sigma))
+    for sigma in block_permutations(shape)[1:]:
+        images = transpose_program(shape, sigma).apply_array(canonicals)
+        others = atlas.assignment[images].tolist()
+        for rec, other in zip(atlas.records, others):
             a, b = find(rec.orbit_id), find(other)
             if a != b:
                 parent[max(a, b)] = min(a, b)

@@ -6,14 +6,11 @@ rank-(r+1) orbit sits next to some rank-r orbit under that pairing.  So
 rank = 1 + BFS distance from the rank-1 orbit in the graph whose vertices
 are orbits and whose edges join the orbits of code pairs (2k, 2k+1).
 
-Two interchangeable strategies compute the same RankAtlas:
-
-  link-table    per-code uint8 rank array, orbits marked whole via the
-                grouped member blocks that also underlie the link table
-                (the successor-chasing of a literal linked list is
-                serial; the blocks hold identical information)
-  orbit-graph   no per-code table at all: one chunked scan over even
-                codes collects orbit adjacencies, then BFS on orbit ids
+One chunked scan over the even codes fills a dense K x K boolean
+adjacency mask, K = orbit count + 1, and the BFS advances a whole
+frontier per step as a reduction over rows of that mask.  Over every
+format up to 27 entries K is at most 697 (3x2x2x2), so the mask stays
+under half a megabyte beside the 2^N-cell assignment table.
 
 The brute-force oracle is independent of all of the above: plain BFS over
 XOR-with-a-simple-tensor moves, usable for small formats and small ranks.
@@ -25,27 +22,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orbits import LargeOrbitAtlas, OrbitAtlas, orbit_member_blocks, resolve_strategy
+from .orbits import LargeOrbitAtlas, OrbitAtlas
 from .tensor import Shape, enumerate_simple_tensors
 
 _EDGE_CHUNK = 1 << 22
 
 
 class RankAtlas:
-    """by_orbit[orbit_id] = rank (index 0 is the zero orbit, rank 0).
-    code_rank is the optional full per-code table, present when the
-    link-table strategy built one."""
+    """by_orbit[orbit_id] = rank (index 0 is the zero orbit, rank 0)."""
 
-    def __init__(self, by_orbit: np.ndarray, code_rank: np.ndarray | None = None):
+    def __init__(self, by_orbit: np.ndarray):
         self.by_orbit = by_orbit
-        self.code_rank = code_rank
 
     @property
     def max_rank(self) -> int:
         return int(self.by_orbit.max())
-
-    def rank_of_orbit(self, orbit_id: int) -> int:
-        return int(self.by_orbit[orbit_id])
 
 
 def rank_of_code(atlas: OrbitAtlas, ranks: RankAtlas, code: int) -> int:
@@ -64,83 +55,35 @@ def seed_rank_one(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
     return RankAtlas(by_orbit)
 
 
-def propagate_ranks(shape: Shape, atlas: OrbitAtlas,
-                    strategy: str = "auto",
-                    ranks: RankAtlas | None = None) -> RankAtlas:
-    """Assign every orbit its rank; see the module docstring for the two
-    strategies.  Both produce identical results."""
-    strategy = resolve_strategy(strategy, shape)
-    if ranks is None:
-        ranks = seed_rank_one(shape, atlas)
-    if strategy == "link-table":
-        out = _propagate_link_table(atlas, ranks.by_orbit.copy())
-    else:
-        out = _propagate_orbit_graph(atlas, ranks.by_orbit.copy())
-    if out.by_orbit[1:].min(initial=255) == 0:
-        raise RuntimeError("unreachable orbit after rank propagation")
-    return out
-
-
-def _propagate_link_table(atlas, by_orbit):
-    order, offsets = orbit_member_blocks(atlas)
-    code_rank = np.zeros(atlas.shape.code_bound, dtype=np.uint8)
-
-    def members(orbit_id):
-        return order[offsets[orbit_id - 1]:offsets[orbit_id]]
-
-    frontier = [int(i) for i in np.flatnonzero(by_orbit == 1)]
-    for oid in frontier:
-        code_rank[members(oid)] = 1
-    rank = 1
-    while frontier:
-        segs = [members(o) for o in frontier]
-        codes = segs[0] if len(segs) == 1 else np.concatenate(segs)
-        paired = codes ^ np.uint32(1)
-        paired = paired[paired != 0]          # code 1 pairs with the zero tensor
-        paired = paired[code_rank[paired] == 0]
-        fresh = np.unique(atlas.assignment[paired])
-        rank += 1
-        for oid in fresh:
-            oid = int(oid)
-            code_rank[members(oid)] = rank
-            by_orbit[oid] = rank
-        frontier = [int(o) for o in fresh]
-    return RankAtlas(by_orbit, code_rank)
-
-
-def _orbit_adjacency(atlas):
-    """Undirected orbit adjacency from the code pairs (2k, 2k+1), k >= 1."""
-    a = atlas.assignment
-    even = a[2::2]
-    odd = a[3::2]
-    pairs = set()
+def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:
+    """Symmetric K x K boolean mask, K = orbit count + 1, joining the
+    orbits of every code pair (2k, 2k+1).  Row and column 0 are clear:
+    the zero orbit is rank 0 by definition, not a BFS vertex."""
+    adj = np.zeros((atlas.orbit_count + 1,) * 2, dtype=bool)
+    even = atlas.assignment[0::2]
+    odd = atlas.assignment[1::2]
     for lo in range(0, even.size, _EDGE_CHUNK):
-        left = even[lo:lo + _EDGE_CHUNK].astype(np.uint64) << np.uint64(32)
-        left |= odd[lo:lo + _EDGE_CHUNK]
-        pairs.update(np.unique(left).tolist())
-    adj = [set() for _ in range(atlas.orbit_count + 1)]
-    for packed in pairs:
-        o1, o2 = packed >> 32, packed & 0xFFFFFFFF
-        if o1 != o2:
-            adj[o1].add(o2)
-            adj[o2].add(o1)
+        adj[even[lo:lo + _EDGE_CHUNK], odd[lo:lo + _EDGE_CHUNK]] = True
+    adj |= adj.T
+    adj[0, :] = False
+    adj[:, 0] = False
     return adj
 
 
-def _propagate_orbit_graph(atlas, by_orbit):
+def propagate_ranks(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
+    """Assign every orbit its rank by BFS from the rank-1 orbit over
+    _orbit_adjacency; see the module docstring."""
+    by_orbit = seed_rank_one(shape, atlas).by_orbit
     adj = _orbit_adjacency(atlas)
-    frontier = [int(i) for i in np.flatnonzero(by_orbit == 1)]
+    frontier = by_orbit == 1
     rank = 1
-    while frontier:
+    while frontier.any():
         rank += 1
-        nxt = []
-        for oid in frontier:
-            for other in adj[oid]:
-                if other != 0 and by_orbit[other] == 0:
-                    by_orbit[other] = rank
-                    nxt.append(other)
-        frontier = nxt
-    return RankAtlas(by_orbit, None)
+        frontier = adj[frontier].any(axis=0) & (by_orbit == 0)
+        by_orbit[frontier] = rank
+    if by_orbit[1:].min(initial=255) == 0:
+        raise RuntimeError("unreachable orbit after rank propagation")
+    return RankAtlas(by_orbit)
 
 
 # ---- independent oracle ----
@@ -180,13 +123,18 @@ class DistributionRow(NamedTuple):
     percent: str
 
 
+def decimal_string(numerator: int, denominator: int) -> str:
+    """numerator/denominator to 4 decimal places, rounded half up."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        q = Decimal(numerator) / Decimal(denominator)
+        return str(q.quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+
+
 def percent_string(count: int, total: int) -> str:
     """count/total as a percentage, 4 decimal places, half up, the exact
     rendering the reference tables use (e.g. 162/256 -> '63.2813')."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        q = (Decimal(count) * 100 / Decimal(total))
-        return str(q.quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+    return decimal_string(100 * count, total)
 
 
 def large_orbit_ranks(large: LargeOrbitAtlas, ranks: RankAtlas) -> np.ndarray:

@@ -16,15 +16,12 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 
-from .orbits import (LargeOrbitAtlas, OrbitAtlas, enumerate_orbits,
-                     merge_large_orbits)
-from .ranks import (DistributionRow, RankAtlas, large_orbit_ranks,
-                    propagate_ranks, rank_distribution)
-from .tensor import Shape, parse_shape
+from .orbits import LargeOrbitAtlas, OrbitAtlas
+from .ranks import DistributionRow, RankAtlas, decimal_string, large_orbit_ranks
+from .tensor import Shape
 
 
 @dataclass(frozen=True)
@@ -224,32 +221,10 @@ def check_conjecture_p22(p: int, atlas: OrbitAtlas, ranks: RankAtlas) -> Conject
     rank4 = [r for r in rows if r.rank == 4]
     if len(rank4) != 1:
         raise RuntimeError(f"p={p}: expected a unique rank-4 orbit, found {len(rank4)}")
-    frac = Fraction(rank4[0].size, shape.code_bound)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        fs = str((Decimal(frac.numerator) / frac.denominator)
-                 .quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
-    return ConjectureReport(p, tuple(b for _, b in expected), computed, match,
-                            rank4[0].size, frac, fs)
-
-
-def classify_format(format_str: str, flavor: str = "small", *,
-                    strategy: str = "auto", mem_cap: int | None = None,
-                    cell_width: int = 2):
-    """One-call pipeline: parse, enumerate, rank, optionally merge.
-    Returns (shape, atlas, ranks, large_atlas_or_None, rows, distribution)."""
-    shape = parse_shape(format_str)
-    kwargs = {"cell_width": cell_width}
-    if mem_cap is not None:
-        kwargs["mem_cap"] = mem_cap
-    atlas = enumerate_orbits(shape, **kwargs)
-    rk = propagate_ranks(shape, atlas, strategy=strategy)
-    large = None
-    if flavor == "large":
-        large = merge_large_orbits(shape, atlas)
-    rows = summarize(shape, atlas, rk, flavor=flavor, large=large)
-    dist = rank_distribution(atlas, rk, large=large)
-    return shape, atlas, rk, large, rows, dist
+    size = rank4[0].size
+    return ConjectureReport(p, tuple(b for _, b in expected), computed, match, size,
+                            Fraction(size, shape.code_bound),
+                            decimal_string(size, shape.code_bound))
 
 
 # ---- emission ----

@@ -27,12 +27,10 @@ class Engine:
             self._atlas[fmt] = enumerate_orbits(parse_shape(fmt))
         return self._atlas[fmt]
 
-    def ranks(self, fmt, strategy="auto"):
-        key = (fmt, strategy)
-        if key not in self._ranks:
-            self._ranks[key] = propagate_ranks(
-                parse_shape(fmt), self.atlas(fmt), strategy=strategy)
-        return self._ranks[key]
+    def ranks(self, fmt):
+        if fmt not in self._ranks:
+            self._ranks[fmt] = propagate_ranks(parse_shape(fmt), self.atlas(fmt))
+        return self._ranks[fmt]
 
     def large(self, fmt):
         if fmt not in self._large:

@@ -45,6 +45,7 @@ def test_classify_json(capsys):
     assert len(doc["rows"]) == 5
     assert doc["rows"][0]["canonical_bits"] == ".......1"
     assert doc["distribution"][0]["percent"] == "0.3906"
+    assert sum(d["tensors"] for d in doc["distribution"]) == 256
 
 
 def test_classify_deterministic(capsys):
@@ -93,6 +94,11 @@ def test_mem_cap_env(capsys, monkeypatch):
                        "--mem-cap", str(1 << 30))
     assert code == 0
     assert out
+    # a value that is not a byte count is invalid input and names itself
+    monkeypatch.setenv("F2TO_MEM_CAP", "lots")
+    code, _, err = run(capsys, "classify", "--format", "3x3x2")
+    assert code == 1
+    assert "F2TO_MEM_CAP" in err and "'lots'" in err
 
 
 def test_snapshot_reuse(capsys, tmp_path):
@@ -169,6 +175,11 @@ def test_show_orbit_range_error(capsys):
     assert code == 1
     assert "out of range" in err
     assert run(capsys, "show-orbit", "--format", "2x2x2", "--code", "0")[0] == 1
+    # the code is checked before the cap or any enumeration
+    code, _, err = run(capsys, "show-orbit", "--format", "3x3x3",
+                       "--code", "0", "--mem-cap", "1")
+    assert code == 1
+    assert "out of range" in err
 
 
 def test_usage_error_exits_via_argparse(capsys):

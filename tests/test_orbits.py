@@ -1,4 +1,4 @@
-"""Orbit enumeration, link tables, large-orbit merging, snapshots."""
+"""Orbit enumeration, large-orbit merging, snapshots, the memory cap."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,9 @@ import pytest
 from f2orbits.group import (compile_generators, generator_set, gl_generators,
                             identity_matrix, small_group_order, transpose_program,
                             block_permutations)
-from f2orbits.orbits import (DEFAULT_MEM_CAP, LinkTable, MemoryCapError, OrbitAtlas,
-                             OrbitRecord, build_link_table, enumerate_orbits,
-                             load_atlas, merge_large_orbits, orbit_member_blocks,
-                             required_bytes, resolve_strategy, save_atlas, spin)
+from f2orbits.orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits,
+                             load_atlas, merge_large_orbits, required_bytes,
+                             save_atlas, spin)
 from f2orbits.tensor import Shape, get_entry, index_of
 
 
@@ -158,86 +157,31 @@ def test_cell_width_four_matches_default(engine):
     assert wide.records == narrow.records
 
 
-def test_orbit_member_blocks_partition(engine):
-    atlas = engine.atlas("3x2x2")
-    order, offsets = orbit_member_blocks(atlas)
-    assert offsets[0] == 0
-    seen = set()
-    for r in atlas.records:
-        block = order[offsets[r.orbit_id - 1]:offsets[r.orbit_id]]
-        assert block.size == r.size
-        assert int(block[0]) == r.canonical
-        assert (np.diff(block.astype(np.int64)) > 0).all()
-        ids = atlas.assignment[block]
-        assert (ids == r.orbit_id).all()
-        seen.update(block.tolist())
-    assert len(seen) == atlas.shape.code_bound - 1
-
-
 # ---- memory cap ----
 
 def test_memory_cap_refusal():
-    # enumerate_orbits budgets its own table: code_bound cells
+    # enumerate_orbits budgets its own table, code_bound cells, and refuses
+    # with exactly the estimate required_bytes reports
     s = Shape((3, 3, 2))
     need = s.code_bound * 2
-    with pytest.raises(MemoryCapError) as exc:
-        enumerate_orbits(s, mem_cap=need - 1)
-    assert exc.value.required == need
-    assert exc.value.cap == need - 1
+    assert required_bytes(s) == need
+    assert required_bytes(s, 4) == 2 * need
+    for width in (2, 4):
+        cap = required_bytes(s, width) - 1
+        with pytest.raises(MemoryCapError) as exc:
+            enumerate_orbits(s, cell_width=width, mem_cap=cap)
+        assert exc.value.required == required_bytes(s, width)
+        assert exc.value.cap == cap
     assert "F2TO_MEM_CAP" in str(exc.value)
 
 
 def test_required_bytes_and_strategy():
-    assert resolve_strategy("auto", Shape((3, 2, 2))) == "link-table"
-    assert resolve_strategy("auto", Shape((3, 3, 3))) == "orbit-graph"
-    assert resolve_strategy("orbit-graph", Shape((2, 2, 2))) == "orbit-graph"
-    with pytest.raises(ValueError):
-        resolve_strategy("magic", Shape((2, 2, 2)))
-    s = Shape((3, 3, 2))
-    assert required_bytes(s, "link-table") > required_bytes(s, "orbit-graph")
-    assert required_bytes(s, "orbit-graph", 4) == 2 * required_bytes(s, "orbit-graph", 2)
+    # one table of code_bound cells of cell_width bytes, whatever the format
+    for fmt in ((2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3)):
+        s = Shape(fmt)
+        assert required_bytes(s) == 2 * s.code_bound
+        assert required_bytes(s, 4) == 2 * required_bytes(s, 2)
     assert DEFAULT_MEM_CAP == 2 * 1024 ** 3
-
-
-# ---- link table ----
-
-def test_link_table_cycle_length(engine):
-    lt = build_link_table(engine.atlas("2x2x2"))
-    assert isinstance(lt, LinkTable)
-    code, steps = 1, 0
-    while True:
-        code = int(lt.successor[code])
-        steps += 1
-        assert steps <= 27
-        if code == 1:
-            break
-    assert steps == 27
-
-
-def test_link_table_is_orbit_permutation(engine):
-    atlas = engine.atlas("2x2x2")
-    lt = build_link_table(atlas)
-    succ = lt.successor
-    # each orbit's members form a single cycle in increasing order
-    for r in atlas.records:
-        members = np.flatnonzero(atlas.assignment == r.orbit_id)
-        mset = set(members.tolist())
-        for i, c in enumerate(members[:-1]):
-            assert int(succ[c]) == int(members[i + 1])
-        assert int(succ[members[-1]]) == int(members[0])
-        assert {int(succ[c]) for c in mset} == mset
-
-
-def test_link_table_singleton_orbit():
-    # fabricated atlas: one big orbit plus the singleton {5}
-    s = Shape((2, 2, 2))
-    assignment = np.ones(256, dtype=np.uint16)
-    assignment[0] = 0
-    assignment[5] = 2
-    records = (OrbitRecord(1, 1, 254), OrbitRecord(2, 5, 1))
-    atlas = OrbitAtlas(s, assignment, records)
-    lt = build_link_table(atlas)
-    assert int(lt.successor[5]) == 5
 
 
 # ---- large orbits ----

@@ -5,9 +5,9 @@ import pytest
 
 from f2orbits.group import GeneratorSet, ModeAction, identity_matrix
 from f2orbits.orbits import LargeOrbitAtlas, OrbitRecord, enumerate_orbits
-from f2orbits.ranks import (DistributionRow, brute_force_rank, large_orbit_ranks,
-                            percent_string, propagate_ranks, rank_distribution,
-                            rank_of_code, seed_rank_one)
+from f2orbits.ranks import (DistributionRow, _orbit_adjacency, brute_force_rank,
+                            large_orbit_ranks, percent_string, propagate_ranks,
+                            rank_distribution, rank_of_code, seed_rank_one)
 from f2orbits.tensor import Shape, enumerate_simple_tensors
 
 
@@ -47,22 +47,45 @@ def test_rank_of_code(engine):
     assert rank_of_code(atlas, ranks, 0) == 0
 
 
-def test_strategies_agree(engine):
+def reference_adjacency(atlas):
+    # orbit adjacency sets of the nonzero orbits, built one code pair
+    # (2k, 2k+1) at a time
+    a = atlas.assignment.tolist()
+    adj = [set() for _ in range(atlas.orbit_count + 1)]
+    for code in range(2, len(a), 2):
+        adj[a[code]].add(a[code + 1])
+        adj[a[code + 1]].add(a[code])
+    return adj
+
+
+def reference_orbit_ranks(adj, rank_one):
+    # plain Python BFS over the adjacency sets
+    by_orbit = [0] * len(adj)
+    by_orbit[rank_one] = 1
+    frontier = [rank_one]
+    rank = 1
+    while frontier:
+        rank += 1
+        grown = []
+        for oid in frontier:
+            for other in adj[oid]:
+                if by_orbit[other] == 0:
+                    by_orbit[other] = rank
+                    grown.append(other)
+        frontier = grown
+    return by_orbit
+
+
+def test_propagated_ranks_match_set_bfs(engine):
     for fmt in ("2x2x2", "3x2x2", "4x2x2", "2x2x2x2", "3x3x2"):
-        a = engine.ranks(fmt, "link-table")
-        b = engine.ranks(fmt, "orbit-graph")
-        assert (a.by_orbit == b.by_orbit).all()
-
-
-def test_code_rank_table(engine):
-    s = engine.shape("3x2x2")
-    atlas = engine.atlas("3x2x2")
-    ranks = engine.ranks("3x2x2", "link-table")
-    assert ranks.code_rank is not None
-    assert ranks.code_rank.dtype == np.uint8
-    assert int(ranks.code_rank[0]) == 0
-    assert (ranks.code_rank == ranks.by_orbit[atlas.assignment]).all()
-    assert engine.ranks("3x2x2", "orbit-graph").code_rank is None
+        atlas = engine.atlas(fmt)
+        adj = reference_adjacency(atlas)
+        mask = _orbit_adjacency(atlas)
+        assert {tuple(e) for e in np.argwhere(mask).tolist()} == \
+            {(i, j) for i, row in enumerate(adj) for j in row}
+        rank_one = atlas.orbit_id(1)
+        assert engine.ranks(fmt).by_orbit.tolist() == \
+            reference_orbit_ranks(adj, rank_one)
 
 
 def test_brute_force_matches_propagated_everywhere(engine):

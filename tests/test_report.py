@@ -6,11 +6,13 @@ import pytest
 
 from f2orbits.group import small_group_order
 from f2orbits.report import (CSV_HEADER, ClassificationRow, DiffReport,
-                             NoReferenceError, check_conjecture_p22,
-                             classify_format, emit, expected_stable_forms,
-                             load_reference, parse_rows_csv, parse_bits,
-                             render_bits, summarize, verify_reference)
-from f2orbits.tensor import Shape
+                             NoReferenceError, check_conjecture_p22, emit,
+                             expected_stable_forms, load_reference,
+                             parse_rows_csv, parse_bits, render_bits, summarize,
+                             verify_reference)
+from f2orbits.orbits import enumerate_orbits, merge_large_orbits
+from f2orbits.ranks import propagate_ranks, rank_distribution
+from f2orbits.tensor import Shape, parse_shape
 
 
 def test_render_bits():
@@ -211,7 +213,12 @@ def test_parse_rows_csv_requires_header():
 
 
 def test_classify_format_pipeline():
-    shape, atlas, ranks, large, rows, dist = classify_format("2x2x2", "large")
+    shape = parse_shape("2x2x2")
+    atlas = enumerate_orbits(shape)
+    ranks = propagate_ranks(shape, atlas)
+    large = merge_large_orbits(shape, atlas)
+    rows = summarize(shape, atlas, ranks, flavor="large", large=large)
+    dist = rank_distribution(atlas, ranks, large=large)
     assert str(shape) == "2x2x2"
     assert atlas.orbit_count == 7
     assert large.orbit_count == 5
