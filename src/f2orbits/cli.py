@@ -100,7 +100,7 @@ def _compute(shape, cap, want_large, snapshot=None, cell_width=2):
 
     atlas = None
     if snapshot and os.path.exists(snapshot):
-        atlas = load_atlas(snapshot)
+        atlas = load_atlas(snapshot, mem_cap=cap)
         if atlas.shape != shape:
             raise ValueError(
                 f"snapshot {snapshot} holds {atlas.shape}, not {shape}")

@@ -6,12 +6,28 @@ one mode applies the stored linear map to that mode's coordinate vectors:
 x'[i] = sum_j x[j] * rows[j][i] over GF(2), a row vector times the matrix.
 Under this convention apply(a @ b, c) == apply(b, apply(a, c)).
 
-Every mode action (and mode permutation) compiles to a short list of
-(mask, shift) terms: new_code = XOR over terms of a masked, shifted copy
-of the old code.  The compiled form is the only thing the enumeration hot
-loops touch; it works identically on Python ints and on numpy uint32
-arrays, and it is a bijection on codes, so images of duplicate-free
-frontiers stay duplicate-free.
+Every mode action (and mode permutation) compiles to a list of (shift,
+mask) terms: new_code = XOR over terms of a masked, shifted copy of the
+old code.  Actions on different modes commute, so a Composite, one matrix
+per mode, fuses into a single such map.  A compiled map is linear on the
+N bits of a code, so the array path needs no terms: two lookup tables
+hold the images of every low half (ceil(N/2) bits) and every high half,
+and apply_array(codes) = lo[codes & lo_mask] ^ hi[codes >> lo_bits], at
+the same cost for any map.  Every compiled map is a bijection on codes,
+so images of duplicate-free frontiers stay duplicate-free.
+
+Enumeration does one table gather per code per generator, so the default
+generator set is as small as the group allows: m = max(2, number of modes
+of dimension 2) composites, not the 2n per-mode generators.  For d >= 3,
+GL(d, 2) is simple and nonabelian, and a direct product of such groups is
+generated by two elements that carry one generating pair per factor, as
+long as no automorphism carries one factor's pair to another's (P. Hall,
+"The Eulerian functions of a group", 1936).  GL(2, 2) is S3, and S3^k
+maps onto its abelianization Z2^k, so k such factors need k generators.
+generator_set gives the layout.  tests/test_group.py proves by
+Schreier-Sims that it generates the full product on every format with at
+most 100 nonzero mode vectors, and argues the remaining two-mode formats
+in its docstring.
 """
 
 import functools
@@ -159,29 +175,61 @@ class ModeAction:
 
 
 @dataclass(frozen=True)
+class Composite:
+    """One element of the small group: matrices[k - 1] acts on mode k."""
+
+    matrices: tuple[GLMatrix, ...]
+
+
+@dataclass(frozen=True)
 class GeneratorSet:
-    """The 2n generating actions of the small group: per mode, cycle then
-    transvection, in mode order."""
+    """Generating elements of the small group, each a ModeAction or a
+    Composite."""
 
     shape: Shape
-    actions: tuple[ModeAction, ...]
+    actions: tuple[ModeAction | Composite, ...]
 
 
 def generator_set(shape: Shape) -> GeneratorSet:
-    actions = []
-    for k, d in enumerate(shape.dims, start=1):
-        cycle, trans = gl_generators(d)
-        actions.append(ModeAction(k, cycle))
-        actions.append(ModeAction(k, trans))
-    return GeneratorSet(shape, tuple(actions))
+    """m = max(2, number of dimension-2 modes) composites that generate
+    GL(d1,2) x ... x GL(dn,2), from c, t = gl_generators(d) per mode.
+
+    The j-th mode of dimension d >= 3 (j = 0, 1, 2; no supported format has
+    more) takes the pair (c, t), (t, c) or (c, t @ c) into composites 0
+    and 1 and the identity elsewhere.  The j-th mode of dimension 2 takes
+    t, an involution, in composite j and c @ t, of order 3, in the others."""
+    count = max(2, shape.dims.count(2))
+    columns = []
+    seen = {}
+    for d in shape.dims:
+        j = seen[d] = seen.get(d, -1) + 1
+        c, t = gl_generators(d)
+        if d == 2:
+            column = [c @ t] * count
+            column[j] = t
+        else:
+            column = list(((c, t), (t, c), (c, t @ c))[j])
+            column += [identity_matrix(d)] * (count - 2)
+        columns.append(column)
+    return GeneratorSet(shape, tuple(Composite(tuple(row)) for row in zip(*columns)))
 
 
 class CodeMap:
-    """A bijection on codes compiled to XOR-of-shifted-masks form."""
+    """A linear bijection on codes compiled to XOR-of-shifted-masks form."""
 
     def __init__(self, n_bits: int, terms):
         self.n_bits = n_bits
         self.terms = tuple(sorted(terms))
+
+    @classmethod
+    def from_images(cls, n_bits: int, images) -> "CodeMap":
+        """The linear map sending bit p to images[p]."""
+        terms = {}
+        for p, img in enumerate(images):
+            for q in range(n_bits):
+                if (img >> q) & 1:
+                    terms[q - p] = terms.get(q - p, 0) | (1 << p)
+        return cls(n_bits, terms.items())
 
     def __call__(self, code: int) -> int:
         if not 0 <= code < (1 << self.n_bits):
@@ -192,16 +240,27 @@ class CodeMap:
             acc ^= (part << shift) if shift >= 0 else (part >> -shift)
         return acc
 
+    def _span_table(self, first: int, count: int) -> np.ndarray:
+        """Images of the codes whose set bits lie in [first, first + count),
+        indexed by code >> first; filled by linearity, one bit at a time."""
+        table = np.zeros(1 << count, dtype=np.intp)
+        for b in range(count):
+            table[1 << b:2 << b] = table[:1 << b] ^ self(1 << (first + b))
+        return table
+
+    @functools.cached_property
+    def _tables(self):
+        lo_bits = (self.n_bits + 1) // 2
+        return (lo_bits, (1 << lo_bits) - 1,
+                self._span_table(0, lo_bits),
+                self._span_table(lo_bits, self.n_bits - lo_bits))
+
     def apply_array(self, codes: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(codes)
-        for shift, mask in self.terms:
-            part = codes & np.uint32(mask)
-            if shift >= 0:
-                part <<= shift
-            else:
-                part >>= -shift
-            out ^= part
-        return out
+        """Images of an integer array of codes, as intp: the tables hold
+        intp so that images index the assignment table without a cast.
+        Each table has at most 2^14 entries (128 KiB)."""
+        lo_bits, lo_mask, lo, hi = self._tables
+        return lo[codes & lo_mask] ^ hi[codes >> lo_bits]
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,15 +288,26 @@ def compile_mode_action(shape: Shape, action: ModeAction) -> CodeMap:
     return CodeMap(shape.entry_count, terms.items())
 
 
-def apply_mode_action(shape: Shape, code: int, action: ModeAction) -> int:
-    """Apply one mode action to a single code."""
-    if not 0 <= code < shape.code_bound:
-        raise ValueError(f"code {code} out of range for {shape}")
-    return compile_mode_action(shape, action)(code)
+def compile_composite(shape: Shape, element: Composite) -> CodeMap:
+    """Fuse the per-mode actions of a composite into one CodeMap."""
+    dims = tuple(m.d for m in element.matrices)
+    if dims != shape.dims:
+        raise ValueError(f"composite of {'x'.join(map(str, dims))} matrices "
+                         f"does not match {shape}")
+    maps = [compile_mode_action(shape, ModeAction(k, m))
+            for k, m in enumerate(element.matrices, start=1)]
+    images = []
+    for p in range(shape.entry_count):
+        img = 1 << p
+        for m in maps:
+            img = m(img)
+        images.append(img)
+    return CodeMap.from_images(shape.entry_count, images)
 
 
 def compile_generators(shape: Shape, gens: GeneratorSet) -> tuple[CodeMap, ...]:
-    return tuple(compile_mode_action(shape, a) for a in gens.actions)
+    return tuple(compile_composite(shape, a) if isinstance(a, Composite)
+                 else compile_mode_action(shape, a) for a in gens.actions)
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,14 +316,13 @@ def transpose_program(shape: Shape, perm: tuple[int, ...]) -> CodeMap:
     Agrees with tensor.transpose by construction of the terms."""
     transpose(shape, 0, perm)  # validates the permutation
     n_bits = shape.entry_count
-    terms = {}
+    images = [0] * n_bits
     for p in range(n_bits):
         idx = index_of(shape, p)
-        src = tuple(idx[s - 1] for s in perm)
-        q = position_of(shape, src)
-        shift = q - p
-        terms[shift] = terms.get(shift, 0) | (1 << (n_bits - 1 - q))
-    cm = CodeMap(n_bits, terms.items())
+        q = position_of(shape, tuple(idx[s - 1] for s in perm))
+        # the entry at position q moves to position p
+        images[n_bits - 1 - q] = 1 << (n_bits - 1 - p)
+    cm = CodeMap.from_images(n_bits, images)
     # cheap sanity: must agree with the reference implementation somewhere
     probe = (1 << (n_bits - 1)) | 1
     assert cm(probe) == transpose(shape, probe, perm)

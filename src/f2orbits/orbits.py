@@ -7,14 +7,22 @@ ascending order and spins each unassigned code into a new orbit, so orbit
 ids 1, 2, ... increase with the orbit's minimal element.  Code 0 is the
 zero tensor, always orbit id 0.
 
-Spinning is breadth first over the compiled generator programs.  The
-programs are bijections, so a duplicate-free frontier has duplicate-free
-images, and marking cells between programs filters overlap without any
-sorting.
+Spinning is breadth first over the compiled generator programs, by
+default the few fused composites of group.generator_set, so each code
+costs one table gather per composite.  The programs are bijections, so a
+duplicate-free frontier has duplicate-free images, and marking cells
+between programs filters overlap without any sorting.
+
+A snapshot (format version 1) is a small header, the cells of codes
+1..2^N-1 in little-endian order, then the orbit records.  Saving streams
+the cells straight from the table into a temporary file that replaces the
+target only once complete; loading checks the memory cap, then reads the
+cells into the one table it allocates.
 """
 
-import io
+import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +96,7 @@ def required_bytes(shape: Shape, cell_width: int = 2) -> int:
 def _spin_into(assignment, sentinel, orbit_id, start, programs):
     """Mark the orbit of start with orbit_id; returns the orbit size."""
     assignment[start] = orbit_id
-    frontier = np.array([start], dtype=np.uint32)
+    frontier = np.array([start], dtype=np.intp)
     size = 1
     while frontier.size:
         grown = []
@@ -99,7 +107,7 @@ def _spin_into(assignment, sentinel, orbit_id, start, programs):
                 if fresh.size:
                     assignment[fresh] = orbit_id
                     grown.append(fresh)
-        frontier = np.concatenate(grown) if grown else np.empty(0, np.uint32)
+        frontier = np.concatenate(grown) if grown else np.empty(0, np.intp)
         size += int(frontier.size)
     return size
 
@@ -233,58 +241,72 @@ def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
 
 def save_atlas(atlas: OrbitAtlas, path: str) -> None:
     """Binary snapshot: magic, version, dims, cell width, assignment for
-    codes 1..2^N-1 (little endian), then the orbit records."""
+    codes 1..2^N-1 (little endian), then the orbit records.  The cells are
+    written from the table without a copy on little-endian hosts, into a
+    temporary file in the same directory that is renamed over path."""
     cell_width = atlas.assignment.dtype.itemsize
-    buf = io.BytesIO()
-    buf.write(_SNAPSHOT_MAGIC)
-    buf.write(bytes([_SNAPSHOT_VERSION, atlas.shape.n]))
-    buf.write(bytes(atlas.shape.dims))
-    buf.write(bytes([cell_width]))
     kind = "<u2" if cell_width == 2 else "<u4"
-    buf.write(atlas.assignment[1:].astype(kind, copy=False).tobytes())
-    buf.write(struct.pack("<I", len(atlas.records)))
-    for rec in atlas.records:
-        buf.write(struct.pack("<IQ", rec.canonical, rec.size))
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    records = [struct.pack("<I", len(atlas.records))]
+    records += [struct.pack("<IQ", r.canonical, r.size) for r in atlas.records]
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_SNAPSHOT_MAGIC + bytes([_SNAPSHOT_VERSION, atlas.shape.n]))
+            f.write(bytes(atlas.shape.dims) + bytes([cell_width]))
+            f.write(memoryview(atlas.assignment[1:].astype(kind, copy=False)))
+            f.write(b"".join(records))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def load_atlas(path: str, shape: Shape | None = None) -> OrbitAtlas:
+def load_atlas(path: str, shape: Shape | None = None, *,
+               mem_cap: int | None = DEFAULT_MEM_CAP) -> OrbitAtlas:
+    """Read a snapshot written by save_atlas.  The table it allocates is
+    checked against mem_cap first (MemoryCapError), and the cells are read
+    into it directly.  Malformed files raise ValueError."""
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != _SNAPSHOT_MAGIC:
-        raise ValueError(f"{path} is not an orbit snapshot")
-    if data[4] != _SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {data[4]}")
-    n = data[5]
-    dims = tuple(data[6:6 + n])
-    found = Shape(dims)
-    if shape is not None and shape != found:
-        raise ValueError(f"snapshot holds {found}, expected {shape}")
-    off = 6 + n
-    cell_width = data[off]
-    off += 1
-    if cell_width not in (2, 4):
-        raise ValueError(f"bad snapshot cell width {cell_width}")
-    cb = found.code_bound
-    body = (cb - 1) * cell_width
-    if len(data) < off + body + 4:
+        head = f.read(6)
+        if head[:4] != _SNAPSHOT_MAGIC:
+            raise ValueError(f"{path} is not an orbit snapshot")
+        if len(head) < 6:
+            raise ValueError(f"{path} is truncated")
+        if head[4] != _SNAPSHOT_VERSION:
+            raise ValueError(f"unsupported snapshot version {head[4]}")
+        n = head[5]
+        tail = f.read(n + 1)
+        if len(tail) != n + 1:
+            raise ValueError(f"{path} is truncated")
+        dims = tuple(tail[:n])
+        found = Shape(dims)
+        if shape is not None and shape != found:
+            raise ValueError(f"snapshot holds {found}, expected {shape}")
+        cell_width = tail[n]
+        if cell_width not in (2, 4):
+            raise ValueError(f"bad snapshot cell width {cell_width}")
+        cb = found.code_bound
+        body = (cb - 1) * cell_width
+        if os.fstat(f.fileno()).st_size < f.tell() + body + 4:
+            raise ValueError(f"{path} is truncated")
+        need = required_bytes(found, cell_width)
+        if mem_cap is not None and need > mem_cap:
+            raise MemoryCapError(need, mem_cap)
+        assignment = np.empty(cb, dtype=np.uint16 if cell_width == 2 else np.uint32)
+        assignment[0] = 0
+        if f.readinto(memoryview(assignment[1:]).cast("B")) != body:
+            raise ValueError(f"{path} is truncated")
+        if sys.byteorder == "big":
+            assignment.byteswap(inplace=True)
+        rest = f.read()
+    if len(rest) < 4:
         raise ValueError(f"{path} is truncated")
-    kind = "<u2" if cell_width == 2 else "<u4"
-    cells = np.frombuffer(data, dtype=kind, count=cb - 1, offset=off)
-    off += body
-    assignment = np.empty(cb, dtype=cells.dtype.newbyteorder("="))
-    assignment[0] = 0
-    assignment[1:] = cells
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
-    if len(data) != off + 12 * count:
+    (count,) = struct.unpack_from("<I", rest)
+    if len(rest) != 4 + 12 * count:
         raise ValueError(f"{path} has truncated or trailing record data")
-    records = []
-    for i in range(count):
-        canonical, size = struct.unpack_from("<IQ", data, off)
-        off += 12
-        records.append(OrbitRecord(i + 1, canonical, size))
+    records = [OrbitRecord(i + 1, *struct.unpack_from("<IQ", rest, 4 + 12 * i))
+               for i in range(count)]
     if sum(r.size for r in records) != cb - 1:
         raise ValueError(f"{path} record sizes do not cover the code space")
     return OrbitAtlas(found, assignment, records)

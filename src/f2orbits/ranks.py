@@ -25,7 +25,7 @@ import numpy as np
 from .orbits import LargeOrbitAtlas, OrbitAtlas
 from .tensor import Shape, enumerate_simple_tensors
 
-_EDGE_CHUNK = 1 << 22
+_EDGE_CHUNK = 1 << 16
 
 
 class RankAtlas:
@@ -59,11 +59,18 @@ def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:
     """Symmetric K x K boolean mask, K = orbit count + 1, joining the
     orbits of every code pair (2k, 2k+1).  Row and column 0 are clear:
     the zero orbit is rank 0 by definition, not a BFS vertex."""
-    adj = np.zeros((atlas.orbit_count + 1,) * 2, dtype=bool)
+    ids = atlas.orbit_count + 1
+    hits = np.zeros(ids * ids, dtype=bool)
     even = atlas.assignment[0::2]
     odd = atlas.assignment[1::2]
+    # flat index even * K + odd, built in intp, which numpy would
+    # otherwise cast an index array to, in chunks that stay in cache
     for lo in range(0, even.size, _EDGE_CHUNK):
-        adj[even[lo:lo + _EDGE_CHUNK], odd[lo:lo + _EDGE_CHUNK]] = True
+        idx = even[lo:lo + _EDGE_CHUNK].astype(np.intp)
+        idx *= ids
+        idx += odd[lo:lo + _EDGE_CHUNK]
+        hits[idx] = True
+    adj = hits.reshape(ids, ids)
     adj |= adj.T
     adj[0, :] = False
     adj[:, 0] = False

@@ -3,10 +3,17 @@
 Orbit enumeration for the big formats is the expensive part of the
 suite, so completed atlases are cached once per session and reused by
 every test that asks for the same format.
+
+per_mode_generators builds the 2n per-mode generators, cycle and
+transvection of every mode, straight from gl_generators.  Closure and
+partition checks use them rather than generator_set, so the composites
+enumeration runs on are checked against a set that shares nothing with
+their layout.
 """
 
 import pytest
 
+from f2orbits.group import GeneratorSet, ModeAction, gl_generators
 from f2orbits.orbits import enumerate_orbits, merge_large_orbits
 from f2orbits.ranks import large_orbit_ranks, propagate_ranks, rank_distribution
 from f2orbits.report import summarize
@@ -53,3 +60,14 @@ class Engine:
 @pytest.fixture(scope="session")
 def engine():
     return Engine()
+
+
+def _per_mode_generators(shape):
+    return GeneratorSet(shape, tuple(
+        ModeAction(k, m) for k, d in enumerate(shape.dims, start=1)
+        for m in gl_generators(d)))
+
+
+@pytest.fixture(scope="session")
+def per_mode_generators():
+    return _per_mode_generators

@@ -16,11 +16,12 @@ The expected values are frozen literals here, independent of the refdata
 files; criterion 1 also cross-checks that the stored summary agrees.
 
 One summary row is expected to fail: for 2x2x2x2 the stored table says 31
-orbits including zero, but the computed count is 30.  Three independent
-methods agree on 30 (full enumeration, merging under mode permutations,
-and a fixed-point average over all 31104 group elements), so the check
-is marked xfail rather than silently adjusted; see notes/decisions.md in
-the repository root.
+orbits including zero, but the computed count is 30.  Two methods agree
+on 30: merging the small-group orbits under mode permutations, and
+enumerating directly under the large group with the mode permutations as
+extra generators (tests/test_orbits.py::test_merge_matches_direct_enumeration
+checks that they agree on 2x2x2x2).  So the check is marked xfail rather
+than silently adjusted.
 """
 
 import random
@@ -28,8 +29,8 @@ import random
 import numpy as np
 import pytest
 
-from f2orbits.group import (compile_generators, generator_set, gl_generators,
-                            identity_matrix, large_group_order, small_group_order)
+from f2orbits.group import (compile_generators, gl_generators, identity_matrix,
+                            large_group_order, small_group_order)
 from f2orbits.ranks import brute_force_rank, rank_of_code
 from f2orbits.report import load_reference
 from f2orbits.tensor import Shape, index_of, position_of
@@ -61,9 +62,9 @@ _SUMMARY_PARAMS = [
     pytest.param(*row, marks=pytest.mark.xfail(
         strict=True,
         reason="stored summary says 31 orbits for 2x2x2x2 but the computed "
-               "count is 30, confirmed by full enumeration, by merging under "
-               "mode permutations, and by a fixed-point average over all "
-               "31104 group elements; the stored value is kept verbatim"))
+               "count is 30, by merging small-group orbits under mode "
+               "permutations and by direct enumeration under the large "
+               "group; the stored value is kept verbatim"))
     if row[0] == "2x2x2x2" else pytest.param(*row)
     for row in SUMMARY
 ]
@@ -141,7 +142,7 @@ def test_rank_oracle_agreement(engine):
                 rank_of_code(atlas, ranks, code), f"{fmt} code {code}"
 
 
-def test_structural_properties(engine):
+def test_structural_properties(engine, per_mode_generators):
     rng = np.random.default_rng(2024)
 
     for fmt, flavor, *_ in SUMMARY:
@@ -166,13 +167,14 @@ def test_structural_properties(engine):
         delta = by[atlas.assignment[codes]] - by[atlas.assignment[codes ^ 1]]
         assert int(np.abs(delta).max()) <= 1
 
-    # generator closure preserves orbit ids, checked for every code and
+    # closure under the 2n per-mode generators, not the composites the
+    # enumeration used, preserves orbit ids; checked for every code and
     # every generator on the formats small enough to do exhaustively
     for fmt in ("2x2x2", "3x2x2", "4x2x2", "2x2x2x2"):
         shape = engine.shape(fmt)
         atlas = engine.atlas(fmt)
         codes = np.arange(shape.code_bound, dtype=np.uint32)
-        for prog in compile_generators(shape, generator_set(shape)):
+        for prog in compile_generators(shape, per_mode_generators(shape)):
             assert (atlas.assignment[prog.apply_array(codes.copy())]
                     == atlas.assignment).all()
 

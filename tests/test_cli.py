@@ -1,6 +1,9 @@
 """Command-line behavior: outputs, exit codes, snapshots, caps."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -114,6 +117,21 @@ def test_snapshot_reuse(capsys, tmp_path):
     assert first == second
 
 
+def test_snapshot_load_mem_cap(capsys, tmp_path, monkeypatch):
+    # a snapshot load allocates the same table as an enumeration, and is
+    # refused by the same cap, from the flag or from the environment
+    snap = tmp_path / "a.snap"
+    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
+    code, out, err = run(capsys, "classify", "--format", "2x2x2",
+                         "--snapshot", str(snap), "--mem-cap", "1")
+    assert code == 2 and out == ""
+    assert "512 bytes" in err and "cap is 1 bytes" in err
+    monkeypatch.setenv("F2TO_MEM_CAP", "511")
+    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 2
+    monkeypatch.setenv("F2TO_MEM_CAP", "512")
+    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
+
+
 def test_snapshot_format_mismatch(capsys, tmp_path):
     snap = tmp_path / "a.snap"
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
@@ -187,3 +205,13 @@ def test_usage_error_exits_via_argparse(capsys):
         main(["classify", "--format", "2x2x2", "--emit", "yaml"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_imports_numpy_only():
+    # sympy and hypothesis are test-only dependencies
+    probe = ("import sys, f2orbits.cli; "
+             "sys.exit(' '.join({'sympy', 'hypothesis'} & set(sys.modules)) or None)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -3,20 +3,43 @@
 The compiled shift/mask programs are checked against reference_apply,
 which reapplies the definition one entry at a time and shares no code
 with the compiler.
+
+test_generator_set_generates_small_group proves, with sympy's
+Schreier-Sims order computation, that generator_set generates the whole
+of GL(d1,2) x ... x GL(dn,2) on every format the parser accepts whose
+nonzero mode vectors number at most 100.  The product acts faithfully on
+the disjoint union of those vectors, so the permutation group there has
+the small group's order exactly when the composites generate it.
+
+The other accepted formats are the two-mode ones with a mode of
+dimension a >= 7 beside a mode of dimension b = 2 or 3 (7x2 up to 13x2,
+7x3 up to 9x3, either way round), where the composites are (c_a, x) and
+(t_a, y).  For every d, c and t generate GL(d,2): conjugating t by powers
+of c gives the transvections e_i -> e_i + e_(i+1) around the cycle,
+their commutators give every elementary transvection, and those generate
+SL(d,2) = GL(d,2).  So the subgroup H the composites generate projects
+onto A = GL(a,2), and onto B: for b = 2, x = t and y = c @ t, an
+involution and an element of order 3, generate S3 = GL(2,2); for b = 3,
+(x, y) = (c, t).  By Goursat's lemma H is the fibre product over an
+isomorphism between quotients A/N and B/M.  A is simple and nonabelian
+of order at least |GL(7,2)|, larger than |B|, so the only quotient of A
+that is also a quotient of B is trivial, N = A, and H = A x B.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from f2orbits.group import (CodeMap, GLMatrix, ModeAction, apply_mode_action,
-                            block_permutations, compile_generators,
-                            compile_mode_action, equal_dim_blocks, generator_set,
-                            gl_generators, group_order, identity_matrix,
-                            large_group_order, small_group_order,
-                            transpose_program)
-from f2orbits.tensor import Shape, get_entry, index_of, transpose
+from f2orbits.group import (CodeMap, Composite, GLMatrix, ModeAction,
+                            block_permutations, compile_composite,
+                            compile_generators, compile_mode_action,
+                            equal_dim_blocks, generator_set, gl_generators,
+                            group_order, identity_matrix, large_group_order,
+                            small_group_order, transpose_program)
+from f2orbits.tensor import MAX_ENTRIES, Shape, get_entry, index_of, transpose
 
 
 def reference_apply(shape, action, code):
@@ -126,30 +149,99 @@ def test_block_permutations():
 
 def test_pinned_generator_images():
     s = Shape((2, 2, 2))
-    gens = generator_set(s)
-    # mode 1 cycle swaps the two slices: entry (2,2,2) moves to (1,2,2)
-    assert apply_mode_action(s, 1, gens.actions[0]) == 16
-    # mode 3 transvection adds column 1 into column 2, fixing (2,2,2)
-    assert apply_mode_action(s, 1, gens.actions[5]) == 1
+    progs = compile_generators(s, generator_set(s))
+    # composite j holds t = (e1 -> e1 + e2) on mode j + 1 and c @ t
+    # (e2 -> e1 + e2) on the other modes; entry (2,2,2) is code 1, so its
+    # image is e2 in mode j + 1 times e1 + e2 in the others
+    assert [prog(1) for prog in progs] == [0b00001111, 0b00110011, 0b01010101]
 
 
 def test_generator_set_layout():
-    s = Shape((3, 2, 2))
-    gens = generator_set(s)
-    assert len(gens.actions) == 6
-    assert [a.mode for a in gens.actions] == [1, 1, 2, 2, 3, 3]
-    assert all(a.matrix.d == s.dims[a.mode - 1] for a in gens.actions)
+    def layout(dims):
+        s = Shape(dims)
+        comps = generator_set(s).actions
+        assert all(isinstance(c, Composite) for c in comps)
+        assert all(len(c.matrices) == s.n for c in comps)
+        return [c.matrices for c in comps]
+
+    c2, t2 = gl_generators(2)
+    c3, t3 = gl_generators(3)
+    i3 = identity_matrix(3)
+    assert layout((3, 2, 2)) == [(c3, t2, c2 @ t2), (t3, c2 @ t2, t2)]
+    assert layout((3, 3, 3)) == [(c3, t3, c3), (t3, c3, t3 @ c3)]
+    assert layout((4, 3, 2)) == [(gl_generators(4)[0], c3, t2),
+                                 (gl_generators(4)[1], t3, c2 @ t2)]
+    assert layout((3, 2, 2, 2)) == [(c3, t2, c2 @ t2, c2 @ t2),
+                                    (t3, c2 @ t2, t2, c2 @ t2),
+                                    (i3, c2 @ t2, c2 @ t2, t2)]
+    assert len(layout((2, 2, 2, 2))) == 4
+    assert len(layout((6, 2, 2))) == 2
 
 
-def test_compiled_matches_reference_on_generators():
+def _accepted_formats(prefix=(), entries=1):
+    if len(prefix) >= 2:
+        yield prefix
+    for d in range(2, MAX_ENTRIES // entries + 1):
+        yield from _accepted_formats(prefix + (d,), entries * d)
+
+
+def test_generator_set_generates_small_group():
+    # see the module docstring for the formats with more than 100 points
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    def vector_image(rows, v):
+        out = 0
+        for j, row in enumerate(rows):
+            if (v >> j) & 1:
+                out ^= row
+        return out
+
+    def layout(dims):
+        return [c.matrices for c in generator_set(Shape(dims)).actions]
+
+    checked = set()
+    for dims in _accepted_formats():
+        if sum((1 << d) - 1 for d in dims) > 100:
+            assert len(dims) == 2 and max(dims) >= 7 and min(dims) <= 3
+            continue
+        # a reordered format gets the same composites with the modes
+        # reordered (equal dimensions keep their order), so it generates
+        # the same group up to the order of the factors
+        order = sorted(range(len(dims)), key=lambda k: dims[k])
+        key = tuple(dims[k] for k in order)
+        assert [tuple(m[k] for k in order) for m in layout(dims)] == layout(key)
+        if key in checked:
+            continue
+        perms = []
+        for matrices in layout(key):
+            images, offset = [], 0
+            for m in matrices:
+                images += [offset + vector_image(m.rows, v) - 1
+                           for v in range(1, 1 << m.d)]
+                offset += (1 << m.d) - 1
+            perms.append(Permutation(images))
+        assert PermutationGroup(perms).order() == small_group_order(Shape(key)), key
+        checked.add(key)
+    assert len(checked) == 23
+
+
+def test_compiled_matches_reference_on_generators(per_mode_generators):
     for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
         s = Shape(dims)
         sample = range(256) if s.entry_count <= 8 else \
             random.Random(3).sample(range(s.code_bound), 200)
-        for action in generator_set(s).actions:
+        for action in per_mode_generators(s).actions:
             prog = compile_mode_action(s, action)
             for code in sample:
                 assert prog(code) == reference_apply(s, action, code)
+        # a composite is its per-mode actions applied one after another
+        for comp in generator_set(s).actions:
+            prog = compile_composite(s, comp)
+            for code in sample:
+                want = code
+                for k, m in enumerate(comp.matrices, start=1):
+                    want = reference_apply(s, ModeAction(k, m), want)
+                assert prog(code) == want
 
 
 def test_compiled_matches_reference_on_random_matrices():
@@ -213,13 +305,46 @@ def test_identity_action_is_identity():
                 assert prog(c) == c
 
 
-def test_apply_array_matches_scalar():
-    s = Shape((3, 2, 2))
-    codes = np.arange(s.code_bound, dtype=np.uint32)
-    for prog in compile_generators(s, generator_set(s)):
-        out = prog.apply_array(codes.copy())
-        for c in (0, 1, 77, 4095, 2048):
-            assert int(out[c]) == prog(c)
+def test_apply_array_matches_scalar(per_mode_generators):
+    # the lookup-table array path against the term-by-term scalar path, on
+    # random codes plus codes that set the top bits of both table halves
+    rng = np.random.default_rng(29)
+    for dims in ((3, 2, 2), (2, 2, 2, 2), (3, 3, 2), (3, 2, 2, 2), (3, 3, 3)):
+        s = Shape(dims)
+        n = s.entry_count
+        half = (n + 1) // 2
+        edges = [0, 1, s.code_bound - 1, 1 << (n - 1), (1 << half) - 1,
+                 1 << half, (1 << (half - 1)) | (1 << (n - 1))]
+        codes = np.concatenate([
+            np.array(edges, dtype=np.uint32),
+            rng.integers(0, s.code_bound, size=300, dtype=np.uint32)])
+        progs = list(compile_generators(s, generator_set(s)))
+        progs += compile_generators(s, per_mode_generators(s))
+        progs += [transpose_program(s, p) for p in block_permutations(s)]
+        for prog in progs:
+            assert prog.apply_array(codes).tolist() == [prog(int(c)) for c in codes]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dims=st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2, 2), (3, 3, 3)]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_random_composite_matches_per_mode(dims, seed, data):
+    # any composite, not only the generating ones: the fused map, on both
+    # paths, equals its per-mode actions applied one after another
+    s = Shape(dims)
+    rng = random.Random(seed)
+    comp = Composite(tuple(random_gl(d, rng) for d in dims))
+    prog = compile_composite(s, comp)
+    per_mode = [compile_mode_action(s, ModeAction(k, m))
+                for k, m in enumerate(comp.matrices, start=1)]
+    codes = data.draw(st.lists(st.integers(0, s.code_bound - 1),
+                               min_size=1, max_size=20))
+    out = prog.apply_array(np.array(codes, dtype=np.uint32)).tolist()
+    for code, got in zip(codes, out):
+        want = code
+        for step in per_mode:
+            want = step(want)
+        assert prog(code) == got == want
 
 
 def test_actions_are_bijections():
@@ -237,6 +362,11 @@ def test_compile_rejects_mismatched_action():
         compile_mode_action(s, ModeAction(1, identity_matrix(2)))
     with pytest.raises(ValueError):
         compile_mode_action(s, ModeAction(4, identity_matrix(2)))
+    i2, i3 = identity_matrix(2), identity_matrix(3)
+    with pytest.raises(ValueError):
+        compile_composite(s, Composite((i3, i2)))
+    with pytest.raises(ValueError):
+        compile_composite(s, Composite((i2, i2, i3)))
 
 
 def test_transpose_program_matches_transpose():

@@ -1,11 +1,13 @@
 """Orbit enumeration, large-orbit merging, snapshots, the memory cap."""
 
+import io
+import struct
+
 import numpy as np
 import pytest
 
-from f2orbits.group import (compile_generators, generator_set, gl_generators,
-                            identity_matrix, small_group_order, transpose_program,
-                            block_permutations)
+from f2orbits.group import (block_permutations, compile_generators, generator_set,
+                            identity_matrix, small_group_order, transpose_program)
 from f2orbits.orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits,
                              load_atlas, merge_large_orbits, required_bytes,
                              save_atlas, spin)
@@ -28,8 +30,7 @@ def reference_apply(shape, action, code):
     return out
 
 
-def python_spin(shape, start):
-    actions = generator_set(shape).actions
+def python_spin(shape, start, actions):
     seen = {start}
     frontier = [start]
     while frontier:
@@ -53,10 +54,11 @@ def test_spin_known_sizes():
     assert spin(s, 107).size == 12
 
 
-def test_spin_matches_python_bfs():
+def test_spin_matches_python_bfs(per_mode_generators):
     s = Shape((2, 2, 2))
+    actions = per_mode_generators(s).actions
     for start in (1, 6, 18, 24, 107, 255):
-        assert set(spin(s, start).tolist()) == python_spin(s, start)
+        assert set(spin(s, start).tolist()) == python_spin(s, start, actions)
 
 
 def test_spin_output_sorted_contains_start():
@@ -68,11 +70,11 @@ def test_spin_output_sorted_contains_start():
         assert 0 not in orb
 
 
-def test_spin_closed_under_generators():
+def test_spin_closed_under_generators(per_mode_generators):
     s = Shape((2, 2, 2, 2))
     orb = spin(s, 361)
     members = set(orb.tolist())
-    for prog in compile_generators(s, generator_set(s)):
+    for prog in compile_generators(s, per_mode_generators(s)):
         assert {prog(c) for c in members} == members
 
 
@@ -127,15 +129,27 @@ def test_canonical_is_orbit_minimum(engine):
         assert int(members.min()) == r.canonical
 
 
-def test_generator_closure_preserves_ids_exhaustive(engine):
-    # every code and every generator, all formats up to 16 entries
+def test_generator_closure_preserves_ids_exhaustive(engine, per_mode_generators):
+    # every code and every per-mode generator, all formats up to 16 entries
     for fmt in ("2x2x2", "3x2x2", "4x2x2", "2x2x2x2"):
         s = engine.shape(fmt)
         atlas = engine.atlas(fmt)
         codes = np.arange(s.code_bound, dtype=np.uint32)
-        for prog in compile_generators(s, generator_set(s)):
+        for prog in compile_generators(s, per_mode_generators(s)):
             images = prog.apply_array(codes.copy())
             assert (atlas.assignment[images] == atlas.assignment).all()
+
+
+def test_composites_match_per_mode_partition(engine, per_mode_generators):
+    # the default composites against the 2n per-mode generators: the same
+    # assignment table and the same records, so also the same orbit ids
+    for fmt in ("2x2x2", "3x2x2", "2x2x2x2", "3x3x2"):
+        s = engine.shape(fmt)
+        composite = engine.atlas(fmt)
+        assert len(generator_set(s).actions) < 2 * s.n
+        per_mode = enumerate_orbits(s, per_mode_generators(s))
+        assert (per_mode.assignment == composite.assignment).all()
+        assert per_mode.records == composite.records
 
 
 def test_enumeration_accepts_custom_generators():
@@ -257,9 +271,11 @@ def test_snapshot_rejects_corruption(tmp_path, engine):
     with pytest.raises(ValueError):
         load_atlas(str(tmp_path / "m.snap"))
 
-    (tmp_path / "t.snap").write_bytes(blob[:-3])
-    with pytest.raises(ValueError):
-        load_atlas(str(tmp_path / "t.snap"))
+    # cut inside the records, the cells, the dims and the fixed header
+    for cut in (len(blob) - 3, 100, 8, 5):
+        (tmp_path / "t.snap").write_bytes(blob[:cut])
+        with pytest.raises(ValueError):
+            load_atlas(str(tmp_path / "t.snap"))
 
     (tmp_path / "x.snap").write_bytes(blob + b"\x00")
     with pytest.raises(ValueError):
@@ -281,3 +297,42 @@ def test_snapshot_shape_check(tmp_path, engine):
         load_atlas(str(path), Shape((3, 2, 2)))
     ok = load_atlas(str(path), Shape((2, 2, 2)))
     assert ok.orbit_count == 7
+
+
+def _old_writer_bytes(atlas):
+    # the buffered writer save_atlas replaced, kept as the byte-layout oracle
+    buf = io.BytesIO()
+    buf.write(b"F2OA" + bytes([1, atlas.shape.n]) + bytes(atlas.shape.dims))
+    buf.write(bytes([atlas.assignment.dtype.itemsize]))
+    kind = "<u2" if atlas.assignment.dtype.itemsize == 2 else "<u4"
+    buf.write(atlas.assignment[1:].astype(kind).tobytes())
+    buf.write(struct.pack("<I", len(atlas.records)))
+    for rec in atlas.records:
+        buf.write(struct.pack("<IQ", rec.canonical, rec.size))
+    return buf.getvalue()
+
+
+def test_snapshot_bytes_match_buffered_writer(tmp_path, engine):
+    for fmt in ("2x2x2", "3x2x2"):
+        path = tmp_path / f"{fmt}.snap"
+        save_atlas(engine.atlas(fmt), str(path))
+        assert path.read_bytes() == _old_writer_bytes(engine.atlas(fmt))
+    wide = enumerate_orbits(Shape((3, 2, 2)), cell_width=4)
+    save_atlas(wide, str(tmp_path / "wide.snap"))
+    assert (tmp_path / "wide.snap").read_bytes() == _old_writer_bytes(wide)
+    back = load_atlas(str(tmp_path / "wide.snap"))
+    assert back.assignment.dtype == np.uint32
+    assert (back.assignment == wide.assignment).all()
+    # the temporary file is renamed over the target, none is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["2x2x2.snap", "3x2x2.snap", "wide.snap"]
+
+
+def test_snapshot_load_honours_cap(tmp_path, engine):
+    path = tmp_path / "orbits.snap"
+    save_atlas(engine.atlas("3x2x2"), str(path))
+    s = Shape((3, 2, 2))
+    with pytest.raises(MemoryCapError) as exc:
+        load_atlas(str(path), mem_cap=required_bytes(s) - 1)
+    assert exc.value.required == required_bytes(s)
+    assert load_atlas(str(path), mem_cap=required_bytes(s)).orbit_count == 9
