@@ -8,11 +8,10 @@ into orbits; every orbit gets a canonical form (its smallest code) and a
 tensor rank, computed by breadth-first search over rank-1 perturbations.
 """
 
-from .group import (GeneratorSet, GLMatrix, generator_set, large_group_order,
+from .group import (Composite, GLMatrix, generator_set, large_group_order,
                     small_group_order)
 from .orbits import (LargeOrbitAtlas, MemoryCapError, OrbitAtlas, OrbitRecord,
-                     enumerate_orbits, load_atlas, merge_large_orbits, save_atlas,
-                     spin)
+                     enumerate_orbits, load_atlas, merge_large_orbits, save_atlas)
 from .ranks import (RankAtlas, brute_force_rank, propagate_ranks,
                     rank_distribution, seed_rank_one)
 from .report import (ClassificationRow, ConjectureReport, DiffReport,
@@ -26,10 +25,10 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_ENTRIES", "Shape", "parse_shape", "simple_tensor",
     "enumerate_simple_tensors", "transpose",
-    "GLMatrix", "GeneratorSet", "generator_set",
+    "GLMatrix", "Composite", "generator_set",
     "small_group_order", "large_group_order",
     "OrbitAtlas", "OrbitRecord", "LargeOrbitAtlas", "MemoryCapError",
-    "spin", "enumerate_orbits", "merge_large_orbits",
+    "enumerate_orbits", "merge_large_orbits",
     "save_atlas", "load_atlas",
     "RankAtlas", "seed_rank_one", "propagate_ranks", "brute_force_rank",
     "rank_distribution",

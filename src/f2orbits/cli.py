@@ -39,8 +39,6 @@ def _build_parser():
                                  "large: also permute equal-dimension modes")
         sp.add_argument("--mem-cap", type=int, default=None, metavar="BYTES",
                         help="refuse runs whose tables exceed this many bytes")
-        sp.add_argument("--cell-width", type=int, choices=(2, 4), default=2,
-                        help="bytes per orbit-table cell")
 
     c = sub.add_parser("classify", help="enumerate orbits and report the table")
     common(c)
@@ -90,11 +88,11 @@ class _Phases:
         self._last = now
 
 
-def _compute(shape, cap, want_large, snapshot=None, cell_width=2):
+def _compute(shape, cap, want_large, snapshot=None):
     """The one classification pipeline: load the snapshot or enumerate
     (saving the snapshot if asked), rank, and merge under mode swaps if
     want_large.  Returns (atlas, ranks, large or None)."""
-    est = required_bytes(shape, cell_width)
+    est = required_bytes(shape)
     print(f"estimated table bytes: {est}", file=sys.stderr)
     phases = _Phases()
 
@@ -106,7 +104,7 @@ def _compute(shape, cap, want_large, snapshot=None, cell_width=2):
                 f"snapshot {snapshot} holds {atlas.shape}, not {shape}")
         phases.mark("snapshot load")
     if atlas is None:
-        atlas = enumerate_orbits(shape, cell_width=cell_width, mem_cap=cap)
+        atlas = enumerate_orbits(shape, mem_cap=cap)
         phases.mark("enumeration")
         if snapshot:
             save_atlas(atlas, snapshot)
@@ -125,7 +123,7 @@ def cmd_classify(args):
     shape = parse_shape(args.format)
     cap = _resolve_cap(args)
     atlas, ranks, large = _compute(shape, cap, args.flavor == "large",
-                                   args.snapshot, args.cell_width)
+                                   args.snapshot)
     rows = summarize(shape, atlas, ranks, flavor=args.flavor, large=large)
     dist = rank_distribution(atlas, ranks, large=large)
     if args.emit == "json":
@@ -155,8 +153,7 @@ def cmd_verify(args):
     load_reference(args.format, args.flavor)
     shape = parse_shape(args.format)
     cap = _resolve_cap(args)
-    atlas, ranks, large = _compute(shape, cap, args.flavor == "large",
-                                   cell_width=args.cell_width)
+    atlas, ranks, large = _compute(shape, cap, args.flavor == "large")
     rows = summarize(shape, atlas, ranks, flavor=args.flavor, large=large)
     dist = rank_distribution(atlas, ranks, large=large)
     order = (large_group_order(shape) if args.flavor == "large"
@@ -164,9 +161,9 @@ def cmd_verify(args):
     diff = verify_reference(args.format, args.flavor, rows,
                             group_order=order, distribution=dist)
     if diff.ok:
-        sys.stdout.write(emit(diff, "text"))
+        sys.stdout.write(diff.render())
         return 0
-    sys.stderr.write(emit(diff, "text"))
+    sys.stderr.write(diff.render())
     return 1
 
 
@@ -193,7 +190,7 @@ def cmd_show_orbit(args):
         raise ValueError(f"code {code} out of range for {shape} "
                          f"(1..{shape.code_bound - 1})")
     cap = _resolve_cap(args)
-    atlas, ranks, _ = _compute(shape, cap, False, cell_width=args.cell_width)
+    atlas, ranks, _ = _compute(shape, cap, False)
     oid = atlas.orbit_id(code)
     rec = atlas.record(oid)
     rows = summarize(shape, atlas, ranks)

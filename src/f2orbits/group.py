@@ -167,30 +167,13 @@ def block_permutations(shape: Shape) -> list[tuple[int, ...]]:
 # ---- actions ----
 
 @dataclass(frozen=True)
-class ModeAction:
-    """A GLMatrix attached to one mode (1-based)."""
-
-    mode: int
-    matrix: GLMatrix
-
-
-@dataclass(frozen=True)
 class Composite:
     """One element of the small group: matrices[k - 1] acts on mode k."""
 
     matrices: tuple[GLMatrix, ...]
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Generating elements of the small group, each a ModeAction or a
-    Composite."""
-
-    shape: Shape
-    actions: tuple[ModeAction | Composite, ...]
-
-
-def generator_set(shape: Shape) -> GeneratorSet:
+def generator_set(shape: Shape) -> tuple[Composite, ...]:
     """m = max(2, number of dimension-2 modes) composites that generate
     GL(d1,2) x ... x GL(dn,2), from c, t = gl_generators(d) per mode.
 
@@ -211,7 +194,7 @@ def generator_set(shape: Shape) -> GeneratorSet:
             column = list(((c, t), (t, c), (c, t @ c))[j])
             column += [identity_matrix(d)] * (count - 2)
         columns.append(column)
-    return GeneratorSet(shape, tuple(Composite(tuple(row)) for row in zip(*columns)))
+    return tuple(Composite(tuple(row)) for row in zip(*columns))
 
 
 class CodeMap:
@@ -264,25 +247,24 @@ class CodeMap:
 
 
 @functools.lru_cache(maxsize=None)
-def compile_mode_action(shape: Shape, action: ModeAction) -> CodeMap:
-    """Compile one mode action to (shift, mask) terms.
+def compile_mode_action(shape: Shape, k: int, matrix: GLMatrix) -> CodeMap:
+    """Compile matrix acting on mode k (1-based) to (shift, mask) terms.
 
     A set entry with subscript j in the acted mode contributes to subscript
     i whenever M[j][i] = 1; in code weights that is a shift by
     (j - i) * stride of the mode."""
-    k = action.mode
     if not 1 <= k <= shape.n:
         raise ValueError(f"mode {k} out of range for {shape}")
     d = shape.dims[k - 1]
-    if action.matrix.d != d:
+    if matrix.d != d:
         raise ValueError(
-            f"matrix dimension {action.matrix.d} does not match mode {k} of {shape}")
+            f"matrix dimension {matrix.d} does not match mode {k} of {shape}")
     stride = shape.strides[k - 1]
     masks = coord_masks(shape)[k - 1]
     terms = {}
     for j in range(1, d + 1):
         for i in range(1, d + 1):
-            if action.matrix.entry(j, i):
+            if matrix.entry(j, i):
                 shift = (j - i) * stride
                 terms[shift] = terms.get(shift, 0) | masks[j - 1]
     return CodeMap(shape.entry_count, terms.items())
@@ -294,7 +276,7 @@ def compile_composite(shape: Shape, element: Composite) -> CodeMap:
     if dims != shape.dims:
         raise ValueError(f"composite of {'x'.join(map(str, dims))} matrices "
                          f"does not match {shape}")
-    maps = [compile_mode_action(shape, ModeAction(k, m))
+    maps = [compile_mode_action(shape, k, m)
             for k, m in enumerate(element.matrices, start=1)]
     images = []
     for p in range(shape.entry_count):
@@ -305,9 +287,9 @@ def compile_composite(shape: Shape, element: Composite) -> CodeMap:
     return CodeMap.from_images(shape.entry_count, images)
 
 
-def compile_generators(shape: Shape, gens: GeneratorSet) -> tuple[CodeMap, ...]:
-    return tuple(compile_composite(shape, a) if isinstance(a, Composite)
-                 else compile_mode_action(shape, a) for a in gens.actions)
+def compile_generators(shape: Shape, composites) -> tuple[CodeMap, ...]:
+    """One fused CodeMap per composite, in order."""
+    return tuple(compile_composite(shape, c) for c in composites)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,17 +1,19 @@
 """Orbit computation over the full code space.
 
-The assignment table is the central object: one cell per code, holding the
-orbit id.  During enumeration it doubles as the visited structure (cells
-start at a sentinel, the dtype maximum).  The scan visits codes in
-ascending order and spins each unassigned code into a new orbit, so orbit
-ids 1, 2, ... increase with the orbit's minimal element.  Code 0 is the
-zero tensor, always orbit id 0.
+The assignment table is the central object: one 2-byte cell per code,
+holding the orbit id.  During enumeration it doubles as the visited
+structure (cells start at the sentinel 65535).  Two bytes always suffice:
+no format up to MAX_ENTRIES entries has more than 696 nonzero orbits
+(tests/test_orbits.py::test_orbit_counts_fit_the_cell sweeps them all).
+The scan visits codes in ascending order and spins each unassigned code
+into a new orbit, so orbit ids 1, 2, ... increase with the orbit's
+minimal element.  Code 0 is the zero tensor, always orbit id 0.
 
-Spinning is breadth first over the compiled generator programs, by
-default the few fused composites of group.generator_set, so each code
-costs one table gather per composite.  The programs are bijections, so a
-duplicate-free frontier has duplicate-free images, and marking cells
-between programs filters overlap without any sorting.
+Spinning is breadth first over compiled programs, by default the few
+fused composites of group.generator_set, so each code costs one table
+gather per composite.  The programs are bijections, so a duplicate-free
+frontier has duplicate-free images, and marking cells between programs
+filters overlap without any sorting.
 
 A snapshot (format version 1) is a small header, the cells of codes
 1..2^N-1 in little-endian order, then the orbit records.  Saving streams
@@ -27,16 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import (GeneratorSet, block_permutations, compile_generators,
-                    generator_set, transpose_program)
+from .group import (block_permutations, compile_generators, generator_set,
+                    transpose_program)
 from .tensor import Shape
 
 DEFAULT_MEM_CAP = 2 * 1024 ** 3
 
 _SNAPSHOT_MAGIC = b"F2OA"
 _SNAPSHOT_VERSION = 1
+_CELL = np.dtype(np.uint16)
+_SENTINEL = int(np.iinfo(_CELL).max)
 
-# frontier expansion is chunked so transient buffers stay bounded
+# images are computed per chunk of the frontier; the frontier is not chunked
 _SPIN_CHUNK = 1 << 22
 _SCAN_BLOCK = 1 << 20
 
@@ -84,16 +88,18 @@ class OrbitAtlas:
         return self.records[orbit_id - 1]
 
 
-def required_bytes(shape: Shape, cell_width: int = 2) -> int:
-    """Size of the long-lived table a classify run allocates: one cell per
-    code.  Transient frontier and adjacency buffers are bounded by the
-    chunk sizes and not counted."""
-    return shape.code_bound * cell_width
+def required_bytes(shape: Shape) -> int:
+    """Size of the long-lived table a classify run allocates: one 2-byte
+    cell per code.  The cap covers this table only, not the transient
+    spin buffers: each frontier is built whole by np.concatenate, and a
+    3x3x3 enumeration allocates about 292 MB in all (tracemalloc)
+    against its 256 MiB table."""
+    return shape.code_bound * _CELL.itemsize
 
 
 # ---- spinning ----
 
-def _spin_into(assignment, sentinel, orbit_id, start, programs):
+def _spin_into(assignment, orbit_id, start, programs):
     """Mark the orbit of start with orbit_id; returns the orbit size."""
     assignment[start] = orbit_id
     frontier = np.array([start], dtype=np.intp)
@@ -103,7 +109,7 @@ def _spin_into(assignment, sentinel, orbit_id, start, programs):
         for prog in programs:
             for lo in range(0, frontier.size, _SPIN_CHUNK):
                 img = prog.apply_array(frontier[lo:lo + _SPIN_CHUNK])
-                fresh = img[assignment[img] == sentinel]
+                fresh = img[assignment[img] == _SENTINEL]
                 if fresh.size:
                     assignment[fresh] = orbit_id
                     grown.append(fresh)
@@ -112,36 +118,20 @@ def _spin_into(assignment, sentinel, orbit_id, start, programs):
     return size
 
 
-def _fresh_assignment(shape, cell_width, mem_cap):
-    if cell_width not in (2, 4):
-        raise ValueError("cell_width must be 2 or 4")
-    need = required_bytes(shape, cell_width)
+def _fresh_assignment(shape, mem_cap):
+    need = required_bytes(shape)
     if mem_cap is not None and need > mem_cap:
         raise MemoryCapError(need, mem_cap)
-    dtype = np.uint16 if cell_width == 2 else np.uint32
-    assignment = np.full(shape.code_bound, np.iinfo(dtype).max, dtype)
+    assignment = np.full(shape.code_bound, _SENTINEL, _CELL)
     assignment[0] = 0
-    return assignment, int(np.iinfo(dtype).max)
+    return assignment
 
 
-def spin(shape: Shape, start: int, gens: GeneratorSet | None = None) -> np.ndarray:
-    """The orbit of a nonzero code under the generated group, as an
-    ascending array of codes."""
-    if not 0 < start < shape.code_bound:
-        raise ValueError(f"start code {start} out of range for {shape}")
-    if gens is None:
-        gens = generator_set(shape)
-    programs = compile_generators(shape, gens)
-    assignment, sentinel = _fresh_assignment(shape, 2, None)
-    _spin_into(assignment, sentinel, 1, start, programs)
-    return np.flatnonzero(assignment == 1).astype(np.uint32)
-
-
-def _next_unassigned(assignment, sentinel, pos):
+def _next_unassigned(assignment, pos):
     cb = assignment.size
     while pos < cb:
         hi = min(pos + _SCAN_BLOCK, cb)
-        hits = assignment[pos:hi] == sentinel
+        hits = assignment[pos:hi] == _SENTINEL
         i = int(hits.argmax())
         if hits[i]:
             return pos + i
@@ -149,28 +139,32 @@ def _next_unassigned(assignment, sentinel, pos):
     return -1
 
 
-def enumerate_orbits(shape: Shape, gens: GeneratorSet | None = None, *,
-                     cell_width: int = 2, mem_cap: int | None = DEFAULT_MEM_CAP,
-                     extra_programs=()) -> OrbitAtlas:
-    """Partition the full nonzero code space into orbits.
+def enumerate_orbits(shape: Shape, programs=None, *, cell_width: int = 2,
+                     mem_cap: int | None = DEFAULT_MEM_CAP) -> OrbitAtlas:
+    """Partition the full nonzero code space into the orbits of the group
+    that programs, compiled bijections on codes, generate.  They default
+    to the composites of generator_set; callers may pass others, for
+    example with mode permutations added, to enumerate a larger group.
 
-    extra_programs may carry additional compiled bijections (for example
-    mode permutations) to enumerate under a larger group directly."""
-    if gens is None:
-        gens = generator_set(shape)
-    programs = tuple(compile_generators(shape, gens)) + tuple(extra_programs)
-    assignment, sentinel = _fresh_assignment(shape, cell_width, mem_cap)
+    cell_width accepts only 2; benchmark/layers.py passes it, and it can
+    go once that script stops doing so."""
+    if cell_width != 2:
+        raise ValueError(f"cell_width must be 2, got {cell_width}")
+    if programs is None:
+        programs = compile_generators(shape, generator_set(shape))
+    assignment = _fresh_assignment(shape, mem_cap)
     records = []
     pos = 1
     while True:
-        start = _next_unassigned(assignment, sentinel, pos)
+        start = _next_unassigned(assignment, pos)
         if start < 0:
             break
         orbit_id = len(records) + 1
-        if orbit_id >= sentinel:
+        if orbit_id >= _SENTINEL:
             raise RuntimeError(
-                "orbit ids would overflow the cell width; rerun with cell_width=4")
-        size = _spin_into(assignment, sentinel, orbit_id, start, programs)
+                f"{shape} has more than {_SENTINEL - 1} orbits under these "
+                f"programs, too many for a 2-byte cell")
+        size = _spin_into(assignment, orbit_id, start, programs)
         records.append(OrbitRecord(orbit_id, start, size))
         pos = start + 1
     total = sum(r.size for r in records)
@@ -240,20 +234,19 @@ def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
 # ---- snapshots ----
 
 def save_atlas(atlas: OrbitAtlas, path: str) -> None:
-    """Binary snapshot: magic, version, dims, cell width, assignment for
-    codes 1..2^N-1 (little endian), then the orbit records.  The cells are
-    written from the table without a copy on little-endian hosts, into a
-    temporary file in the same directory that is renamed over path."""
-    cell_width = atlas.assignment.dtype.itemsize
-    kind = "<u2" if cell_width == 2 else "<u4"
+    """Binary snapshot: magic, version, dims, cell width (always 2), the
+    assignment for codes 1..2^N-1 (little endian), then the orbit records.
+    The cells are written from the table without a copy on little-endian
+    hosts, into a temporary file in the same directory that is renamed
+    over path."""
     records = [struct.pack("<I", len(atlas.records))]
     records += [struct.pack("<IQ", r.canonical, r.size) for r in atlas.records]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(_SNAPSHOT_MAGIC + bytes([_SNAPSHOT_VERSION, atlas.shape.n]))
-            f.write(bytes(atlas.shape.dims) + bytes([cell_width]))
-            f.write(memoryview(atlas.assignment[1:].astype(kind, copy=False)))
+            f.write(bytes(atlas.shape.dims) + bytes([_CELL.itemsize]))
+            f.write(memoryview(atlas.assignment[1:].astype("<u2", copy=False)))
             f.write(b"".join(records))
         os.replace(tmp, path)
     except BaseException:
@@ -283,17 +276,16 @@ def load_atlas(path: str, shape: Shape | None = None, *,
         found = Shape(dims)
         if shape is not None and shape != found:
             raise ValueError(f"snapshot holds {found}, expected {shape}")
-        cell_width = tail[n]
-        if cell_width not in (2, 4):
-            raise ValueError(f"bad snapshot cell width {cell_width}")
+        if tail[n] != _CELL.itemsize:
+            raise ValueError(f"bad snapshot cell width {tail[n]}")
         cb = found.code_bound
-        body = (cb - 1) * cell_width
+        body = (cb - 1) * _CELL.itemsize
         if os.fstat(f.fileno()).st_size < f.tell() + body + 4:
             raise ValueError(f"{path} is truncated")
-        need = required_bytes(found, cell_width)
+        need = required_bytes(found)
         if mem_cap is not None and need > mem_cap:
             raise MemoryCapError(need, mem_cap)
-        assignment = np.empty(cb, dtype=np.uint16 if cell_width == 2 else np.uint32)
+        assignment = np.empty(cb, dtype=_CELL)
         assignment[0] = 0
         if f.readinto(memoryview(assignment[1:]).cast("B")) != body:
             raise ValueError(f"{path} is truncated")

@@ -12,10 +12,7 @@ failure against them distinguishes a transcription error from an engine
 error.
 """
 
-import csv
-import io
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -128,6 +125,14 @@ class DiffReport:
     def ok(self) -> bool:
         return not self.mismatches
 
+    def render(self) -> str:
+        """One pass line, or one line per mismatch."""
+        if self.ok:
+            return (f"{self.format} ({self.flavor} group): "
+                    f"pass, {self.rows_checked} rows matched\n")
+        return "".join(f"{self.format} ({self.flavor} group): {m}\n"
+                       for m in self.mismatches)
+
 
 def verify_reference(format_str: str, flavor: str,
                      rows: list[ClassificationRow], *,
@@ -181,7 +186,6 @@ def verify_reference(format_str: str, flavor: str,
 class ConjectureReport:
     p: int
     forms_expected: tuple      # bit strings, left-padded to 4p entries
-    forms_computed: tuple
     forms_match: tuple         # per-row bool
     rank4_size: int
     rank4_fraction: Fraction
@@ -215,14 +219,13 @@ def check_conjecture_p22(p: int, atlas: OrbitAtlas, ranks: RankAtlas) -> Conject
     if len(rows) != len(expected):
         raise RuntimeError(
             f"p={p}: {len(rows)} nonzero orbits, stabilization predicts {len(expected)}")
-    computed = tuple(r.canonical_bits for r in rows)
     match = tuple(r.canonical_bits == bits and r.rank == rk
                   for r, (rk, bits) in zip(rows, expected))
     rank4 = [r for r in rows if r.rank == 4]
     if len(rank4) != 1:
         raise RuntimeError(f"p={p}: expected a unique rank-4 orbit, found {len(rank4)}")
     size = rank4[0].size
-    return ConjectureReport(p, tuple(b for _, b in expected), computed, match, size,
+    return ConjectureReport(p, tuple(b for _, b in expected), match, size,
                             Fraction(size, shape.code_bound),
                             decimal_string(size, shape.code_bound))
 
@@ -233,11 +236,10 @@ CSV_HEADER = "ordinal,rank,size,canonical_bits,canonical_code"
 
 
 def emit(payload, fmt: str = "text") -> str:
-    """Serialize classification rows, a distribution, or a diff report."""
-    if fmt not in ("csv", "json", "text"):
+    """Serialize classification rows or a rank distribution as text or
+    CSV.  classify --emit json builds its own document."""
+    if fmt not in ("csv", "text"):
         raise ValueError(f"unknown output format {fmt!r}")
-    if isinstance(payload, DiffReport):
-        return _emit_diff(payload, fmt)
     payload = list(payload)
     if payload and isinstance(payload[0], DistributionRow):
         return _emit_distribution(payload, fmt)
@@ -250,8 +252,6 @@ def _emit_rows(rows, fmt):
         lines += [f"{r.ordinal},{r.rank},{r.size},{r.canonical_bits},{r.canonical_code}"
                   for r in rows]
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
     if not rows:
         return ""
     wid = max(len(str(r.size)) for r in rows)
@@ -264,38 +264,7 @@ def _emit_distribution(dist, fmt):
         lines = ["rank,orbits,tensors,percent"]
         lines += [f"{d.rank},{d.orbits},{d.tensors},{d.percent}" for d in dist]
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps([d._asdict() for d in dist], indent=2) + "\n"
     wid = max(len(str(d.tensors)) for d in dist)
     return "".join(f"rank {d.rank}: {d.orbits:>3} orbits {d.tensors:>{wid}} tensors"
                    f" {d.percent:>8} %\n" for d in dist)
 
-
-def _emit_diff(diff, fmt):
-    if fmt == "json":
-        return json.dumps(asdict(diff) | {"ok": diff.ok}, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["format", "flavor", "ok", "detail"])
-        if diff.ok:
-            w.writerow([diff.format, diff.flavor, "true", ""])
-        for m in diff.mismatches:
-            w.writerow([diff.format, diff.flavor, "false", m])
-        return buf.getvalue()
-    if diff.ok:
-        return (f"{diff.format} ({diff.flavor} group): "
-                f"pass, {diff.rows_checked} rows matched\n")
-    return "".join(f"{diff.format} ({diff.flavor} group): {m}\n"
-                   for m in diff.mismatches)
-
-
-def parse_rows_csv(text: str) -> list[ClassificationRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing classification CSV header")
-    out = []
-    for ln in lines[1:]:
-        o, rk, sz, bits, code = ln.split(",")
-        out.append(ClassificationRow(int(o), int(rk), int(sz), bits, int(code)))
-    return out

@@ -5,19 +5,22 @@ suite, so completed atlases are cached once per session and reused by
 every test that asks for the same format.
 
 per_mode_generators builds the 2n per-mode generators, cycle and
-transvection of every mode, straight from gl_generators.  Closure and
-partition checks use them rather than generator_set, so the composites
-enumeration runs on are checked against a set that shares nothing with
-their layout.
+transvection of every mode, straight from gl_generators, each as a
+composite with the identity on the other modes.  Closure and partition
+checks use them rather than generator_set, so the composites enumeration
+runs on are checked against a set that shares nothing with their layout.
+
+accepted_formats lists every dims tuple Shape accepts, in every mode
+order.
 """
 
 import pytest
 
-from f2orbits.group import GeneratorSet, ModeAction, gl_generators
+from f2orbits.group import Composite, gl_generators, identity_matrix
 from f2orbits.orbits import enumerate_orbits, merge_large_orbits
 from f2orbits.ranks import large_orbit_ranks, propagate_ranks, rank_distribution
 from f2orbits.report import summarize
-from f2orbits.tensor import parse_shape
+from f2orbits.tensor import MAX_ENTRIES, parse_shape
 
 
 class Engine:
@@ -63,11 +66,23 @@ def engine():
 
 
 def _per_mode_generators(shape):
-    return GeneratorSet(shape, tuple(
-        ModeAction(k, m) for k, d in enumerate(shape.dims, start=1)
-        for m in gl_generators(d)))
+    eye = tuple(identity_matrix(d) for d in shape.dims)
+    return tuple(Composite(eye[:k] + (m,) + eye[k + 1:])
+                 for k, d in enumerate(shape.dims) for m in gl_generators(d))
 
 
 @pytest.fixture(scope="session")
 def per_mode_generators():
     return _per_mode_generators
+
+
+def _accepted_formats(prefix=(), entries=1):
+    if len(prefix) >= 2:
+        yield prefix
+    for d in range(2, MAX_ENTRIES // entries + 1):
+        yield from _accepted_formats(prefix + (d,), entries * d)
+
+
+@pytest.fixture(scope="session")
+def accepted_formats():
+    return list(_accepted_formats())

@@ -29,8 +29,8 @@ import random
 import numpy as np
 import pytest
 
-from f2orbits.group import (compile_generators, gl_generators, identity_matrix,
-                            large_group_order, small_group_order)
+from f2orbits.group import (compile_generators, compile_mode_action, gl_generators,
+                            identity_matrix, large_group_order, small_group_order)
 from f2orbits.ranks import brute_force_rank, rank_of_code
 from f2orbits.report import load_reference
 from f2orbits.tensor import Shape, index_of, position_of
@@ -187,7 +187,6 @@ def test_structural_properties(engine, per_mode_generators):
     # composition and inverse laws on random group elements
     pyrng = random.Random(5)
     shape = Shape((3, 2, 2))
-    from f2orbits.group import ModeAction, compile_mode_action
     for mode in (1, 2, 3):
         d = shape.dims[mode - 1]
         cyc, tv = gl_generators(d)
@@ -197,10 +196,10 @@ def test_structural_properties(engine, per_mode_generators):
             for _ in range(10):
                 a = a @ (cyc if pyrng.random() < 0.5 else tv)
                 b = b @ (tv if pyrng.random() < 0.5 else cyc)
-            pa = compile_mode_action(shape, ModeAction(mode, a))
-            pb = compile_mode_action(shape, ModeAction(mode, b))
-            pab = compile_mode_action(shape, ModeAction(mode, a @ b))
-            inv = compile_mode_action(shape, ModeAction(mode, a.inverse()))
+            pa = compile_mode_action(shape, mode, a)
+            pb = compile_mode_action(shape, mode, b)
+            pab = compile_mode_action(shape, mode, a @ b)
+            inv = compile_mode_action(shape, mode, a.inverse())
             for _ in range(25):
                 c = pyrng.randrange(shape.code_bound)
                 assert pab(c) == pb(pa(c))

@@ -46,7 +46,8 @@ def test_classify_json(capsys):
     assert doc["group_order"] == 1296
     assert doc["orbits"] == 5
     assert len(doc["rows"]) == 5
-    assert doc["rows"][0]["canonical_bits"] == ".......1"
+    assert doc["rows"][0] == {"ordinal": 1, "rank": 1, "size": 27,
+                              "canonical_bits": ".......1", "canonical_code": 1}
     assert doc["distribution"][0]["percent"] == "0.3906"
     assert sum(d["tensors"] for d in doc["distribution"]) == 256
 
@@ -139,6 +140,25 @@ def test_snapshot_format_mismatch(capsys, tmp_path):
                        "--snapshot", str(snap))
     assert code == 1
     assert "2x2x2" in err
+
+
+def test_snapshot_cell_width_four_refused(capsys, tmp_path):
+    snap = tmp_path / "a.snap"
+    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
+    blob = bytearray(snap.read_bytes())
+    blob[9] = 4  # the width byte after magic, version, mode count and dims
+    snap.write_bytes(bytes(blob))
+    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
+    assert code == 1 and out == ""
+    assert "cell width 4" in err
+
+
+def test_cell_width_option_is_gone(capsys):
+    # cells are always 2 bytes, so no subcommand offers a width
+    for command in ("classify", "verify", "conjecture", "show-orbit"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--cell-width" not in capsys.readouterr().out
 
 
 def test_verify_pass(capsys):

@@ -33,20 +33,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2orbits.group import (CodeMap, Composite, GLMatrix, ModeAction,
-                            block_permutations, compile_composite,
+from f2orbits.group import (CodeMap, Composite, GLMatrix, block_permutations,
+                            compile_composite,
                             compile_generators, compile_mode_action,
                             equal_dim_blocks, generator_set, gl_generators,
                             group_order, identity_matrix, large_group_order,
                             small_group_order, transpose_program)
-from f2orbits.tensor import MAX_ENTRIES, Shape, get_entry, index_of, transpose
+from f2orbits.tensor import Shape, get_entry, index_of, transpose
 
 
-def reference_apply(shape, action, code):
+def reference_apply(shape, mode, mat, code):
     # definition-level reimplementation: substitute in one direction,
     # entry by entry
-    k = action.mode - 1
-    mat = action.matrix
+    k = mode - 1
     d = shape.dims[k]
     out = 0
     for p in range(shape.entry_count):
@@ -159,7 +158,7 @@ def test_pinned_generator_images():
 def test_generator_set_layout():
     def layout(dims):
         s = Shape(dims)
-        comps = generator_set(s).actions
+        comps = generator_set(s)
         assert all(isinstance(c, Composite) for c in comps)
         assert all(len(c.matrices) == s.n for c in comps)
         return [c.matrices for c in comps]
@@ -178,14 +177,7 @@ def test_generator_set_layout():
     assert len(layout((6, 2, 2))) == 2
 
 
-def _accepted_formats(prefix=(), entries=1):
-    if len(prefix) >= 2:
-        yield prefix
-    for d in range(2, MAX_ENTRIES // entries + 1):
-        yield from _accepted_formats(prefix + (d,), entries * d)
-
-
-def test_generator_set_generates_small_group():
+def test_generator_set_generates_small_group(accepted_formats):
     # see the module docstring for the formats with more than 100 points
     from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -197,10 +189,10 @@ def test_generator_set_generates_small_group():
         return out
 
     def layout(dims):
-        return [c.matrices for c in generator_set(Shape(dims)).actions]
+        return [c.matrices for c in generator_set(Shape(dims))]
 
     checked = set()
-    for dims in _accepted_formats():
+    for dims in accepted_formats:
         if sum((1 << d) - 1 for d in dims) > 100:
             assert len(dims) == 2 and max(dims) >= 7 and min(dims) <= 3
             continue
@@ -226,21 +218,22 @@ def test_generator_set_generates_small_group():
 
 
 def test_compiled_matches_reference_on_generators(per_mode_generators):
+    # a composite is its per-mode actions applied one after another
     for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
         s = Shape(dims)
         sample = range(256) if s.entry_count <= 8 else \
             random.Random(3).sample(range(s.code_bound), 200)
-        for action in per_mode_generators(s).actions:
-            prog = compile_mode_action(s, action)
-            for code in sample:
-                assert prog(code) == reference_apply(s, action, code)
-        # a composite is its per-mode actions applied one after another
-        for comp in generator_set(s).actions:
+        for k, d in enumerate(dims, start=1):
+            for m in gl_generators(d):
+                prog = compile_mode_action(s, k, m)
+                for code in sample:
+                    assert prog(code) == reference_apply(s, k, m, code)
+        for comp in generator_set(s) + per_mode_generators(s):
             prog = compile_composite(s, comp)
             for code in sample:
                 want = code
                 for k, m in enumerate(comp.matrices, start=1):
-                    want = reference_apply(s, ModeAction(k, m), want)
+                    want = reference_apply(s, k, m, want)
                 assert prog(code) == want
 
 
@@ -250,11 +243,11 @@ def test_compiled_matches_reference_on_random_matrices():
         s = Shape(dims)
         for _ in range(10):
             mode = rng.randrange(1, s.n + 1)
-            action = ModeAction(mode, random_gl(s.dims[mode - 1], rng))
-            prog = compile_mode_action(s, action)
+            m = random_gl(s.dims[mode - 1], rng)
+            prog = compile_mode_action(s, mode, m)
             for _ in range(50):
                 code = rng.randrange(s.code_bound)
-                assert prog(code) == reference_apply(s, action, code)
+                assert prog(code) == reference_apply(s, mode, m, code)
 
 
 def test_action_composition_law():
@@ -265,9 +258,9 @@ def test_action_composition_law():
         d = s.dims[mode - 1]
         for _ in range(10):
             a, b = random_gl(d, rng), random_gl(d, rng)
-            pa = compile_mode_action(s, ModeAction(mode, a))
-            pb = compile_mode_action(s, ModeAction(mode, b))
-            pab = compile_mode_action(s, ModeAction(mode, a @ b))
+            pa = compile_mode_action(s, mode, a)
+            pb = compile_mode_action(s, mode, b)
+            pab = compile_mode_action(s, mode, a @ b)
             for _ in range(30):
                 c = rng.randrange(s.code_bound)
                 assert pab(c) == pb(pa(c))
@@ -280,8 +273,8 @@ def test_action_inverse_law():
         d = s.dims[mode - 1]
         for _ in range(10):
             m = random_gl(d, rng)
-            fwd = compile_mode_action(s, ModeAction(mode, m))
-            back = compile_mode_action(s, ModeAction(mode, m.inverse()))
+            fwd = compile_mode_action(s, mode, m)
+            back = compile_mode_action(s, mode, m.inverse())
             for _ in range(30):
                 c = rng.randrange(s.code_bound)
                 assert back(fwd(c)) == c
@@ -290,8 +283,8 @@ def test_action_inverse_law():
 def test_actions_commute_across_modes():
     rng = random.Random(19)
     s = Shape((2, 2, 2))
-    a = compile_mode_action(s, ModeAction(1, random_gl(2, rng)))
-    b = compile_mode_action(s, ModeAction(3, random_gl(2, rng)))
+    a = compile_mode_action(s, 1, random_gl(2, rng))
+    b = compile_mode_action(s, 3, random_gl(2, rng))
     for c in range(256):
         assert a(b(c)) == b(a(c))
 
@@ -300,7 +293,7 @@ def test_identity_action_is_identity():
     for dims in ((2, 2, 2), (3, 3, 2)):
         s = Shape(dims)
         for mode in range(1, s.n + 1):
-            prog = compile_mode_action(s, ModeAction(mode, identity_matrix(s.dims[mode - 1])))
+            prog = compile_mode_action(s, mode, identity_matrix(s.dims[mode - 1]))
             for c in (0, 1, s.code_bound // 2, s.code_bound - 1):
                 assert prog(c) == c
 
@@ -335,7 +328,7 @@ def test_random_composite_matches_per_mode(dims, seed, data):
     rng = random.Random(seed)
     comp = Composite(tuple(random_gl(d, rng) for d in dims))
     prog = compile_composite(s, comp)
-    per_mode = [compile_mode_action(s, ModeAction(k, m))
+    per_mode = [compile_mode_action(s, k, m)
                 for k, m in enumerate(comp.matrices, start=1)]
     codes = data.draw(st.lists(st.integers(0, s.code_bound - 1),
                                min_size=1, max_size=20))
@@ -359,9 +352,9 @@ def test_actions_are_bijections():
 def test_compile_rejects_mismatched_action():
     s = Shape((3, 2, 2))
     with pytest.raises(ValueError):
-        compile_mode_action(s, ModeAction(1, identity_matrix(2)))
+        compile_mode_action(s, 1, identity_matrix(2))
     with pytest.raises(ValueError):
-        compile_mode_action(s, ModeAction(4, identity_matrix(2)))
+        compile_mode_action(s, 4, identity_matrix(2))
     i2, i3 = identity_matrix(2), identity_matrix(3)
     with pytest.raises(ValueError):
         compile_composite(s, Composite((i3, i2)))
@@ -390,7 +383,7 @@ def test_transpose_program_rejects_bad_perm():
 
 def test_codemap_scalar_range_check():
     s = Shape((2, 2, 2))
-    prog = compile_mode_action(s, ModeAction(1, identity_matrix(2)))
+    prog = compile_mode_action(s, 1, identity_matrix(2))
     assert isinstance(prog, CodeMap)
     with pytest.raises(ValueError):
         prog(256)

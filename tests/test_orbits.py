@@ -1,4 +1,8 @@
-"""Orbit enumeration, large-orbit merging, snapshots, the memory cap."""
+"""Orbit enumeration, large-orbit merging, snapshots, the memory cap.
+
+The orbit of one code is read off the session atlas as the codes that
+share its orbit id; python_spin recomputes it from the definition.
+"""
 
 import io
 import struct
@@ -6,37 +10,40 @@ import struct
 import numpy as np
 import pytest
 
-from f2orbits.group import (block_permutations, compile_generators, generator_set,
-                            identity_matrix, small_group_order, transpose_program)
+from f2orbits.group import (Composite, block_permutations, compile_generators,
+                            generator_set, identity_matrix, small_group_order,
+                            transpose_program)
 from f2orbits.orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits,
                              load_atlas, merge_large_orbits, required_bytes,
-                             save_atlas, spin)
+                             save_atlas)
+from f2orbits.report import NoReferenceError, load_reference
 from f2orbits.tensor import Shape, get_entry, index_of
 
 
-def reference_apply(shape, action, code):
-    # per-entry oracle, shared logic with nothing in the compiled path
-    k = action.mode - 1
-    mat = action.matrix
-    out = 0
-    for p in range(shape.entry_count):
-        idx = index_of(shape, p)
-        bit = 0
-        for j in range(1, shape.dims[k] + 1):
-            src = idx[:k] + (j,) + idx[k + 1:]
-            bit ^= mat.entry(j, idx[k]) & get_entry(shape, code, src)
-        if bit:
-            out |= 1 << (shape.entry_count - 1 - p)
-    return out
+def reference_apply(shape, composite, code):
+    # per-entry oracle, shared logic with nothing in the compiled path:
+    # substitute along each mode in turn
+    for k, mat in enumerate(composite.matrices):
+        out = 0
+        for p in range(shape.entry_count):
+            idx = index_of(shape, p)
+            bit = 0
+            for j in range(1, shape.dims[k] + 1):
+                src = idx[:k] + (j,) + idx[k + 1:]
+                bit ^= mat.entry(j, idx[k]) & get_entry(shape, code, src)
+            if bit:
+                out |= 1 << (shape.entry_count - 1 - p)
+        code = out
+    return code
 
 
-def python_spin(shape, start, actions):
+def python_spin(shape, start, composites):
     seen = {start}
     frontier = [start]
     while frontier:
         grown = []
         for c in frontier:
-            for a in actions:
+            for a in composites:
                 img = reference_apply(shape, a, c)
                 if img not in seen:
                     seen.add(img)
@@ -45,42 +52,52 @@ def python_spin(shape, start, actions):
     return seen
 
 
-# ---- spin ----
+# ---- single orbits ----
 
-def test_spin_known_sizes():
+def orbit_of(atlas, start):
+    return np.flatnonzero(atlas.assignment == atlas.orbit_id(start))
+
+
+def test_spin_known_sizes(engine):
+    atlas = engine.atlas("2x2x2")
+    assert orbit_of(atlas, 1).size == 27
+    assert orbit_of(atlas, 24).size == 108
+    assert orbit_of(atlas, 107).size == 12
+
+
+def test_spin_matches_python_bfs(engine, per_mode_generators):
     s = Shape((2, 2, 2))
-    assert spin(s, 1).size == 27
-    assert spin(s, 24).size == 108
-    assert spin(s, 107).size == 12
-
-
-def test_spin_matches_python_bfs(per_mode_generators):
-    s = Shape((2, 2, 2))
-    actions = per_mode_generators(s).actions
+    atlas = engine.atlas("2x2x2")
     for start in (1, 6, 18, 24, 107, 255):
-        assert set(spin(s, start).tolist()) == python_spin(s, start, actions)
+        assert set(orbit_of(atlas, start).tolist()) == \
+            python_spin(s, start, per_mode_generators(s))
 
 
-def test_spin_output_sorted_contains_start():
-    s = Shape((3, 2, 2))
+def test_spin_output_sorted_contains_start(engine):
+    atlas = engine.atlas("3x2x2")
     for start in (1, 77, 4095):
-        orb = spin(s, start)
-        assert (np.diff(orb.astype(np.int64)) > 0).all()
+        orb = orbit_of(atlas, start)
+        assert (np.diff(orb) > 0).all()
         assert start in orb
         assert 0 not in orb
+        assert orb.size == atlas.record(atlas.orbit_id(start)).size
 
 
-def test_spin_closed_under_generators(per_mode_generators):
+def test_spin_closed_under_generators(engine, per_mode_generators):
     s = Shape((2, 2, 2, 2))
-    orb = spin(s, 361)
-    members = set(orb.tolist())
+    members = set(orbit_of(engine.atlas("2x2x2x2"), 361).tolist())
     for prog in compile_generators(s, per_mode_generators(s)):
         assert {prog(c) for c in members} == members
 
 
-def test_spin_rejects_zero():
+def test_spin_rejects_zero(engine):
+    # the zero code is orbit 0 on its own, with no record
+    atlas = engine.atlas("2x2x2")
+    assert orbit_of(atlas, 0).tolist() == [0]
     with pytest.raises(ValueError):
-        spin(Shape((2, 2, 2)), 0)
+        atlas.record(atlas.orbit_id(0))
+    with pytest.raises(ValueError):
+        atlas.orbit_id(256)
 
 
 # ---- full enumeration ----
@@ -146,8 +163,8 @@ def test_composites_match_per_mode_partition(engine, per_mode_generators):
     for fmt in ("2x2x2", "3x2x2", "2x2x2x2", "3x3x2"):
         s = engine.shape(fmt)
         composite = engine.atlas(fmt)
-        assert len(generator_set(s).actions) < 2 * s.n
-        per_mode = enumerate_orbits(s, per_mode_generators(s))
+        assert len(generator_set(s)) < 2 * s.n
+        per_mode = enumerate_orbits(s, compile_generators(s, per_mode_generators(s)))
         assert (per_mode.assignment == composite.assignment).all()
         assert per_mode.records == composite.records
 
@@ -155,20 +172,64 @@ def test_composites_match_per_mode_partition(engine, per_mode_generators):
 def test_enumeration_accepts_custom_generators():
     # identity-only generators: every nonzero code is its own orbit
     s = Shape((2, 2, 2))
-    from f2orbits.group import GeneratorSet, ModeAction
-    gens = GeneratorSet(s, (ModeAction(1, identity_matrix(2)),))
-    atlas = enumerate_orbits(s, gens)
+    identity = Composite((identity_matrix(2),) * 3)
+    atlas = enumerate_orbits(s, compile_generators(s, (identity,)))
     assert atlas.orbit_count == 255
     assert all(r.size == 1 for r in atlas.records)
 
 
-def test_cell_width_four_matches_default(engine):
-    s = Shape((3, 2, 2))
-    wide = enumerate_orbits(s, cell_width=4)
-    narrow = engine.atlas("3x2x2")
-    assert wide.assignment.dtype == np.uint32
-    assert (wide.assignment == narrow.assignment).all()
-    assert wide.records == narrow.records
+def test_orbit_counts_fit_the_cell(engine, accepted_formats):
+    """Every accepted format has at most 65534 nonzero orbits, so orbit ids
+    fit a 2-byte cell below the sentinel 65535.
+
+    Permuting the modes of a format permutes the group's factors, so the
+    orbit count depends only on the sorted dims.  With three or more modes
+    the sorted format is one of the reference formats, whose small-group
+    orbit count is stored, or 2x2x2x2, which the session engine enumerates.
+    The large group only merges small orbits.
+
+    A two-mode format d1 x d2 is the space of d1 x d2 matrices, on which
+    GL(d1,2) x GL(d2,2) acts by X -> A^T X B.  Two matrices are in one
+    orbit exactly when they have the same rank, so there are
+    min(d1, d2) + 1 orbits with zero, at most 6 up to 27 entries.  The
+    formats up to 16 entries are enumerated to check it."""
+    seen = set()
+    for dims in accepted_formats:
+        key = "x".join(map(str, sorted(dims, reverse=True)))
+        if key in seen:
+            continue
+        seen.add(key)
+        if len(dims) == 2:
+            if dims[0] * dims[1] <= 16:
+                assert engine.atlas(key).orbit_count == min(dims)
+            continue
+        try:
+            count = load_reference(key, "small").orbit_count - 1
+        except NoReferenceError:
+            assert key == "2x2x2x2"
+            count = engine.atlas(key).orbit_count
+        assert count < 65535, key
+    assert len(seen) == 33
+    assert sorted(k for k in seen if k.count("x") > 1) == [
+        "2x2x2", "2x2x2x2", "3x2x2", "3x2x2x2", "3x3x2", "3x3x3",
+        "4x2x2", "4x3x2", "5x2x2", "6x2x2"]
+
+
+def test_cell_width_four_is_refused(tmp_path, engine):
+    s = Shape((2, 2, 2))
+    with pytest.raises(ValueError):
+        enumerate_orbits(s, cell_width=4)
+    assert engine.atlas("2x2x2").assignment.dtype == np.uint16
+    # a snapshot whose header claims 4-byte cells is malformed
+    path = tmp_path / "orbits.snap"
+    save_atlas(engine.atlas("2x2x2"), str(path))
+    blob = bytearray(path.read_bytes())
+    width_at = 6 + s.n
+    assert blob[width_at] == 2
+    blob[width_at] = 4
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="cell width 4"):
+        load_atlas(str(path))
 
 
 # ---- memory cap ----
@@ -179,22 +240,18 @@ def test_memory_cap_refusal():
     s = Shape((3, 3, 2))
     need = s.code_bound * 2
     assert required_bytes(s) == need
-    assert required_bytes(s, 4) == 2 * need
-    for width in (2, 4):
-        cap = required_bytes(s, width) - 1
-        with pytest.raises(MemoryCapError) as exc:
-            enumerate_orbits(s, cell_width=width, mem_cap=cap)
-        assert exc.value.required == required_bytes(s, width)
-        assert exc.value.cap == cap
+    with pytest.raises(MemoryCapError) as exc:
+        enumerate_orbits(s, mem_cap=need - 1)
+    assert exc.value.required == need
+    assert exc.value.cap == need - 1
     assert "F2TO_MEM_CAP" in str(exc.value)
 
 
 def test_required_bytes_and_strategy():
-    # one table of code_bound cells of cell_width bytes, whatever the format
+    # one table of code_bound 2-byte cells, whatever the format
     for fmt in ((2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3)):
         s = Shape(fmt)
         assert required_bytes(s) == 2 * s.code_bound
-        assert required_bytes(s, 4) == 2 * required_bytes(s, 2)
     assert DEFAULT_MEM_CAP == 2 * 1024 ** 3
 
 
@@ -234,16 +291,16 @@ def test_merge_with_no_equal_dims_is_identity(engine):
         [r.canonical for r in atlas.records]
 
 
-def test_merge_matches_direct_enumeration():
-    # oracle: enumerate under the mode-permutation programs as extra
-    # generators and compare canonical/size multisets
+def test_merge_matches_direct_enumeration(per_mode_generators):
+    # oracle: enumerate under the per-mode generators plus the
+    # mode-permutation programs and compare canonical/size multisets
     for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
         s = Shape(dims)
         atlas = enumerate_orbits(s)
         large = merge_large_orbits(s, atlas)
-        perms = block_permutations(s)
-        progs = tuple(transpose_program(s, p) for p in perms[1:])
-        direct = enumerate_orbits(s, extra_programs=progs)
+        progs = compile_generators(s, per_mode_generators(s))
+        progs += tuple(transpose_program(s, p) for p in block_permutations(s)[1:])
+        direct = enumerate_orbits(s, progs)
         assert [(r.canonical, r.size) for r in large.records] == \
             [(r.canonical, r.size) for r in direct.records]
 
@@ -303,9 +360,8 @@ def _old_writer_bytes(atlas):
     # the buffered writer save_atlas replaced, kept as the byte-layout oracle
     buf = io.BytesIO()
     buf.write(b"F2OA" + bytes([1, atlas.shape.n]) + bytes(atlas.shape.dims))
-    buf.write(bytes([atlas.assignment.dtype.itemsize]))
-    kind = "<u2" if atlas.assignment.dtype.itemsize == 2 else "<u4"
-    buf.write(atlas.assignment[1:].astype(kind).tobytes())
+    buf.write(bytes([2]))
+    buf.write(atlas.assignment[1:].astype("<u2").tobytes())
     buf.write(struct.pack("<I", len(atlas.records)))
     for rec in atlas.records:
         buf.write(struct.pack("<IQ", rec.canonical, rec.size))
@@ -317,15 +373,8 @@ def test_snapshot_bytes_match_buffered_writer(tmp_path, engine):
         path = tmp_path / f"{fmt}.snap"
         save_atlas(engine.atlas(fmt), str(path))
         assert path.read_bytes() == _old_writer_bytes(engine.atlas(fmt))
-    wide = enumerate_orbits(Shape((3, 2, 2)), cell_width=4)
-    save_atlas(wide, str(tmp_path / "wide.snap"))
-    assert (tmp_path / "wide.snap").read_bytes() == _old_writer_bytes(wide)
-    back = load_atlas(str(tmp_path / "wide.snap"))
-    assert back.assignment.dtype == np.uint32
-    assert (back.assignment == wide.assignment).all()
     # the temporary file is renamed over the target, none is left behind
-    assert sorted(p.name for p in tmp_path.iterdir()) == \
-        ["2x2x2.snap", "3x2x2.snap", "wide.snap"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["2x2x2.snap", "3x2x2.snap"]
 
 
 def test_snapshot_load_honours_cap(tmp_path, engine):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from f2orbits.group import GeneratorSet, ModeAction, identity_matrix
+from f2orbits.group import Composite, compile_generators, identity_matrix
 from f2orbits.orbits import LargeOrbitAtlas, OrbitRecord, enumerate_orbits
 from f2orbits.ranks import (DistributionRow, _orbit_adjacency, brute_force_rank,
                             large_orbit_ranks, percent_string, propagate_ranks,
@@ -25,8 +25,8 @@ def test_seed_rejects_split_simples():
     # under identity-only generators the simple tensors do not form one
     # orbit, which the seeding step must notice
     s = Shape((2, 2, 2))
-    gens = GeneratorSet(s, (ModeAction(1, identity_matrix(2)),))
-    atlas = enumerate_orbits(s, gens)
+    identity = Composite((identity_matrix(2),) * 3)
+    atlas = enumerate_orbits(s, compile_generators(s, (identity,)))
     with pytest.raises(RuntimeError):
         seed_rank_one(s, atlas)
 

@@ -1,5 +1,6 @@
 """Table rendering, reference comparison, stable-form checks, emission."""
 
+import csv
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,8 @@ import pytest
 from f2orbits.group import small_group_order
 from f2orbits.report import (CSV_HEADER, ClassificationRow, DiffReport,
                              NoReferenceError, check_conjecture_p22, emit,
-                             expected_stable_forms, load_reference,
-                             parse_rows_csv, parse_bits, render_bits, summarize,
-                             verify_reference)
+                             expected_stable_forms, load_reference, parse_bits,
+                             render_bits, summarize, verify_reference)
 from f2orbits.orbits import enumerate_orbits, merge_large_orbits
 from f2orbits.ranks import propagate_ranks, rank_distribution
 from f2orbits.tensor import Shape, parse_shape
@@ -175,13 +175,6 @@ def test_emit_text_layout(engine):
     assert text.splitlines()[0].split() == ["1", "1", "27", ".......1"]
 
 
-def test_emit_json_mirrors_fields(engine):
-    import json
-    rows = json.loads(emit(engine.rows("2x2x2"), "json"))
-    assert rows[0] == {"ordinal": 1, "rank": 1, "size": 27,
-                       "canonical_bits": ".......1", "canonical_code": 1}
-
-
 def test_emit_distribution(engine):
     text = emit(engine.distribution("2x2x2"), "csv")
     assert text.splitlines()[0] == "rank,orbits,tensors,percent"
@@ -190,26 +183,27 @@ def test_emit_distribution(engine):
 
 def test_emit_diff(engine):
     diff = verify_reference("2x2x2", "small", engine.rows("2x2x2"))
-    assert "pass" in emit(diff, "text")
-    assert "true" in emit(diff, "csv")
-    import json
-    assert json.loads(emit(diff, "json"))["ok"] is True
+    assert diff.render() == "2x2x2 (small group): pass, 7 rows matched\n"
+    bad = verify_reference("2x2x2", "small", engine.rows("2x2x2"), group_order=215)
+    assert bad.render() == \
+        "2x2x2 (small group): group order: computed 215 != reference 216\n"
 
 
 def test_emit_rejects_unknown_format(engine):
-    with pytest.raises(ValueError):
-        emit(engine.rows("2x2x2"), "yaml")
+    for fmt in ("yaml", "json"):
+        with pytest.raises(ValueError):
+            emit(engine.rows("2x2x2"), fmt)
+        with pytest.raises(ValueError):
+            emit(engine.distribution("2x2x2"), fmt)
 
 
 def test_csv_roundtrip(engine):
     for fmt in ("2x2x2", "3x2x2"):
         rows = engine.rows(fmt)
-        assert parse_rows_csv(emit(rows, "csv")) == list(rows)
-
-
-def test_parse_rows_csv_requires_header():
-    with pytest.raises(ValueError):
-        parse_rows_csv("1,1,27,.......1,1\n")
+        header, *body = csv.reader(emit(rows, "csv").splitlines())
+        assert ",".join(header) == CSV_HEADER
+        assert [ClassificationRow(int(o), int(rk), int(sz), bits, int(code))
+                for o, rk, sz, bits, code in body] == list(rows)
 
 
 def test_classify_format_pipeline():
