@@ -18,12 +18,12 @@ from .report import (ClassificationRow, ConjectureReport, DiffReport,
                      NoReferenceError, check_conjecture_p22, emit, load_reference,
                      summarize, verify_reference)
 from .tensor import (MAX_ENTRIES, Shape, enumerate_simple_tensors, parse_shape,
-                     simple_tensor, transpose)
+                     transpose)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_ENTRIES", "Shape", "parse_shape", "simple_tensor",
+    "MAX_ENTRIES", "Shape", "parse_shape",
     "enumerate_simple_tensors", "transpose",
     "GLMatrix", "Composite", "generator_set",
     "small_group_order", "large_group_order",

@@ -22,6 +22,8 @@ from .report import (NoReferenceError, check_conjecture_p22, emit, load_referenc
                      summarize, verify_reference)
 from .tensor import parse_shape
 
+_GROUP_ORDER = {"small": small_group_order, "large": large_group_order}
+
 
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -34,7 +36,7 @@ def _build_parser():
         sp.add_argument("--format", required=True, metavar="DxDx...",
                         help="tensor format, e.g. 3x3x3")
         if flavor:
-            sp.add_argument("--flavor", choices=("small", "large"), default="small",
+            sp.add_argument("--flavor", choices=tuple(_GROUP_ORDER), default="small",
                             help="small: products of linear groups only; "
                                  "large: also permute equal-dimension modes")
         sp.add_argument("--mem-cap", type=int, default=None, metavar="BYTES",
@@ -88,22 +90,18 @@ class _Phases:
         self._last = now
 
 
-def _compute(shape, cap, want_large, snapshot=None):
+def _compute(shape, cap, flavor="small", snapshot=None):
     """The one classification pipeline: load the snapshot or enumerate
-    (saving the snapshot if asked), rank, and merge under mode swaps if
-    want_large.  Returns (atlas, ranks, large or None)."""
+    (saving the snapshot if asked), rank, merge under mode swaps for the
+    large flavor, and summarize.  Returns (atlas, ranks, rows, dist)."""
     est = required_bytes(shape)
     print(f"estimated table bytes: {est}", file=sys.stderr)
     phases = _Phases()
 
-    atlas = None
     if snapshot and os.path.exists(snapshot):
-        atlas = load_atlas(snapshot, mem_cap=cap)
-        if atlas.shape != shape:
-            raise ValueError(
-                f"snapshot {snapshot} holds {atlas.shape}, not {shape}")
+        atlas = load_atlas(snapshot, shape, mem_cap=cap)
         phases.mark("snapshot load")
-    if atlas is None:
+    else:
         atlas = enumerate_orbits(shape, mem_cap=cap)
         phases.mark("enumeration")
         if snapshot:
@@ -113,25 +111,23 @@ def _compute(shape, cap, want_large, snapshot=None):
     ranks = propagate_ranks(shape, atlas)
     phases.mark("ranks")
     large = None
-    if want_large:
+    if flavor == "large":
         large = merge_large_orbits(shape, atlas)
         phases.mark("merge")
-    return atlas, ranks, large
+    rows = summarize(shape, atlas, ranks, flavor=flavor, large=large)
+    dist = rank_distribution(atlas, ranks, large=large)
+    return atlas, ranks, rows, dist
 
 
 def cmd_classify(args):
     shape = parse_shape(args.format)
     cap = _resolve_cap(args)
-    atlas, ranks, large = _compute(shape, cap, args.flavor == "large",
-                                   args.snapshot)
-    rows = summarize(shape, atlas, ranks, flavor=args.flavor, large=large)
-    dist = rank_distribution(atlas, ranks, large=large)
+    _, _, rows, dist = _compute(shape, cap, args.flavor, args.snapshot)
     if args.emit == "json":
         doc = {
             "format": str(shape),
             "flavor": args.flavor,
-            "group_order": (large_group_order(shape) if args.flavor == "large"
-                            else small_group_order(shape)),
+            "group_order": _GROUP_ORDER[args.flavor](shape),
             "orbits": len(rows),
             "rows": [row.__dict__ for row in rows],
             "distribution": [d._asdict() for d in dist],
@@ -153,13 +149,10 @@ def cmd_verify(args):
     load_reference(args.format, args.flavor)
     shape = parse_shape(args.format)
     cap = _resolve_cap(args)
-    atlas, ranks, large = _compute(shape, cap, args.flavor == "large")
-    rows = summarize(shape, atlas, ranks, flavor=args.flavor, large=large)
-    dist = rank_distribution(atlas, ranks, large=large)
-    order = (large_group_order(shape) if args.flavor == "large"
-             else small_group_order(shape))
+    _, _, rows, dist = _compute(shape, cap, args.flavor)
     diff = verify_reference(args.format, args.flavor, rows,
-                            group_order=order, distribution=dist)
+                            group_order=_GROUP_ORDER[args.flavor](shape),
+                            distribution=dist)
     if diff.ok:
         sys.stdout.write(diff.render())
         return 0
@@ -173,7 +166,7 @@ def cmd_conjecture(args):
     for p in args.p:
         if p < 4:
             raise ValueError(f"stabilization is stated for p >= 4, got p={p}")
-        atlas, ranks, _ = _compute(parse_shape(f"{p}x2x2"), cap, False)
+        atlas, ranks, _, _ = _compute(parse_shape(f"{p}x2x2"), cap)
         rep = check_conjecture_p22(p, atlas, ranks)
         verdict = "pass" if rep.ok else "FAIL"
         print(f"p={p}: {sum(rep.forms_match)}/10 canonical forms match "
@@ -190,10 +183,9 @@ def cmd_show_orbit(args):
         raise ValueError(f"code {code} out of range for {shape} "
                          f"(1..{shape.code_bound - 1})")
     cap = _resolve_cap(args)
-    atlas, ranks, _ = _compute(shape, cap, False)
+    atlas, _, rows, _ = _compute(shape, cap)
     oid = atlas.orbit_id(code)
     rec = atlas.record(oid)
-    rows = summarize(shape, atlas, ranks)
     row = next(r for r in rows if r.canonical_code == rec.canonical)
     print(f"code {code} in {shape}: orbit #{row.ordinal}, rank {row.rank}, "
           f"size {row.size}, canonical {row.canonical_bits} "

@@ -118,13 +118,16 @@ def _spin_into(assignment, orbit_id, start, programs):
     return size
 
 
-def _fresh_assignment(shape, mem_cap):
+def _allocate_table(shape, mem_cap):
+    """The uninitialised table of code_bound cells with cell 0, the zero
+    orbit, set to 0; refused with MemoryCapError before allocating if
+    required_bytes exceeds mem_cap."""
     need = required_bytes(shape)
-    if mem_cap is not None and need > mem_cap:
+    if need > mem_cap:
         raise MemoryCapError(need, mem_cap)
-    assignment = np.full(shape.code_bound, _SENTINEL, _CELL)
-    assignment[0] = 0
-    return assignment
+    table = np.empty(shape.code_bound, _CELL)
+    table[0] = 0
+    return table
 
 
 def _next_unassigned(assignment, pos):
@@ -140,7 +143,7 @@ def _next_unassigned(assignment, pos):
 
 
 def enumerate_orbits(shape: Shape, programs=None, *, cell_width: int = 2,
-                     mem_cap: int | None = DEFAULT_MEM_CAP) -> OrbitAtlas:
+                     mem_cap: int = DEFAULT_MEM_CAP) -> OrbitAtlas:
     """Partition the full nonzero code space into the orbits of the group
     that programs, compiled bijections on codes, generate.  They default
     to the composites of generator_set; callers may pass others, for
@@ -152,7 +155,8 @@ def enumerate_orbits(shape: Shape, programs=None, *, cell_width: int = 2,
         raise ValueError(f"cell_width must be 2, got {cell_width}")
     if programs is None:
         programs = compile_generators(shape, generator_set(shape))
-    assignment = _fresh_assignment(shape, mem_cap)
+    assignment = _allocate_table(shape, mem_cap)
+    assignment[1:] = _SENTINEL
     records = []
     pos = 1
     while True:
@@ -177,13 +181,12 @@ def enumerate_orbits(shape: Shape, programs=None, *, cell_width: int = 2,
 @dataclass(frozen=True)
 class LargeOrbitAtlas:
     """Orbits under the group extended by equal-dimension mode swaps.
-    grouping[small_id] = large_id; records follow OrbitAtlas conventions;
-    constituents[i] lists the small orbit ids merged into large id i+1."""
+    grouping[small_id] = large_id (grouping[0] = 0, the zero orbit);
+    records follow OrbitAtlas conventions."""
 
     shape: Shape
     grouping: np.ndarray
     records: tuple[OrbitRecord, ...]
-    constituents: tuple[tuple[int, ...], ...]
 
     @property
     def orbit_count(self) -> int:
@@ -191,44 +194,30 @@ class LargeOrbitAtlas:
 
 
 def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
-    """Union small orbits whose canonical forms are related by a mode
-    permutation.  Permuting equal-dimension modes normalizes the small
-    group, so images of canonical forms locate whole orbits."""
+    """Group the small orbits into orbits of the large group G x| S, G the
+    small group and S = block_permutations(shape) the whole group of mode
+    permutations that preserve dimensions.
+
+    Each sigma in S normalizes G (sigma G sigma^-1 = G), so it maps the
+    small orbit G x onto the small orbit G sigma(x), and the large orbit of
+    x is the union of those images over sigma in S.  As S is the whole
+    permutation group, not a generating set, the ids of sigma(canonical_i)
+    over S are every small orbit in the large orbit of small orbit i, and
+    their minimum is the same for all of them.  Small ids ascend with the
+    canonical code, so that minimum holds the large orbit's canonical, and
+    ranking the minima numbers the large orbits in canonical order."""
     canonicals = np.array([r.canonical for r in atlas.records], dtype=np.uint32)
-    parent = list(range(len(atlas.records) + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for sigma in block_permutations(shape)[1:]:
-        images = transpose_program(shape, sigma).apply_array(canonicals)
-        others = atlas.assignment[images].tolist()
-        for rec, other in zip(atlas.records, others):
-            a, b = find(rec.orbit_id), find(other)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    groups = {}
-    for rec in atlas.records:
-        groups.setdefault(find(rec.orbit_id), []).append(rec)
-    merged = []
-    for members in groups.values():
-        canonical = min(r.canonical for r in members)
-        size = sum(r.size for r in members)
-        merged.append((canonical, size, tuple(r.orbit_id for r in members)))
-    merged.sort()
-    grouping = np.zeros(len(atlas.records) + 1, dtype=np.uint32)
-    records = []
-    constituents = []
-    for i, (canonical, size, small_ids) in enumerate(merged, start=1):
-        records.append(OrbitRecord(i, canonical, size))
-        constituents.append(small_ids)
-        for sid in small_ids:
-            grouping[sid] = i
-    return LargeOrbitAtlas(shape, grouping, tuple(records), tuple(constituents))
+    least = np.minimum.reduce([
+        atlas.assignment[transpose_program(shape, sigma).apply_array(canonicals)]
+        for sigma in block_permutations(shape)])
+    roots, small_to_large = np.unique(least, return_inverse=True)
+    grouping = np.zeros(atlas.orbit_count + 1, dtype=np.uint32)
+    grouping[1:] = small_to_large + 1
+    sizes = np.zeros(roots.size, dtype=np.int64)
+    np.add.at(sizes, small_to_large, [r.size for r in atlas.records])
+    records = tuple(OrbitRecord(i, atlas.record(int(root)).canonical, int(size))
+                    for i, (root, size) in enumerate(zip(roots, sizes), start=1))
+    return LargeOrbitAtlas(shape, grouping, records)
 
 
 # ---- snapshots ----
@@ -256,10 +245,11 @@ def save_atlas(atlas: OrbitAtlas, path: str) -> None:
 
 
 def load_atlas(path: str, shape: Shape | None = None, *,
-               mem_cap: int | None = DEFAULT_MEM_CAP) -> OrbitAtlas:
-    """Read a snapshot written by save_atlas.  The table it allocates is
-    checked against mem_cap first (MemoryCapError), and the cells are read
-    into it directly.  Malformed files raise ValueError."""
+               mem_cap: int = DEFAULT_MEM_CAP) -> OrbitAtlas:
+    """Read a snapshot written by save_atlas.  A snapshot of another
+    format than shape, if given, raises ValueError before the table it
+    would allocate is checked against mem_cap (MemoryCapError); the cells
+    are read into that table directly.  Malformed files raise ValueError."""
     with open(path, "rb") as f:
         head = f.read(6)
         if head[:4] != _SNAPSHOT_MAGIC:
@@ -275,18 +265,14 @@ def load_atlas(path: str, shape: Shape | None = None, *,
         dims = tuple(tail[:n])
         found = Shape(dims)
         if shape is not None and shape != found:
-            raise ValueError(f"snapshot holds {found}, expected {shape}")
+            raise ValueError(f"{path} holds {found}, expected {shape}")
         if tail[n] != _CELL.itemsize:
             raise ValueError(f"bad snapshot cell width {tail[n]}")
         cb = found.code_bound
         body = (cb - 1) * _CELL.itemsize
         if os.fstat(f.fileno()).st_size < f.tell() + body + 4:
             raise ValueError(f"{path} is truncated")
-        need = required_bytes(found)
-        if mem_cap is not None and need > mem_cap:
-            raise MemoryCapError(need, mem_cap)
-        assignment = np.empty(cb, dtype=_CELL)
-        assignment[0] = 0
+        assignment = _allocate_table(found, mem_cap)
         if f.readinto(memoryview(assignment[1:]).cast("B")) != body:
             raise ValueError(f"{path} is truncated")
         if sys.byteorder == "big":

@@ -39,10 +39,6 @@ class RankAtlas:
         return int(self.by_orbit.max())
 
 
-def rank_of_code(atlas: OrbitAtlas, ranks: RankAtlas, code: int) -> int:
-    return int(ranks.by_orbit[atlas.orbit_id(code)])
-
-
 def seed_rank_one(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
     """Mark the single orbit holding all simple tensors with rank 1."""
     simples = np.array(enumerate_simple_tensors(shape), dtype=np.uint32)
@@ -145,14 +141,14 @@ def percent_string(count: int, total: int) -> str:
 
 
 def large_orbit_ranks(large: LargeOrbitAtlas, ranks: RankAtlas) -> np.ndarray:
-    """Per-large-orbit ranks; constituents of a large orbit always agree."""
+    """Per-large-orbit ranks (index 0 is the zero orbit, rank 0).  The
+    small orbits of one large orbit always share a rank; RuntimeError if
+    they do not."""
     out = np.zeros(large.orbit_count + 1, dtype=np.uint8)
-    for rec, small_ids in zip(large.records, large.constituents):
-        vals = {int(ranks.by_orbit[s]) for s in small_ids}
-        if len(vals) != 1:
-            raise RuntimeError(
-                f"large orbit {rec.orbit_id} mixes ranks {sorted(vals)}")
-        out[rec.orbit_id] = vals.pop()
+    out[large.grouping] = ranks.by_orbit
+    mixed = np.unique(large.grouping[out[large.grouping] != ranks.by_orbit])
+    if mixed.size:
+        raise RuntimeError(f"large orbits {mixed.tolist()} mix ranks")
     return out
 
 

@@ -13,7 +13,6 @@ error.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .orbits import LargeOrbitAtlas, OrbitAtlas
@@ -35,10 +34,6 @@ def render_bits(shape: Shape, code: int) -> str:
         raise ValueError(f"code {code} out of range for {shape}")
     n = shape.entry_count
     return format(code, f"0{n}b").replace("0", ".")
-
-
-def parse_bits(bits: str) -> int:
-    return int(bits.replace(".", "0"), 2)
 
 
 def summarize(shape: Shape, atlas: OrbitAtlas, ranks: RankAtlas,
@@ -185,10 +180,8 @@ def verify_reference(format_str: str, flavor: str,
 @dataclass(frozen=True)
 class ConjectureReport:
     p: int
-    forms_expected: tuple      # bit strings, left-padded to 4p entries
     forms_match: tuple         # per-row bool
     rank4_size: int
-    rank4_fraction: Fraction
     fraction_str: str          # 4 decimal places
 
     @property
@@ -225,9 +218,7 @@ def check_conjecture_p22(p: int, atlas: OrbitAtlas, ranks: RankAtlas) -> Conject
     if len(rank4) != 1:
         raise RuntimeError(f"p={p}: expected a unique rank-4 orbit, found {len(rank4)}")
     size = rank4[0].size
-    return ConjectureReport(p, tuple(b for _, b in expected), match, size,
-                            Fraction(size, shape.code_bound),
-                            decimal_string(size, shape.code_bound))
+    return ConjectureReport(p, match, size, decimal_string(size, shape.code_bound))
 
 
 # ---- emission ----

@@ -107,24 +107,9 @@ def index_of(shape: Shape, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _bit_weight(shape, p):
-    return 1 << (shape.entry_count - 1 - p)
-
-
 def get_entry(shape: Shape, code: int, idx) -> int:
     """Entry of the tensor encoded by code at a 1-based multi-index."""
     return (code >> (shape.entry_count - 1 - position_of(shape, idx))) & 1
-
-
-def set_entry(shape: Shape, code: int, idx, bit: int) -> int:
-    """Code with the entry at idx set to bit."""
-    w = _bit_weight(shape, position_of(shape, idx))
-    return (code | w) if bit else (code & ~w)
-
-
-def add(a: int, b: int) -> int:
-    """Entrywise sum over GF(2): XOR of codes."""
-    return a ^ b
 
 
 # ---- simple tensors ----
@@ -135,35 +120,10 @@ def coord_masks(shape: Shape) -> tuple[tuple[int, ...], ...]:
     i in mode k."""
     masks = [[0] * d for d in shape.dims]
     for p in range(shape.entry_count):
-        w = _bit_weight(shape, p)
+        w = 1 << (shape.entry_count - 1 - p)
         for k, i in enumerate(index_of(shape, p)):
             masks[k][i - 1] |= w
     return tuple(tuple(m) for m in masks)
-
-
-def _vector_mask(shape, k, vec):
-    # vec is a d-bit mask, highest bit = coordinate 1
-    d = shape.dims[k]
-    if not 0 < vec < (1 << d):
-        raise ValueError(
-            f"mode {k + 1} vector must be a nonzero {d}-bit mask, got {vec}")
-    masks = coord_masks(shape)[k]
-    m = 0
-    for i in range(d):
-        if (vec >> (d - 1 - i)) & 1:
-            m |= masks[i]
-    return m
-
-
-def simple_tensor(shape: Shape, vectors) -> int:
-    """Code of the outer product of one nonzero vector per mode, each
-    given as a bit mask with the highest bit for coordinate 1."""
-    if len(vectors) != shape.n:
-        raise ValueError(f"need {shape.n} vectors, got {len(vectors)}")
-    code = shape.code_bound - 1
-    for k, vec in enumerate(vectors):
-        code &= _vector_mask(shape, k, vec)
-    return code
 
 
 def enumerate_simple_tensors(shape: Shape) -> list[int]:

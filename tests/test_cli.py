@@ -140,6 +140,12 @@ def test_snapshot_format_mismatch(capsys, tmp_path):
                        "--snapshot", str(snap))
     assert code == 1
     assert "2x2x2" in err
+    # the shape is checked before the cap, so a cap too small for either
+    # format still reports the mismatch, not the other format's table
+    code, out, err = run(capsys, "classify", "--format", "3x2x2",
+                         "--snapshot", str(snap), "--mem-cap", "1")
+    assert code == 1 and out == ""
+    assert "holds 2x2x2, expected 3x2x2" in err
 
 
 def test_snapshot_cell_width_four_refused(capsys, tmp_path):

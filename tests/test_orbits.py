@@ -263,23 +263,26 @@ def test_merge_known_example(engine):
     assert large.orbit_count == 5
     fused = next(r for r in large.records if r.canonical == 6)
     assert fused.size == 54
-    ids = large.constituents[fused.orbit_id - 1]
-    assert sorted(atlas.record(i).canonical for i in ids) == [6, 18, 20]
+    ids = np.flatnonzero(large.grouping == fused.orbit_id)
+    assert sorted(atlas.record(int(i)).canonical for i in ids) == [6, 18, 20]
 
 
 def test_merge_grouping_invariants(engine):
     for fmt in ("2x2x2", "3x2x2", "2x2x2x2"):
         atlas = engine.atlas(fmt)
         large = engine.large(fmt)
+        assert large.grouping.shape == (atlas.orbit_count + 1,)
         assert large.grouping[0] == 0
-        covered = []
-        for rec, cons in zip(large.records, large.constituents):
-            assert rec.canonical == min(atlas.record(i).canonical for i in cons)
-            assert rec.size == sum(atlas.record(i).size for i in cons)
-            for i in cons:
-                assert int(large.grouping[i]) == rec.orbit_id
-            covered.extend(cons)
-        assert sorted(covered) == list(range(1, atlas.orbit_count + 1))
+        # every large id 1..count owns at least one small orbit
+        assert sorted(set(large.grouping[1:].tolist())) == \
+            list(range(1, large.orbit_count + 1))
+        for rec in large.records:
+            cons = [atlas.record(int(i))
+                    for i in np.flatnonzero(large.grouping == rec.orbit_id)]
+            assert rec.canonical == min(r.canonical for r in cons)
+            assert rec.size == sum(r.size for r in cons)
+        assert [r.canonical for r in large.records] == \
+            sorted(r.canonical for r in large.records)
         assert sum(r.size for r in large.records) == atlas.shape.code_bound - 1
 
 
@@ -293,7 +296,9 @@ def test_merge_with_no_equal_dims_is_identity(engine):
 
 def test_merge_matches_direct_enumeration(per_mode_generators):
     # oracle: enumerate under the per-mode generators plus the
-    # mode-permutation programs and compare canonical/size multisets
+    # mode-permutation programs and compare canonical/size multisets; the
+    # direct ids also ascend with the canonical code, so the grouping
+    # must send each small orbit to the direct id of its canonical
     for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
         s = Shape(dims)
         atlas = enumerate_orbits(s)
@@ -303,6 +308,8 @@ def test_merge_matches_direct_enumeration(per_mode_generators):
         direct = enumerate_orbits(s, progs)
         assert [(r.canonical, r.size) for r in large.records] == \
             [(r.canonical, r.size) for r in direct.records]
+        for rec in atlas.records:
+            assert large.grouping[rec.orbit_id] == direct.orbit_id(rec.canonical)
 
 
 # ---- snapshots ----

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from f2orbits.group import Composite, compile_generators, identity_matrix
-from f2orbits.orbits import LargeOrbitAtlas, OrbitRecord, enumerate_orbits
+from f2orbits.orbits import LargeOrbitAtlas, enumerate_orbits
 from f2orbits.ranks import (DistributionRow, _orbit_adjacency, brute_force_rank,
-                            large_orbit_ranks, percent_string, propagate_ranks,
-                            rank_distribution, rank_of_code, seed_rank_one)
+                            large_orbit_ranks, percent_string, seed_rank_one)
 from f2orbits.tensor import Shape, enumerate_simple_tensors
 
 
@@ -37,14 +36,6 @@ def test_known_ranks_by_canonical(engine):
     want = {1: 1, 6: 2, 18: 2, 20: 2, 22: 3, 24: 2, 107: 3}
     for rec in atlas.records:
         assert int(ranks.by_orbit[rec.orbit_id]) == want[rec.canonical]
-
-
-def test_rank_of_code(engine):
-    atlas = engine.atlas("2x2x2")
-    ranks = engine.ranks("2x2x2")
-    assert rank_of_code(atlas, ranks, 107) == 3
-    assert rank_of_code(atlas, ranks, 1) == 1
-    assert rank_of_code(atlas, ranks, 0) == 0
 
 
 def reference_adjacency(atlas):
@@ -93,7 +84,7 @@ def test_brute_force_matches_propagated_everywhere(engine):
     atlas = engine.atlas("2x2x2")
     ranks = engine.ranks("2x2x2")
     for code in range(1, 256):
-        assert brute_force_rank(s, code) == rank_of_code(atlas, ranks, code)
+        assert brute_force_rank(s, code) == ranks.by_orbit[atlas.orbit_id(code)]
 
 
 def test_brute_force_basics():
@@ -161,24 +152,23 @@ def test_large_orbit_ranks_agree(engine):
         large = engine.large(fmt)
         by_large = engine.large_ranks(fmt)
         ranks = engine.ranks(fmt)
-        for rec, cons in zip(large.records, large.constituents):
-            for small_id in cons:
-                assert int(ranks.by_orbit[small_id]) == int(by_large[rec.orbit_id])
+        assert by_large.size == large.orbit_count + 1
+        for small_id, large_id in enumerate(large.grouping.tolist()):
+            assert by_large[large_id] == ranks.by_orbit[small_id]
 
 
 def test_large_orbit_ranks_reject_mixed_ranks(engine):
     atlas = engine.atlas("2x2x2")
     ranks = engine.ranks("2x2x2")
-    # canonical 1 has rank 1 and canonical 107 rank 3; gluing their orbits
-    # into one fake large orbit must fail
+    # canonical 1 has rank 1 and canonical 107 rank 3; a grouping that
+    # glues their orbits into one large orbit, every other orbit on its
+    # own, must fail
     id_a = atlas.orbit_id(1)
     id_b = atlas.orbit_id(107)
-    grouping = np.zeros(atlas.orbit_count + 1, dtype=np.uint32)
-    fake = LargeOrbitAtlas(
-        atlas.shape, grouping,
-        (OrbitRecord(1, 1, 39),),
-        ((id_a, id_b),))
-    with pytest.raises(RuntimeError):
+    grouping = np.arange(atlas.orbit_count + 1, dtype=np.uint32)
+    grouping[id_b] = id_a
+    fake = LargeOrbitAtlas(atlas.shape, grouping, tuple(atlas.records))
+    with pytest.raises(RuntimeError, match=rf"large orbits \[{id_a}\] mix ranks"):
         large_orbit_ranks(fake, ranks)
 
 

@@ -1,15 +1,14 @@
 """Table rendering, reference comparison, stable-form checks, emission."""
 
 import csv
-from fractions import Fraction
 
 import pytest
 
 from f2orbits.group import small_group_order
 from f2orbits.report import (CSV_HEADER, ClassificationRow, DiffReport,
                              NoReferenceError, check_conjecture_p22, emit,
-                             expected_stable_forms, load_reference, parse_bits,
-                             render_bits, summarize, verify_reference)
+                             expected_stable_forms, load_reference, render_bits,
+                             summarize, verify_reference)
 from f2orbits.orbits import enumerate_orbits, merge_large_orbits
 from f2orbits.ranks import propagate_ranks, rank_distribution
 from f2orbits.tensor import Shape, parse_shape
@@ -23,12 +22,6 @@ def test_render_bits():
     assert render_bits(s, 255) == "11111111"
     with pytest.raises(ValueError):
         render_bits(s, 256)
-
-
-def test_parse_bits_roundtrip():
-    s = Shape((3, 2, 2))
-    for code in (0, 1, 77, 4095):
-        assert parse_bits(render_bits(s, code)) == code
 
 
 def test_summarize_known_table(engine):
@@ -137,9 +130,7 @@ def test_stable_forms_p4(engine):
     rep = check_conjecture_p22(4, engine.atlas("4x2x2"), engine.ranks("4x2x2"))
     assert rep.ok
     assert rep.rank4_size == 20160
-    assert rep.rank4_fraction == Fraction(20160, 1 << 16)
     assert rep.fraction_str == "0.3076"
-    assert all(len(b) == 16 for b in rep.forms_expected)
 
 
 def test_stable_forms_padding():

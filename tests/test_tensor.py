@@ -2,10 +2,14 @@
 
 import pytest
 
-from f2orbits.tensor import (MAX_ENTRIES, Shape, add, coord_masks,
+from f2orbits.tensor import (MAX_ENTRIES, Shape, coord_masks,
                              enumerate_simple_tensors, get_entry, index_of,
-                             parse_shape, position_of, set_entry, simple_tensor,
-                             transpose)
+                             parse_shape, position_of, transpose)
+
+
+def single_entry(shape, idx):
+    # code of the tensor with one 1, at the 1-based subscript idx
+    return 1 << (shape.entry_count - 1 - position_of(shape, idx))
 
 
 def test_shape_basics():
@@ -69,20 +73,12 @@ def test_entry_msb_is_all_ones_subscript():
     # code of the tensor with a single 1 at subscript (1,...,1) is the
     # highest bit; subscript (d1,...,dn) is the lowest
     s = Shape((2, 2, 2))
-    top = set_entry(s, 0, (1, 1, 1), 1)
+    top = single_entry(s, (1, 1, 1))
     assert top == 1 << 7
-    assert set_entry(s, 0, (2, 2, 2), 1) == 1
+    assert single_entry(s, (2, 2, 2)) == 1
     assert get_entry(s, top, (1, 1, 1)) == 1
     assert get_entry(s, top, (2, 2, 2)) == 0
-
-
-def test_add_is_entrywise_xor():
-    s = Shape((2, 2, 2))
-    a = set_entry(s, 0, (1, 2, 1), 1)
-    b = set_entry(s, a, (2, 1, 1), 1)
-    assert add(a, b) == b ^ a
-    assert get_entry(s, add(a, b), (1, 2, 1)) == 0
-    assert get_entry(s, add(a, b), (2, 1, 1)) == 1
+    assert get_entry(s, 1, (2, 2, 2)) == 1
 
 
 def test_coord_masks_partition_positions():
@@ -100,27 +96,30 @@ def test_coord_masks_partition_positions():
 
 
 def test_simple_tensor_single_entry():
-    s = Shape((2, 2, 2))
-    # basis vectors e2, e2, e2 give the tensor with one 1 at (2,2,2)
-    assert simple_tensor(s, (0b01, 0b01, 0b01)) == 1
-    # e1 in every mode selects (1,1,1)
-    assert simple_tensor(s, (0b10, 0b10, 0b10)) == 1 << 7
+    # basis vectors e_i1, e_i2, e_i3 give the tensor with one 1 at
+    # (i1, i2, i3), so every single-entry tensor is simple
+    for dims in ((2, 2, 2), (3, 2, 2), (2, 3, 2)):
+        s = Shape(dims)
+        simples = set(enumerate_simple_tensors(s))
+        for p in range(s.entry_count):
+            assert single_entry(s, index_of(s, p)) in simples
 
 
 def test_simple_tensor_is_outer_product():
+    # the outer products of all nonzero vectors, built entry by entry
+    # from the definition, are exactly the enumerated simple tensors
     s = Shape((2, 3, 2))
-    u, v, w = 0b11, 0b101, 0b10
-    code = simple_tensor(s, (u, v, w))
-    for p in range(s.entry_count):
-        i1, i2, i3 = index_of(s, p)
-        want = ((u >> (2 - i1)) & (v >> (3 - i2)) & (w >> (2 - i3))) & 1
-        assert get_entry(s, code, (i1, i2, i3)) == want
-
-
-def test_simple_tensor_rejects_zero_vector():
-    s = Shape((2, 2, 2))
-    with pytest.raises(ValueError):
-        simple_tensor(s, (0, 0b10, 0b01))
+    products = set()
+    for u in range(1, 1 << 2):
+        for v in range(1, 1 << 3):
+            for w in range(1, 1 << 2):
+                code = 0
+                for p in range(s.entry_count):
+                    i1, i2, i3 = index_of(s, p)
+                    if (u >> (2 - i1)) & (v >> (3 - i2)) & (w >> (2 - i3)) & 1:
+                        code |= single_entry(s, (i1, i2, i3))
+                products.add(code)
+    assert products == set(enumerate_simple_tensors(s))
 
 
 def test_simple_tensor_count():
@@ -149,7 +148,7 @@ def test_transpose_identity_and_involution():
 
 def test_transpose_entry_semantics():
     s = Shape((2, 2, 2))
-    code = set_entry(s, 0, (1, 2, 1), 1)
+    code = single_entry(s, (1, 2, 1))
     perm = (2, 3, 1)
     out = transpose(s, code, perm)
     for p in range(s.entry_count):
