@@ -12,9 +12,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from .group import large_group_order, small_group_order
+from .group import (compile_generators, generator_set, large_group_order,
+                    small_group_order)
 from .orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits, load_atlas,
                      merge_large_orbits, required_bytes, save_atlas)
 from .ranks import propagate_ranks, rank_distribution
@@ -166,8 +165,9 @@ def cmd_conjecture(args):
     for p in args.p:
         if p < 4:
             raise ValueError(f"stabilization is stated for p >= 4, got p={p}")
-        atlas, ranks, _, _ = _compute(parse_shape(f"{p}x2x2"), cap)
-        rep = check_conjecture_p22(p, atlas, ranks)
+        shape = parse_shape(f"{p}x2x2")
+        _, _, rows, _ = _compute(shape, cap)
+        rep = check_conjecture_p22(p, shape, rows)
         verdict = "pass" if rep.ok else "FAIL"
         print(f"p={p}: {sum(rep.forms_match)}/10 canonical forms match "
               f"({verdict}); rank-4 orbit {rep.rank4_size}/2^{4 * p} "
@@ -184,15 +184,19 @@ def cmd_show_orbit(args):
                          f"(1..{shape.code_bound - 1})")
     cap = _resolve_cap(args)
     atlas, _, rows, _ = _compute(shape, cap)
-    oid = atlas.orbit_id(code)
-    rec = atlas.record(oid)
+    rec = atlas.record(atlas.orbit_id(code))
     row = next(r for r in rows if r.canonical_code == rec.canonical)
     print(f"code {code} in {shape}: orbit #{row.ordinal}, rank {row.rank}, "
           f"size {row.size}, canonical {row.canonical_bits} "
           f"(code {row.canonical_code})")
     if row.size <= args.members_limit:
-        members = np.flatnonzero(atlas.assignment == oid)
-        print("members:", " ".join(str(int(m)) for m in members))
+        # walk the orbit from code: it holds at most --members-limit codes
+        programs = compile_generators(shape, generator_set(shape))
+        members, frontier = {code}, {code}
+        while frontier:
+            frontier = {prog(c) for c in frontier for prog in programs} - members
+            members |= frontier
+        print("members:", " ".join(map(str, sorted(members))))
     return 0
 
 

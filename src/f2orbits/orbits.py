@@ -58,14 +58,14 @@ class MemoryCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    orbit_id: int
     canonical: int
     size: int
 
 
 class OrbitAtlas:
     """Complete orbit partition: assignment[code] = orbit id, plus one
-    OrbitRecord per nonzero orbit (records[i] has orbit_id i + 1)."""
+    OrbitRecord per nonzero orbit (records[i] is orbit id i + 1).  Code
+    outside this module reads ids through orbit_id only."""
 
     def __init__(self, shape: Shape, assignment: np.ndarray, records):
         self.shape = shape
@@ -77,10 +77,15 @@ class OrbitAtlas:
         """Number of nonzero orbits."""
         return len(self.records)
 
-    def orbit_id(self, code: int) -> int:
-        if not 0 <= code < self.shape.code_bound:
-            raise ValueError(f"code {code} out of range for {self.shape}")
-        return int(self.assignment[code])
+    def orbit_id(self, codes):
+        """The orbit id of an int code, or an array of ids for an integer
+        array of codes.  ValueError if any code is out of range."""
+        codes = np.asarray(codes)
+        bad = (codes < 0) | (codes >= self.shape.code_bound)
+        if bad.any():
+            raise ValueError(f"code {codes[bad].flat[0]} out of range for {self.shape}")
+        ids = self.assignment[codes]
+        return int(ids) if codes.ndim == 0 else ids
 
     def record(self, orbit_id: int) -> OrbitRecord:
         if not 1 <= orbit_id <= len(self.records):
@@ -169,7 +174,7 @@ def enumerate_orbits(shape: Shape, programs=None, *, cell_width: int = 2,
                 f"{shape} has more than {_SENTINEL - 1} orbits under these "
                 f"programs, too many for a 2-byte cell")
         size = _spin_into(assignment, orbit_id, start, programs)
-        records.append(OrbitRecord(orbit_id, start, size))
+        records.append(OrbitRecord(start, size))
         pos = start + 1
     total = sum(r.size for r in records)
     assert total == shape.code_bound - 1, "orbit sizes do not cover the space"
@@ -208,15 +213,15 @@ def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
     ranking the minima numbers the large orbits in canonical order."""
     canonicals = np.array([r.canonical for r in atlas.records], dtype=np.uint32)
     least = np.minimum.reduce([
-        atlas.assignment[transpose_program(shape, sigma).apply_array(canonicals)]
+        atlas.orbit_id(transpose_program(shape, sigma).apply_array(canonicals))
         for sigma in block_permutations(shape)])
     roots, small_to_large = np.unique(least, return_inverse=True)
     grouping = np.zeros(atlas.orbit_count + 1, dtype=np.uint32)
     grouping[1:] = small_to_large + 1
     sizes = np.zeros(roots.size, dtype=np.int64)
     np.add.at(sizes, small_to_large, [r.size for r in atlas.records])
-    records = tuple(OrbitRecord(i, atlas.record(int(root)).canonical, int(size))
-                    for i, (root, size) in enumerate(zip(roots, sizes), start=1))
+    records = tuple(OrbitRecord(atlas.record(int(root)).canonical, int(size))
+                    for root, size in zip(roots, sizes))
     return LargeOrbitAtlas(shape, grouping, records)
 
 
@@ -283,7 +288,7 @@ def load_atlas(path: str, shape: Shape | None = None, *,
     (count,) = struct.unpack_from("<I", rest)
     if len(rest) != 4 + 12 * count:
         raise ValueError(f"{path} has truncated or trailing record data")
-    records = [OrbitRecord(i + 1, *struct.unpack_from("<IQ", rest, 4 + 12 * i))
+    records = [OrbitRecord(*struct.unpack_from("<IQ", rest, 4 + 12 * i))
                for i in range(count)]
     if sum(r.size for r in records) != cb - 1:
         raise ValueError(f"{path} record sizes do not cover the code space")

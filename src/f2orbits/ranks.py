@@ -1,16 +1,17 @@
 """Tensor rank per orbit via rank-1 perturbation breadth-first search.
 
-Adding the fixed simple tensor E (code 1) to a tensor changes its rank by
-at most one, and because the group is transitive on simple tensors every
-rank-(r+1) orbit sits next to some rank-r orbit under that pairing.  So
-rank = 1 + BFS distance from the rank-1 orbit in the graph whose vertices
-are orbits and whose edges join the orbits of code pairs (2k, 2k+1).
-
-One chunked scan over the even codes fills a dense K x K boolean
-adjacency mask, K = orbit count + 1, and the BFS advances a whole
-frontier per step as a reduction over rows of that mask.  Over every
-format up to 27 entries K is at most 697 (3x2x2x2), so the mask stays
-under half a megabyte beside the 2^N-cell assignment table.
+Adding a simple tensor changes rank by at most one, and every tensor of
+rank r >= 1 is a simple tensor away from one of rank r - 1.  So rank =
+1 + BFS distance from the rank-1 orbit in the graph that joins orbits O1
+and O2 when x XOR s lies in O2 for some x in O1 and simple s, a symmetric
+relation.  The group is transitive on simple tensors, which seed_rank_one
+checks: given such x and s, take g with g x = c1, the canonical of O1;
+then c1 XOR g s lies in O2, and g s is simple.  So O1 and O2 are adjacent
+exactly when c1 XOR S lies in O2 for some simple S, and one orbit_id
+lookup of every canonical XOR every simple tensor fills a dense K x K
+boolean mask, K = orbit count + 1 (at most 697, for 3x2x2x2, over every
+format up to 27 entries).  The BFS advances a whole frontier per step as
+a reduction over rows of that mask.
 
 The brute-force oracle is independent of all of the above: plain BFS over
 XOR-with-a-simple-tensor moves, usable for small formats and small ranks.
@@ -24,8 +25,6 @@ import numpy as np
 
 from .orbits import LargeOrbitAtlas, OrbitAtlas
 from .tensor import Shape, enumerate_simple_tensors
-
-_EDGE_CHUNK = 1 << 16
 
 
 class RankAtlas:
@@ -42,7 +41,7 @@ class RankAtlas:
 def seed_rank_one(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
     """Mark the single orbit holding all simple tensors with rank 1."""
     simples = np.array(enumerate_simple_tensors(shape), dtype=np.uint32)
-    ids = np.unique(atlas.assignment[simples])
+    ids = np.unique(atlas.orbit_id(simples))
     if ids.size != 1:
         raise RuntimeError(
             f"simple tensors fall into {ids.size} orbits; the group action is broken")
@@ -52,23 +51,15 @@ def seed_rank_one(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
 
 
 def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:
-    """Symmetric K x K boolean mask, K = orbit count + 1, joining the
-    orbits of every code pair (2k, 2k+1).  Row and column 0 are clear:
-    the zero orbit is rank 0 by definition, not a BFS vertex."""
-    ids = atlas.orbit_count + 1
-    hits = np.zeros(ids * ids, dtype=bool)
-    even = atlas.assignment[0::2]
-    odd = atlas.assignment[1::2]
-    # flat index even * K + odd, built in intp, which numpy would
-    # otherwise cast an index array to, in chunks that stay in cache
-    for lo in range(0, even.size, _EDGE_CHUNK):
-        idx = even[lo:lo + _EDGE_CHUNK].astype(np.intp)
-        idx *= ids
-        idx += odd[lo:lo + _EDGE_CHUNK]
-        hits[idx] = True
-    adj = hits.reshape(ids, ids)
-    adj |= adj.T
-    adj[0, :] = False
+    """Symmetric K x K boolean mask, K = orbit count + 1, joining orbit i
+    to the orbit of canonical_i XOR S for every simple tensor S.  Row and
+    column 0 are clear: the zero orbit is rank 0 by definition, not a BFS
+    vertex."""
+    canonicals = np.array([r.canonical for r in atlas.records], dtype=np.intp)
+    simples = np.array(enumerate_simple_tensors(atlas.shape), dtype=np.intp)
+    adj = np.zeros((atlas.orbit_count + 1,) * 2, dtype=bool)
+    adj[np.arange(1, atlas.orbit_count + 1)[:, None],
+        atlas.orbit_id(canonicals[:, None] ^ simples)] = True
     adj[:, 0] = False
     return adj
 
@@ -158,10 +149,10 @@ def rank_distribution(atlas: OrbitAtlas, ranks: RankAtlas,
     zero tensor contributes the rank-0 row.  With a LargeOrbitAtlas the
     orbit counts are large-orbit counts; tensor counts are unchanged."""
     if large is None:
-        pairs = [(int(ranks.by_orbit[r.orbit_id]), r.size) for r in atlas.records]
+        pairs = [(int(rk), r.size) for r, rk in zip(atlas.records, ranks.by_orbit[1:])]
     else:
         by_large = large_orbit_ranks(large, ranks)
-        pairs = [(int(by_large[r.orbit_id]), r.size) for r in large.records]
+        pairs = [(int(rk), r.size) for r, rk in zip(large.records, by_large[1:])]
     top = max(r for r, _ in pairs)
     orbits = [0] * (top + 1)
     tensors = [0] * (top + 1)

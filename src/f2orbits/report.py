@@ -41,14 +41,14 @@ def summarize(shape: Shape, atlas: OrbitAtlas, ranks: RankAtlas,
               large: LargeOrbitAtlas | None = None) -> list[ClassificationRow]:
     """Classification rows for the nonzero orbits, table order."""
     if flavor == "small":
-        triples = [(int(ranks.by_orbit[r.orbit_id]), r.size, r.canonical)
-                   for r in atlas.records]
+        triples = [(int(rk), r.size, r.canonical)
+                   for r, rk in zip(atlas.records, ranks.by_orbit[1:])]
     elif flavor == "large":
         if large is None:
             raise ValueError("flavor 'large' needs a LargeOrbitAtlas")
         by_large = large_orbit_ranks(large, ranks)
-        triples = [(int(by_large[r.orbit_id]), r.size, r.canonical)
-                   for r in large.records]
+        triples = [(int(rk), r.size, r.canonical)
+                   for r, rk in zip(large.records, by_large[1:])]
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     triples.sort()
@@ -201,14 +201,13 @@ def expected_stable_forms(p: int) -> list[tuple[int, str]]:
     return out
 
 
-def check_conjecture_p22(p: int, atlas: OrbitAtlas, ranks: RankAtlas) -> ConjectureReport:
+def check_conjecture_p22(p: int, shape: Shape,
+                         rows: list[ClassificationRow]) -> ConjectureReport:
     if p < 4:
         raise ValueError(f"stabilization is stated for p >= 4, got p={p}")
-    shape = atlas.shape
     if shape.dims != (p, 2, 2):
-        raise ValueError(f"atlas is for {shape}, expected {p}x2x2")
+        raise ValueError(f"rows are for {shape}, expected {p}x2x2")
     expected = expected_stable_forms(p)
-    rows = summarize(shape, atlas, ranks)
     if len(rows) != len(expected):
         raise RuntimeError(
             f"p={p}: {len(rows)} nonzero orbits, stabilization predicts {len(expected)}")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from f2orbits.cli import main
@@ -203,6 +204,23 @@ def test_show_orbit(capsys):
     assert "rank 3" in out and "size 12" in out
     assert "members:" in out
     assert "107 109 121" in out
+
+
+def test_show_orbit_members_match_table(capsys, engine):
+    # the member walk against the table scan it replaced, from each
+    # orbit's largest member rather than its canonical
+    for fmt in ("2x2x2", "2x2x2x2"):
+        atlas = engine.atlas(fmt)
+        small = [oid for oid, rec in enumerate(atlas.records, start=1)
+                 if rec.size <= 64]
+        assert small
+        for oid in small:
+            members = np.flatnonzero(atlas.assignment == oid)
+            code, out, _ = run(capsys, "show-orbit", "--format", fmt,
+                               "--code", str(members[-1]))
+            assert code == 0
+            assert out.splitlines()[1] == \
+                "members: " + " ".join(str(m) for m in members.tolist())
 
 
 def test_show_orbit_members_threshold(capsys):

@@ -114,6 +114,18 @@ def test_zero_code_is_orbit_zero(engine):
     assert int(atlas.assignment[0]) == 0
 
 
+def test_orbit_id_takes_arrays(engine):
+    atlas = engine.atlas("3x2x2")
+    codes = np.arange(atlas.shape.code_bound).reshape(64, 64)
+    ids = atlas.orbit_id(codes)
+    assert ids.shape == codes.shape
+    assert ids.tolist() == [[atlas.orbit_id(c) for c in row] for row in codes.tolist()]
+    assert type(atlas.orbit_id(77)) is int
+    for bad in (atlas.shape.code_bound, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            atlas.orbit_id(np.array([1, bad, 2]))
+
+
 def test_orbit_partition_sums(engine):
     for fmt in ("2x2x2", "3x2x2", "2x2x2x2", "3x3x2"):
         atlas = engine.atlas(fmt)
@@ -133,15 +145,15 @@ def test_orbit_ids_follow_canonical_order(engine):
         atlas = engine.atlas(fmt)
         canons = [r.canonical for r in atlas.records]
         assert canons == sorted(canons)
-        for r in atlas.records:
-            assert atlas.orbit_id(r.canonical) == r.orbit_id
+        for oid, r in enumerate(atlas.records, start=1):
+            assert atlas.orbit_id(r.canonical) == oid
 
 
 def test_canonical_is_orbit_minimum(engine):
     atlas = engine.atlas("3x2x2")
     a = atlas.assignment
-    for r in atlas.records:
-        members = np.flatnonzero(a == r.orbit_id)
+    for oid, r in enumerate(atlas.records, start=1):
+        members = np.flatnonzero(a == oid)
         assert members.size == r.size
         assert int(members.min()) == r.canonical
 
@@ -261,9 +273,10 @@ def test_merge_known_example(engine):
     atlas = engine.atlas("2x2x2")
     large = merge_large_orbits(engine.shape("2x2x2"), atlas)
     assert large.orbit_count == 5
-    fused = next(r for r in large.records if r.canonical == 6)
+    fused_id, fused = next((i, r) for i, r in enumerate(large.records, start=1)
+                           if r.canonical == 6)
     assert fused.size == 54
-    ids = np.flatnonzero(large.grouping == fused.orbit_id)
+    ids = np.flatnonzero(large.grouping == fused_id)
     assert sorted(atlas.record(int(i)).canonical for i in ids) == [6, 18, 20]
 
 
@@ -276,9 +289,9 @@ def test_merge_grouping_invariants(engine):
         # every large id 1..count owns at least one small orbit
         assert sorted(set(large.grouping[1:].tolist())) == \
             list(range(1, large.orbit_count + 1))
-        for rec in large.records:
+        for large_id, rec in enumerate(large.records, start=1):
             cons = [atlas.record(int(i))
-                    for i in np.flatnonzero(large.grouping == rec.orbit_id)]
+                    for i in np.flatnonzero(large.grouping == large_id)]
             assert rec.canonical == min(r.canonical for r in cons)
             assert rec.size == sum(r.size for r in cons)
         assert [r.canonical for r in large.records] == \
@@ -308,8 +321,8 @@ def test_merge_matches_direct_enumeration(per_mode_generators):
         direct = enumerate_orbits(s, progs)
         assert [(r.canonical, r.size) for r in large.records] == \
             [(r.canonical, r.size) for r in direct.records]
-        for rec in atlas.records:
-            assert large.grouping[rec.orbit_id] == direct.orbit_id(rec.canonical)
+        for oid, rec in enumerate(atlas.records, start=1):
+            assert large.grouping[oid] == direct.orbit_id(rec.canonical)
 
 
 # ---- snapshots ----

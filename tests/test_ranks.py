@@ -34,8 +34,8 @@ def test_known_ranks_by_canonical(engine):
     atlas = engine.atlas("2x2x2")
     ranks = engine.ranks("2x2x2")
     want = {1: 1, 6: 2, 18: 2, 20: 2, 22: 3, 24: 2, 107: 3}
-    for rec in atlas.records:
-        assert int(ranks.by_orbit[rec.orbit_id]) == want[rec.canonical]
+    for oid, rec in enumerate(atlas.records, start=1):
+        assert int(ranks.by_orbit[oid]) == want[rec.canonical]
 
 
 def reference_adjacency(atlas):

@@ -127,7 +127,7 @@ def test_verify_catches_distribution(engine):
 
 
 def test_stable_forms_p4(engine):
-    rep = check_conjecture_p22(4, engine.atlas("4x2x2"), engine.ranks("4x2x2"))
+    rep = check_conjecture_p22(4, engine.shape("4x2x2"), engine.rows("4x2x2"))
     assert rep.ok
     assert rep.rank4_size == 20160
     assert rep.fraction_str == "0.3076"
@@ -143,9 +143,9 @@ def test_stable_forms_padding():
 
 def test_conjecture_preconditions(engine):
     with pytest.raises(ValueError):
-        check_conjecture_p22(3, engine.atlas("3x2x2"), engine.ranks("3x2x2"))
+        check_conjecture_p22(3, engine.shape("3x2x2"), engine.rows("3x2x2"))
     with pytest.raises(ValueError):
-        check_conjecture_p22(4, engine.atlas("2x2x2"), engine.ranks("2x2x2"))
+        check_conjecture_p22(4, engine.shape("2x2x2"), engine.rows("2x2x2"))
 
 
 def test_emit_csv(engine):

@@ -1,4 +1,5 @@
-"""The benchmark's layer pass still runs against the package.
+"""Repository checks: the orbit table stays behind orbits.py, and the
+benchmark's layer pass still runs against the package.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -25,6 +26,12 @@ def run_layer_pass(tmp_path, fmt, flavor):
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_orbit_table_stays_in_orbits():
+    # outside orbits.py, orbit ids are read through OrbitAtlas.orbit_id
+    for name in ("ranks.py", "report.py", "cli.py"):
+        assert "assignment" not in (ROOT / "src" / "f2orbits" / name).read_text(), name
 
 
 def test_benchmark_layer_pass(tmp_path):
