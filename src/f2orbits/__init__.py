@@ -10,8 +10,8 @@ tensor rank, computed by breadth-first search over rank-1 perturbations.
 
 from .group import (Composite, GLMatrix, generator_set, large_group_order,
                     small_group_order)
-from .orbits import (LargeOrbitAtlas, MemoryCapError, OrbitAtlas, OrbitRecord,
-                     enumerate_orbits, load_atlas, merge_large_orbits, save_atlas)
+from .orbits import (LargeOrbitAtlas, MemoryCapError, OrbitAtlas, enumerate_orbits,
+                     load_atlas, merge_large_orbits, save_atlas)
 from .ranks import (RankAtlas, brute_force_rank, propagate_ranks,
                     rank_distribution, seed_rank_one)
 from .report import (ClassificationRow, ConjectureReport, DiffReport,
@@ -27,7 +27,7 @@ __all__ = [
     "enumerate_simple_tensors", "transpose",
     "GLMatrix", "Composite", "generator_set",
     "small_group_order", "large_group_order",
-    "OrbitAtlas", "OrbitRecord", "LargeOrbitAtlas", "MemoryCapError",
+    "OrbitAtlas", "LargeOrbitAtlas", "MemoryCapError",
     "enumerate_orbits", "merge_large_orbits",
     "save_atlas", "load_atlas",
     "RankAtlas", "seed_rank_one", "propagate_ranks", "brute_force_rank",

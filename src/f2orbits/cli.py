@@ -12,8 +12,7 @@ import os
 import sys
 import time
 
-from .group import (compile_generators, generator_set, large_group_order,
-                    small_group_order)
+from .group import large_group_order, small_group_order
 from .orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits, load_atlas,
                      merge_large_orbits, required_bytes, save_atlas)
 from .ranks import propagate_ranks, rank_distribution
@@ -184,19 +183,18 @@ def cmd_show_orbit(args):
                          f"(1..{shape.code_bound - 1})")
     cap = _resolve_cap(args)
     atlas, _, rows, _ = _compute(shape, cap)
-    rec = atlas.record(atlas.orbit_id(code))
-    row = next(r for r in rows if r.canonical_code == rec.canonical)
+    orbit_id = atlas.orbit_id(code)
+    canonical = int(atlas.canonicals[orbit_id])
+    row = next(r for r in rows if r.canonical_code == canonical)
     print(f"code {code} in {shape}: orbit #{row.ordinal}, rank {row.rank}, "
           f"size {row.size}, canonical {row.canonical_bits} "
           f"(code {row.canonical_code})")
     if row.size <= args.members_limit:
-        # walk the orbit from code: it holds at most --members-limit codes
-        programs = compile_generators(shape, generator_set(shape))
-        members, frontier = {code}, {code}
-        while frontier:
-            frontier = {prog(c) for c in frontier for prog in programs} - members
-            members |= frontier
-        print("members:", " ".join(map(str, sorted(members))))
+        # the member list holds one 8-byte code per member beside the table
+        need = required_bytes(shape) + 8 * row.size
+        if need > cap:
+            raise MemoryCapError(need, cap)
+        print("members:", " ".join(map(str, atlas.members(orbit_id).tolist())))
     return 0
 
 

@@ -16,10 +16,11 @@ frontier has duplicate-free images, and marking cells between programs
 filters overlap without any sorting.
 
 A snapshot (format version 1) is a small header, the cells of codes
-1..2^N-1 in little-endian order, then the orbit records.  Saving streams
-the cells straight from the table into a temporary file that replaces the
-target only once complete; loading checks the memory cap, then reads the
-cells into the one table it allocates.
+1..2^N-1 in little-endian order, then the orbit count and one (canonical,
+size) record per nonzero orbit.  Saving streams the cells straight from
+the table into a temporary file that replaces the target only once
+complete; loading checks the memory cap, reads the cells into the one
+table it allocates, and checks each record's canonical against the table.
 """
 
 import os
@@ -39,6 +40,7 @@ _SNAPSHOT_MAGIC = b"F2OA"
 _SNAPSHOT_VERSION = 1
 _CELL = np.dtype(np.uint16)
 _SENTINEL = int(np.iinfo(_CELL).max)
+_RECORD = np.dtype([("canonical", "<u4"), ("size", "<u8")])
 
 # images are computed per chunk of the frontier; the frontier is not chunked
 _SPIN_CHUNK = 1 << 22
@@ -57,25 +59,21 @@ class MemoryCapError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OrbitRecord:
-    canonical: int
-    size: int
-
-
 class OrbitAtlas:
-    """Complete orbit partition: assignment[code] = orbit id, plus one
-    OrbitRecord per nonzero orbit (records[i] is orbit id i + 1).  Code
-    outside this module reads ids through orbit_id only."""
+    """Complete orbit partition: assignment[code] = orbit id, and for each
+    orbit id its least code canonicals[id] (uint32) and its size sizes[id]
+    (int64); slot 0 is the zero orbit, canonical 0 and size 1.  Code
+    outside this module reads the table through orbit_id and members only."""
 
-    def __init__(self, shape: Shape, assignment: np.ndarray, records):
-        self.shape = shape
-        self.assignment = assignment
-        self.records = list(records)
+    shape: Shape
+    assignment: np.ndarray
+    canonicals: np.ndarray
+    sizes: np.ndarray
 
     @property
     def orbit_count(self) -> int:
         """Number of nonzero orbits."""
-        return len(self.records)
+        return self.canonicals.size - 1
 
     def orbit_id(self, codes):
         """The orbit id of an int code, or an array of ids for an integer
@@ -87,10 +85,11 @@ class OrbitAtlas:
         ids = self.assignment[codes]
         return int(ids) if codes.ndim == 0 else ids
 
-    def record(self, orbit_id: int) -> OrbitRecord:
-        if not 1 <= orbit_id <= len(self.records):
-            raise ValueError(f"no orbit with id {orbit_id}")
-        return self.records[orbit_id - 1]
+    def members(self, orbit_id: int) -> np.ndarray:
+        """The codes of orbit orbit_id in ascending order, one table scan."""
+        return np.concatenate([
+            np.flatnonzero(self.assignment[lo:lo + _SCAN_BLOCK] == orbit_id) + lo
+            for lo in range(0, self.assignment.size, _SCAN_BLOCK)])
 
 
 def required_bytes(shape: Shape) -> int:
@@ -162,23 +161,23 @@ def enumerate_orbits(shape: Shape, programs=None, *, cell_width: int = 2,
         programs = compile_generators(shape, generator_set(shape))
     assignment = _allocate_table(shape, mem_cap)
     assignment[1:] = _SENTINEL
-    records = []
+    canonicals, sizes = [0], [1]
     pos = 1
     while True:
         start = _next_unassigned(assignment, pos)
         if start < 0:
             break
-        orbit_id = len(records) + 1
+        orbit_id = len(canonicals)
         if orbit_id >= _SENTINEL:
             raise RuntimeError(
                 f"{shape} has more than {_SENTINEL - 1} orbits under these "
                 f"programs, too many for a 2-byte cell")
-        size = _spin_into(assignment, orbit_id, start, programs)
-        records.append(OrbitRecord(start, size))
+        canonicals.append(start)
+        sizes.append(_spin_into(assignment, orbit_id, start, programs))
         pos = start + 1
-    total = sum(r.size for r in records)
-    assert total == shape.code_bound - 1, "orbit sizes do not cover the space"
-    return OrbitAtlas(shape, assignment, records)
+    assert sum(sizes) == shape.code_bound, "orbit sizes do not cover the space"
+    return OrbitAtlas(shape, assignment, np.array(canonicals, np.uint32),
+                      np.array(sizes, np.int64))
 
 
 # ---- large orbits ----
@@ -187,15 +186,16 @@ def enumerate_orbits(shape: Shape, programs=None, *, cell_width: int = 2,
 class LargeOrbitAtlas:
     """Orbits under the group extended by equal-dimension mode swaps.
     grouping[small_id] = large_id (grouping[0] = 0, the zero orbit);
-    records follow OrbitAtlas conventions."""
+    canonicals and sizes are indexed by large id as in OrbitAtlas."""
 
     shape: Shape
     grouping: np.ndarray
-    records: tuple[OrbitRecord, ...]
+    canonicals: np.ndarray
+    sizes: np.ndarray
 
     @property
     def orbit_count(self) -> int:
-        return len(self.records)
+        return self.canonicals.size - 1
 
 
 def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
@@ -210,19 +210,15 @@ def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
     over S are every small orbit in the large orbit of small orbit i, and
     their minimum is the same for all of them.  Small ids ascend with the
     canonical code, so that minimum holds the large orbit's canonical, and
-    ranking the minima numbers the large orbits in canonical order."""
-    canonicals = np.array([r.canonical for r in atlas.records], dtype=np.uint32)
+    ranking the minima numbers the large orbits in canonical order.  The
+    zero orbit is its own minimum, so it stays large id 0."""
     least = np.minimum.reduce([
-        atlas.orbit_id(transpose_program(shape, sigma).apply_array(canonicals))
+        atlas.orbit_id(transpose_program(shape, sigma).apply_array(atlas.canonicals))
         for sigma in block_permutations(shape)])
-    roots, small_to_large = np.unique(least, return_inverse=True)
-    grouping = np.zeros(atlas.orbit_count + 1, dtype=np.uint32)
-    grouping[1:] = small_to_large + 1
+    roots, grouping = np.unique(least, return_inverse=True)
     sizes = np.zeros(roots.size, dtype=np.int64)
-    np.add.at(sizes, small_to_large, [r.size for r in atlas.records])
-    records = tuple(OrbitRecord(atlas.record(int(root)).canonical, int(size))
-                    for root, size in zip(roots, sizes))
-    return LargeOrbitAtlas(shape, grouping, records)
+    np.add.at(sizes, grouping, atlas.sizes)
+    return LargeOrbitAtlas(shape, grouping, atlas.canonicals[roots], sizes)
 
 
 # ---- snapshots ----
@@ -233,15 +229,16 @@ def save_atlas(atlas: OrbitAtlas, path: str) -> None:
     The cells are written from the table without a copy on little-endian
     hosts, into a temporary file in the same directory that is renamed
     over path."""
-    records = [struct.pack("<I", len(atlas.records))]
-    records += [struct.pack("<IQ", r.canonical, r.size) for r in atlas.records]
+    records = np.empty(atlas.orbit_count, _RECORD)
+    records["canonical"] = atlas.canonicals[1:]
+    records["size"] = atlas.sizes[1:]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(_SNAPSHOT_MAGIC + bytes([_SNAPSHOT_VERSION, atlas.shape.n]))
             f.write(bytes(atlas.shape.dims) + bytes([_CELL.itemsize]))
             f.write(memoryview(atlas.assignment[1:].astype("<u2", copy=False)))
-            f.write(b"".join(records))
+            f.write(struct.pack("<I", atlas.orbit_count) + records.tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -254,7 +251,9 @@ def load_atlas(path: str, shape: Shape | None = None, *,
     """Read a snapshot written by save_atlas.  A snapshot of another
     format than shape, if given, raises ValueError before the table it
     would allocate is checked against mem_cap (MemoryCapError); the cells
-    are read into that table directly.  Malformed files raise ValueError."""
+    are read into that table directly.  Malformed files raise ValueError,
+    as do records whose canonicals do not ascend, do not lie in their own
+    orbit of the table, or have a code of their own orbit just below."""
     with open(path, "rb") as f:
         head = f.read(6)
         if head[:4] != _SNAPSHOT_MAGIC:
@@ -286,10 +285,18 @@ def load_atlas(path: str, shape: Shape | None = None, *,
     if len(rest) < 4:
         raise ValueError(f"{path} is truncated")
     (count,) = struct.unpack_from("<I", rest)
-    if len(rest) != 4 + 12 * count:
+    if len(rest) != 4 + _RECORD.itemsize * count:
         raise ValueError(f"{path} has truncated or trailing record data")
-    records = [OrbitRecord(*struct.unpack_from("<IQ", rest, 4 + 12 * i))
-               for i in range(count)]
-    if sum(r.size for r in records) != cb - 1:
+    records = np.frombuffer(rest, _RECORD, offset=4)
+    if sum(records["size"].tolist()) != cb - 1:
         raise ValueError(f"{path} record sizes do not cover the code space")
-    return OrbitAtlas(found, assignment, records)
+    # codes below canonical i lie in orbits below i, so the code just
+    # below it does; checking every code would cost a table pass
+    canonicals = np.concatenate(([0], records["canonical"])).astype(np.uint32)
+    ids = np.arange(count + 1)
+    if not ((canonicals[:-1] < canonicals[1:]).all() and canonicals[-1] < cb
+            and (assignment[canonicals] == ids).all()
+            and (assignment[canonicals[1:] - 1] < ids[1:]).all()):
+        raise ValueError(f"{path} record canonicals disagree with the table")
+    sizes = np.concatenate(([1], records["size"])).astype(np.int64)
+    return OrbitAtlas(found, assignment, canonicals, sizes)

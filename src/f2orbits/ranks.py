@@ -55,11 +55,10 @@ def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:
     to the orbit of canonical_i XOR S for every simple tensor S.  Row and
     column 0 are clear: the zero orbit is rank 0 by definition, not a BFS
     vertex."""
-    canonicals = np.array([r.canonical for r in atlas.records], dtype=np.intp)
     simples = np.array(enumerate_simple_tensors(atlas.shape), dtype=np.intp)
     adj = np.zeros((atlas.orbit_count + 1,) * 2, dtype=bool)
     adj[np.arange(1, atlas.orbit_count + 1)[:, None],
-        atlas.orbit_id(canonicals[:, None] ^ simples)] = True
+        atlas.orbit_id(atlas.canonicals[1:, None] ^ simples)] = True
     adj[:, 0] = False
     return adj
 
@@ -146,20 +145,16 @@ def large_orbit_ranks(large: LargeOrbitAtlas, ranks: RankAtlas) -> np.ndarray:
 def rank_distribution(atlas: OrbitAtlas, ranks: RankAtlas,
                       large: LargeOrbitAtlas | None = None) -> list[DistributionRow]:
     """Per-rank orbit and tensor counts with rendered percentages.  The
-    zero tensor contributes the rank-0 row.  With a LargeOrbitAtlas the
-    orbit counts are large-orbit counts; tensor counts are unchanged."""
+    zero orbit, slot 0 of every per-orbit array, contributes the rank-0
+    row.  With a LargeOrbitAtlas the orbit counts are large-orbit counts;
+    tensor counts are unchanged."""
     if large is None:
-        pairs = [(int(rk), r.size) for r, rk in zip(atlas.records, ranks.by_orbit[1:])]
+        by_orbit, sizes = ranks.by_orbit, atlas.sizes
     else:
-        by_large = large_orbit_ranks(large, ranks)
-        pairs = [(int(rk), r.size) for r, rk in zip(large.records, by_large[1:])]
-    top = max(r for r, _ in pairs)
-    orbits = [0] * (top + 1)
-    tensors = [0] * (top + 1)
-    orbits[0] = tensors[0] = 1
-    for r, s in pairs:
-        orbits[r] += 1
-        tensors[r] += s
+        by_orbit, sizes = large_orbit_ranks(large, ranks), large.sizes
+    orbits = np.bincount(by_orbit)
+    tensors = np.zeros(orbits.size, dtype=np.int64)
+    np.add.at(tensors, by_orbit, sizes)
     cb = atlas.shape.code_bound
-    return [DistributionRow(r, orbits[r], tensors[r], percent_string(tensors[r], cb))
-            for r in range(top + 1)]
+    return [DistributionRow(r, o, t, percent_string(t, cb))
+            for r, (o, t) in enumerate(zip(orbits.tolist(), tensors.tolist()))]

@@ -41,17 +41,15 @@ def summarize(shape: Shape, atlas: OrbitAtlas, ranks: RankAtlas,
               large: LargeOrbitAtlas | None = None) -> list[ClassificationRow]:
     """Classification rows for the nonzero orbits, table order."""
     if flavor == "small":
-        triples = [(int(rk), r.size, r.canonical)
-                   for r, rk in zip(atlas.records, ranks.by_orbit[1:])]
+        by_orbit, orbits = ranks.by_orbit, atlas
     elif flavor == "large":
         if large is None:
             raise ValueError("flavor 'large' needs a LargeOrbitAtlas")
-        by_large = large_orbit_ranks(large, ranks)
-        triples = [(int(rk), r.size, r.canonical)
-                   for r, rk in zip(large.records, by_large[1:])]
+        by_orbit, orbits = large_orbit_ranks(large, ranks), large
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    triples.sort()
+    triples = sorted(zip(by_orbit[1:].tolist(), orbits.sizes[1:].tolist(),
+                         orbits.canonicals[1:].tolist()))
     return [ClassificationRow(i, rk, sz, render_bits(shape, c), c)
             for i, (rk, sz, c) in enumerate(triples, start=1)]
 

@@ -160,6 +160,19 @@ def test_snapshot_cell_width_four_refused(capsys, tmp_path):
     assert "cell width 4" in err
 
 
+def test_snapshot_record_disagreeing_with_table_refused(capsys, tmp_path):
+    snap = tmp_path / "a.snap"
+    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
+    blob = bytearray(snap.read_bytes())
+    # bit 0 of the second record's canonical: 6 becomes 7, which lies in
+    # the same orbit but is not its least code
+    blob[len(blob) - 12 * 6] ^= 1
+    snap.write_bytes(bytes(blob))
+    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
+    assert code == 1 and out == ""
+    assert "canonicals disagree with the table" in err
+
+
 def test_cell_width_option_is_gone(capsys):
     # cells are always 2 bytes, so no subcommand offers a width
     for command in ("classify", "verify", "conjecture", "show-orbit"):
@@ -207,13 +220,12 @@ def test_show_orbit(capsys):
 
 
 def test_show_orbit_members_match_table(capsys, engine):
-    # the member walk against the table scan it replaced, from each
-    # orbit's largest member rather than its canonical
+    # the member list against a whole-table scan, from each orbit's
+    # largest member rather than its canonical
     for fmt in ("2x2x2", "2x2x2x2"):
         atlas = engine.atlas(fmt)
-        small = [oid for oid, rec in enumerate(atlas.records, start=1)
-                 if rec.size <= 64]
-        assert small
+        small = np.flatnonzero(atlas.sizes[1:] <= 64) + 1
+        assert small.size
         for oid in small:
             members = np.flatnonzero(atlas.assignment == oid)
             code, out, _ = run(capsys, "show-orbit", "--format", fmt,
@@ -221,6 +233,18 @@ def test_show_orbit_members_match_table(capsys, engine):
             assert code == 0
             assert out.splitlines()[1] == \
                 "members: " + " ".join(str(m) for m in members.tolist())
+
+
+def test_show_orbit_members_honour_cap(capsys):
+    # listing the 108 members of code 24's orbit needs the 512-byte table
+    # plus 8 bytes per member
+    argv = ("show-orbit", "--format", "2x2x2", "--code", "24", "--members-limit", "200")
+    code, out, err = run(capsys, *argv, "--mem-cap", str(512 + 8 * 108 - 1))
+    assert code == 2
+    assert "members:" not in out and "1375 bytes" in err
+    code, out, _ = run(capsys, *argv, "--mem-cap", str(512 + 8 * 108))
+    assert code == 0
+    assert len(out.splitlines()[1].split()) == 1 + 108
 
 
 def test_show_orbit_members_threshold(capsys):

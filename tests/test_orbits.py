@@ -80,7 +80,7 @@ def test_spin_output_sorted_contains_start(engine):
         assert (np.diff(orb) > 0).all()
         assert start in orb
         assert 0 not in orb
-        assert orb.size == atlas.record(atlas.orbit_id(start)).size
+        assert orb.size == atlas.sizes[atlas.orbit_id(start)]
 
 
 def test_spin_closed_under_generators(engine, per_mode_generators):
@@ -91,11 +91,10 @@ def test_spin_closed_under_generators(engine, per_mode_generators):
 
 
 def test_spin_rejects_zero(engine):
-    # the zero code is orbit 0 on its own, with no record
+    # the zero code is orbit 0 on its own: slot 0 of the per-orbit arrays
     atlas = engine.atlas("2x2x2")
     assert orbit_of(atlas, 0).tolist() == [0]
-    with pytest.raises(ValueError):
-        atlas.record(atlas.orbit_id(0))
+    assert (atlas.canonicals[0], atlas.sizes[0]) == (0, 1)
     with pytest.raises(ValueError):
         atlas.orbit_id(256)
 
@@ -126,36 +125,45 @@ def test_orbit_id_takes_arrays(engine):
             atlas.orbit_id(np.array([1, bad, 2]))
 
 
+def test_members_scan_every_block(engine):
+    # 3x2x2x2 has 2^24 codes, 16 scan blocks
+    atlas = engine.atlas("3x2x2x2")
+    for oid in (0, 1, atlas.orbit_id(1 << 23), atlas.orbit_count):
+        members = atlas.members(oid)
+        assert members.tolist() == np.flatnonzero(atlas.assignment == oid).tolist()
+        assert members.size == atlas.sizes[oid]
+        assert members[0] == atlas.canonicals[oid]
+
+
 def test_orbit_partition_sums(engine):
     for fmt in ("2x2x2", "3x2x2", "2x2x2x2", "3x3x2"):
         atlas = engine.atlas(fmt)
-        total = sum(r.size for r in atlas.records)
-        assert total == engine.shape(fmt).code_bound - 1
+        assert atlas.sizes[1:].sum() == engine.shape(fmt).code_bound - 1
 
 
 def test_orbit_sizes_divide_group_order(engine):
     for fmt in ("2x2x2", "3x2x2", "2x2x2x2", "3x3x2"):
         order = small_group_order(engine.shape(fmt))
-        for r in engine.atlas(fmt).records:
-            assert order % r.size == 0
+        for size in engine.atlas(fmt).sizes[1:].tolist():
+            assert order % size == 0
 
 
 def test_orbit_ids_follow_canonical_order(engine):
     for fmt in ("2x2x2", "3x2x2", "2x2x2x2"):
         atlas = engine.atlas(fmt)
-        canons = [r.canonical for r in atlas.records]
+        canons = atlas.canonicals.tolist()
         assert canons == sorted(canons)
-        for oid, r in enumerate(atlas.records, start=1):
-            assert atlas.orbit_id(r.canonical) == oid
+        for oid, canonical in enumerate(canons):
+            assert atlas.orbit_id(canonical) == oid
 
 
 def test_canonical_is_orbit_minimum(engine):
     atlas = engine.atlas("3x2x2")
     a = atlas.assignment
-    for oid, r in enumerate(atlas.records, start=1):
+    for oid in range(atlas.orbit_count + 1):
         members = np.flatnonzero(a == oid)
-        assert members.size == r.size
-        assert int(members.min()) == r.canonical
+        assert members.size == atlas.sizes[oid]
+        assert int(members.min()) == atlas.canonicals[oid]
 
 
 def test_generator_closure_preserves_ids_exhaustive(engine, per_mode_generators):
@@ -171,14 +179,15 @@ def test_generator_closure_preserves_ids_exhaustive(engine, per_mode_generators)
 
 def test_composites_match_per_mode_partition(engine, per_mode_generators):
     # the default composites against the 2n per-mode generators: the same
-    # assignment table and the same records, so also the same orbit ids
+    # assignment table, canonicals and sizes, so also the same orbit ids
     for fmt in ("2x2x2", "3x2x2", "2x2x2x2", "3x3x2"):
         s = engine.shape(fmt)
         composite = engine.atlas(fmt)
         assert len(generator_set(s)) < 2 * s.n
         per_mode = enumerate_orbits(s, compile_generators(s, per_mode_generators(s)))
         assert (per_mode.assignment == composite.assignment).all()
-        assert per_mode.records == composite.records
+        assert (per_mode.canonicals == composite.canonicals).all()
+        assert (per_mode.sizes == composite.sizes).all()
 
 
 def test_enumeration_accepts_custom_generators():
@@ -187,7 +196,7 @@ def test_enumeration_accepts_custom_generators():
     identity = Composite((identity_matrix(2),) * 3)
     atlas = enumerate_orbits(s, compile_generators(s, (identity,)))
     assert atlas.orbit_count == 255
-    assert all(r.size == 1 for r in atlas.records)
+    assert (atlas.sizes == 1).all()
 
 
 def test_orbit_counts_fit_the_cell(engine, accepted_formats):
@@ -273,11 +282,10 @@ def test_merge_known_example(engine):
     atlas = engine.atlas("2x2x2")
     large = merge_large_orbits(engine.shape("2x2x2"), atlas)
     assert large.orbit_count == 5
-    fused_id, fused = next((i, r) for i, r in enumerate(large.records, start=1)
-                           if r.canonical == 6)
-    assert fused.size == 54
+    (fused_id,) = np.flatnonzero(large.canonicals == 6)
+    assert large.sizes[fused_id] == 54
     ids = np.flatnonzero(large.grouping == fused_id)
-    assert sorted(atlas.record(int(i)).canonical for i in ids) == [6, 18, 20]
+    assert sorted(atlas.canonicals[ids].tolist()) == [6, 18, 20]
 
 
 def test_merge_grouping_invariants(engine):
@@ -289,22 +297,20 @@ def test_merge_grouping_invariants(engine):
         # every large id 1..count owns at least one small orbit
         assert sorted(set(large.grouping[1:].tolist())) == \
             list(range(1, large.orbit_count + 1))
-        for large_id, rec in enumerate(large.records, start=1):
-            cons = [atlas.record(int(i))
-                    for i in np.flatnonzero(large.grouping == large_id)]
-            assert rec.canonical == min(r.canonical for r in cons)
-            assert rec.size == sum(r.size for r in cons)
-        assert [r.canonical for r in large.records] == \
-            sorted(r.canonical for r in large.records)
-        assert sum(r.size for r in large.records) == atlas.shape.code_bound - 1
+        for large_id in range(1, large.orbit_count + 1):
+            cons = np.flatnonzero(large.grouping == large_id)
+            assert large.canonicals[large_id] == atlas.canonicals[cons].min()
+            assert large.sizes[large_id] == atlas.sizes[cons].sum()
+        assert large.canonicals.tolist() == sorted(large.canonicals.tolist())
+        assert (large.canonicals[0], large.sizes[0]) == (0, 1)
+        assert large.sizes[1:].sum() == atlas.shape.code_bound - 1
 
 
 def test_merge_with_no_equal_dims_is_identity(engine):
     atlas = engine.atlas("4x3x2")
     large = merge_large_orbits(engine.shape("4x3x2"), atlas)
     assert large.orbit_count == atlas.orbit_count
-    assert [r.canonical for r in large.records] == \
-        [r.canonical for r in atlas.records]
+    assert large.canonicals.tolist() == atlas.canonicals.tolist()
 
 
 def test_merge_matches_direct_enumeration(per_mode_generators):
@@ -319,10 +325,10 @@ def test_merge_matches_direct_enumeration(per_mode_generators):
         progs = compile_generators(s, per_mode_generators(s))
         progs += tuple(transpose_program(s, p) for p in block_permutations(s)[1:])
         direct = enumerate_orbits(s, progs)
-        assert [(r.canonical, r.size) for r in large.records] == \
-            [(r.canonical, r.size) for r in direct.records]
-        for oid, rec in enumerate(atlas.records, start=1):
-            assert large.grouping[oid] == direct.orbit_id(rec.canonical)
+        assert large.canonicals.tolist() == direct.canonicals.tolist()
+        assert large.sizes.tolist() == direct.sizes.tolist()
+        for oid, canonical in enumerate(atlas.canonicals.tolist()):
+            assert large.grouping[oid] == direct.orbit_id(canonical)
 
 
 # ---- snapshots ----
@@ -334,7 +340,9 @@ def test_snapshot_roundtrip(tmp_path, engine):
     back = load_atlas(str(path))
     assert back.shape == atlas.shape
     assert (back.assignment == atlas.assignment).all()
-    assert back.records == atlas.records
+    assert (back.canonicals == atlas.canonicals).all()
+    assert (back.sizes == atlas.sizes).all()
+    assert (back.canonicals.dtype, back.sizes.dtype) == (np.uint32, np.int64)
 
 
 def test_snapshot_rejects_corruption(tmp_path, engine):
@@ -367,6 +375,32 @@ def test_snapshot_rejects_corruption(tmp_path, engine):
         load_atlas(str(tmp_path / "s.snap"))
 
 
+def test_snapshot_rejects_records_that_disagree_with_table(tmp_path, engine):
+    # 2x2x2 records are (canonical, size) for ids 1..7, the last 84 bytes:
+    # canonicals 1, 6, 18, 20, 22, 24, 107
+    atlas = engine.atlas("2x2x2")
+    path = tmp_path / "orbits.snap"
+    save_atlas(atlas, str(path))
+    blob = path.read_bytes()
+    records = len(blob) - 12 * atlas.orbit_count
+
+    def with_canonicals(*pairs):
+        out = bytearray(blob)
+        for oid, canonical in pairs:
+            struct.pack_into("<I", out, records + 12 * (oid - 1), canonical)
+        return bytes(out)
+
+    # each case passes every check but one: bit 0 of id 2's canonical
+    # flipped (7 is in orbit 2, one above 6); id 3's canonical swapped for
+    # its member 33, past id 4's 20; id 3's for 8, in orbit 1; 107 moved
+    # past the code space
+    for bad in (with_canonicals((2, 6 ^ 1)), with_canonicals((3, 33)),
+                with_canonicals((3, 8)), with_canonicals((7, 256))):
+        (tmp_path / "c.snap").write_bytes(bad)
+        with pytest.raises(ValueError, match="canonicals disagree with the table"):
+            load_atlas(str(tmp_path / "c.snap"))
+
+
 def test_snapshot_shape_check(tmp_path, engine):
     path = tmp_path / "orbits.snap"
     save_atlas(engine.atlas("2x2x2"), str(path))
@@ -382,9 +416,9 @@ def _old_writer_bytes(atlas):
     buf.write(b"F2OA" + bytes([1, atlas.shape.n]) + bytes(atlas.shape.dims))
     buf.write(bytes([2]))
     buf.write(atlas.assignment[1:].astype("<u2").tobytes())
-    buf.write(struct.pack("<I", len(atlas.records)))
-    for rec in atlas.records:
-        buf.write(struct.pack("<IQ", rec.canonical, rec.size))
+    buf.write(struct.pack("<I", atlas.orbit_count))
+    for canonical, size in zip(atlas.canonicals[1:].tolist(), atlas.sizes[1:].tolist()):
+        buf.write(struct.pack("<IQ", canonical, size))
     return buf.getvalue()
 
 

@@ -15,8 +15,8 @@ def test_seed_marks_single_orbit(engine):
         atlas = engine.atlas(fmt)
         seeded = seed_rank_one(engine.shape(fmt), atlas)
         (oid,) = np.flatnonzero(seeded.by_orbit == 1)
-        assert atlas.record(int(oid)).size == nsimples
-        assert atlas.record(int(oid)).canonical == 1
+        assert atlas.sizes[oid] == nsimples
+        assert atlas.canonicals[oid] == 1
         assert len(enumerate_simple_tensors(engine.shape(fmt))) == nsimples
 
 
@@ -34,8 +34,8 @@ def test_known_ranks_by_canonical(engine):
     atlas = engine.atlas("2x2x2")
     ranks = engine.ranks("2x2x2")
     want = {1: 1, 6: 2, 18: 2, 20: 2, 22: 3, 24: 2, 107: 3}
-    for oid, rec in enumerate(atlas.records, start=1):
-        assert int(ranks.by_orbit[oid]) == want[rec.canonical]
+    for oid, canonical in enumerate(atlas.canonicals[1:].tolist(), start=1):
+        assert int(ranks.by_orbit[oid]) == want[canonical]
 
 
 def reference_adjacency(atlas):
@@ -167,7 +167,7 @@ def test_large_orbit_ranks_reject_mixed_ranks(engine):
     id_b = atlas.orbit_id(107)
     grouping = np.arange(atlas.orbit_count + 1, dtype=np.uint32)
     grouping[id_b] = id_a
-    fake = LargeOrbitAtlas(atlas.shape, grouping, tuple(atlas.records))
+    fake = LargeOrbitAtlas(atlas.shape, grouping, atlas.canonicals, atlas.sizes)
     with pytest.raises(RuntimeError, match=rf"large orbits \[{id_a}\] mix ranks"):
         large_orbit_ranks(fake, ranks)
 

@@ -1,4 +1,5 @@
-"""Repository checks: the orbit table stays behind orbits.py, and the
+"""Repository checks: the orbit table stays behind orbits.py, the public
+names and the README's Library example match the package, and the
 benchmark's layer pass still runs against the package.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
@@ -32,6 +33,21 @@ def test_orbit_table_stays_in_orbits():
     # outside orbits.py, orbit ids are read through OrbitAtlas.orbit_id
     for name in ("ranks.py", "report.py", "cli.py"):
         assert "assignment" not in (ROOT / "src" / "f2orbits" / name).read_text(), name
+
+
+def test_public_names_resolve():
+    import f2orbits
+    missing = [name for name in f2orbits.__all__ if not hasattr(f2orbits, name)]
+    assert missing == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    code = library[library.index("```python\n") + 10:library.index("```\n", 10)]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["rows"] and namespace["rows_l"]
 
 
 def test_benchmark_layer_pass(tmp_path):
