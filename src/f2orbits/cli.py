@@ -21,6 +21,10 @@ from .report import (NoReferenceError, check_conjecture_p22, emit, load_referenc
 from .tensor import parse_shape
 
 _GROUP_ORDER = {"small": small_group_order, "large": large_group_order}
+# show-orbit prints members this many at a time; a block's ints, strings
+# and joined line take under 160 bytes per member
+_PRINT_BLOCK = 1 << 12
+_PRINT_BLOCK_BYTES = 160 * _PRINT_BLOCK
 
 
 def _build_parser():
@@ -45,7 +49,7 @@ def _build_parser():
     c.add_argument("--emit", choices=("text", "csv", "json"), default="text")
     c.add_argument("--output", metavar="PATH", help="write report here instead of stdout")
     c.add_argument("--snapshot", metavar="PATH",
-                   help="reuse this orbit-table snapshot if it exists, "
+                   help="reuse this orbit snapshot if it exists, "
                         "otherwise compute and save it")
 
     v = sub.add_parser("verify", help="compare computed tables against the references")
@@ -190,11 +194,14 @@ def cmd_show_orbit(args):
           f"size {row.size}, canonical {row.canonical_bits} "
           f"(code {row.canonical_code})")
     if row.size <= args.members_limit:
-        # the member list holds one 8-byte code per member beside the table
-        need = required_bytes(shape) + 8 * row.size
+        need = required_bytes(shape) + atlas.member_bytes(orbit_id) + _PRINT_BLOCK_BYTES
         if need > cap:
             raise MemoryCapError(need, cap)
-        print("members:", " ".join(map(str, atlas.members(orbit_id).tolist())))
+        members = atlas.members(orbit_id)
+        sys.stdout.write("members:")
+        for lo in range(0, members.size, _PRINT_BLOCK):
+            sys.stdout.write(" " + " ".join(map(str, members[lo:lo + _PRINT_BLOCK].tolist())))
+        sys.stdout.write("\n")
     return 0
 
 

@@ -16,13 +16,15 @@ and apply_array(codes) = lo[codes & lo_mask] ^ hi[codes >> lo_bits], at
 the same cost for any map.  Every compiled map is a bijection on codes,
 so images of duplicate-free frontiers stay duplicate-free.
 
-Enumeration does one table gather per code per generator, so the default
-generator set is as small as the group allows: m = max(2, number of modes
-of dimension 2) composites, not the 2n per-mode generators.  For d >= 3,
-GL(d, 2) is simple and nonabelian, and a direct product of such groups is
-generated by two elements that carry one generating pair per factor, as
-long as no automorphism carries one factor's pair to another's (P. Hall,
-"The Eulerian functions of a group", 1936).  GL(2, 2) is S3, and S3^k
+Enumeration stores one permutation of the slice-space subspaces per
+generator and does one gather per subspace per generator (orbits.py),
+so the default generator set is as small as the group allows: m =
+max(2, number of modes of dimension 2) composites, not the 2n per-mode
+generators.  For d >= 3, GL(d, 2) is simple and nonabelian, and a
+direct product of such groups is generated by two elements that carry
+one generating pair per factor, as long as no automorphism carries one
+factor's pair to another's (P. Hall, "The Eulerian functions of a
+group", 1936).  GL(2, 2) is S3, and S3^k
 maps onto its abelianization Z2^k, so k such factors need k generators.
 generator_set gives the layout.  tests/test_group.py proves by
 Schreier-Sims that it generates the full product on every format with at
@@ -240,7 +242,7 @@ class CodeMap:
 
     def apply_array(self, codes: np.ndarray) -> np.ndarray:
         """Images of an integer array of codes, as intp: the tables hold
-        intp so that images index the assignment table without a cast.
+        intp so that images index arrays without a cast.
         Each table has at most 2^14 entries (128 KiB)."""
         lo_bits, lo_mask, lo, hi = self._tables
         return lo[codes & lo_mask] ^ hi[codes >> lo_bits]

@@ -161,7 +161,7 @@ def test_structural_properties(engine, per_mode_generators):
         else:
             codes = rng.integers(0, cb, size=100000, dtype=np.uint32)
         by = ranks.by_orbit.astype(np.int16)
-        delta = by[atlas.assignment[codes]] - by[atlas.assignment[codes ^ 1]]
+        delta = by[atlas.orbit_id(codes)] - by[atlas.orbit_id(codes ^ 1)]
         assert int(np.abs(delta).max()) <= 1
 
     # closure under the 2n per-mode generators, not the composites the
@@ -171,9 +171,9 @@ def test_structural_properties(engine, per_mode_generators):
         shape = engine.shape(fmt)
         atlas = engine.atlas(fmt)
         codes = np.arange(shape.code_bound, dtype=np.uint32)
+        ids = atlas.orbit_id(codes)
         for prog in compile_generators(shape, per_mode_generators(shape)):
-            assert (atlas.assignment[prog.apply_array(codes.copy())]
-                    == atlas.assignment).all()
+            assert (atlas.orbit_id(prog.apply_array(codes.copy())) == ids).all()
 
     # position/index round trip
     for fmt in ("2x2x2", "3x3x2", "3x2x2x2"):

@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
-from f2orbits.cli import main
+from f2orbits.cli import _PRINT_BLOCK_BYTES, main
+from f2orbits.orbits import required_bytes
+from f2orbits.tensor import Shape
 
 
 def run(capsys, *argv):
@@ -120,17 +124,18 @@ def test_snapshot_reuse(capsys, tmp_path):
 
 
 def test_snapshot_load_mem_cap(capsys, tmp_path, monkeypatch):
-    # a snapshot load allocates the same table as an enumeration, and is
-    # refused by the same cap, from the flag or from the environment
+    # a snapshot load is refused by the same cap as an enumeration, from
+    # the flag or from the environment
+    need = required_bytes(Shape((2, 2, 2)))
     snap = tmp_path / "a.snap"
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
     code, out, err = run(capsys, "classify", "--format", "2x2x2",
                          "--snapshot", str(snap), "--mem-cap", "1")
     assert code == 2 and out == ""
-    assert "512 bytes" in err and "cap is 1 bytes" in err
-    monkeypatch.setenv("F2TO_MEM_CAP", "511")
+    assert f"{need} bytes" in err and "cap is 1 bytes" in err
+    monkeypatch.setenv("F2TO_MEM_CAP", str(need - 1))
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 2
-    monkeypatch.setenv("F2TO_MEM_CAP", "512")
+    monkeypatch.setenv("F2TO_MEM_CAP", str(need))
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
 
 
@@ -165,12 +170,18 @@ def test_snapshot_record_disagreeing_with_table_refused(capsys, tmp_path):
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
     blob = bytearray(snap.read_bytes())
     # bit 0 of the second record's canonical: 6 becomes 7, which lies in
-    # the same orbit but is not its least code
-    blob[len(blob) - 12 * 6] ^= 1
+    # the same orbit but is not its least code; the records end 4 bytes
+    # before the end, where the CRC goes
+    blob[len(blob) - 4 - 12 * 6] ^= 1
     snap.write_bytes(bytes(blob))
     code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
     assert code == 1 and out == ""
-    assert "canonicals disagree with the table" in err
+    assert "fails its CRC check" in err
+    blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
+    snap.write_bytes(bytes(blob))
+    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
+    assert code == 1 and out == ""
+    assert "canonicals disagree with the keys and ids" in err
 
 
 def test_cell_width_option_is_gone(capsys):
@@ -224,10 +235,11 @@ def test_show_orbit_members_match_table(capsys, engine):
     # largest member rather than its canonical
     for fmt in ("2x2x2", "2x2x2x2"):
         atlas = engine.atlas(fmt)
+        ids = atlas.orbit_id(np.arange(atlas.shape.code_bound))
         small = np.flatnonzero(atlas.sizes[1:] <= 64) + 1
         assert small.size
         for oid in small:
-            members = np.flatnonzero(atlas.assignment == oid)
+            members = np.flatnonzero(ids == oid)
             code, out, _ = run(capsys, "show-orbit", "--format", fmt,
                                "--code", str(members[-1]))
             assert code == 0
@@ -235,16 +247,45 @@ def test_show_orbit_members_match_table(capsys, engine):
                 "members: " + " ".join(str(m) for m in members.tolist())
 
 
-def test_show_orbit_members_honour_cap(capsys):
-    # listing the 108 members of code 24's orbit needs the 512-byte table
-    # plus 8 bytes per member
+def test_show_orbit_members_honour_cap(capsys, engine):
+    # listing the 108 members of code 24's orbit needs the enumeration's
+    # bytes, the listing's and one printed block
+    atlas = engine.atlas("2x2x2")
+    need = (required_bytes(atlas.shape) + atlas.member_bytes(atlas.orbit_id(24))
+            + _PRINT_BLOCK_BYTES)
     argv = ("show-orbit", "--format", "2x2x2", "--code", "24", "--members-limit", "200")
-    code, out, err = run(capsys, *argv, "--mem-cap", str(512 + 8 * 108 - 1))
+    code, out, err = run(capsys, *argv, "--mem-cap", str(need - 1))
     assert code == 2
-    assert "members:" not in out and "1375 bytes" in err
-    code, out, _ = run(capsys, *argv, "--mem-cap", str(512 + 8 * 108))
+    assert "members:" not in out and f"{need} bytes" in err
+    code, out, _ = run(capsys, *argv, "--mem-cap", str(need))
     assert code == 0
     assert len(out.splitlines()[1].split()) == 1 + 108
+
+
+def test_show_orbit_listing_peak_is_counted(tmp_path, monkeypatch, engine):
+    # the 423,360 members of a 4x3x2 orbit, printed to a file in blocks:
+    # tracemalloc's peak over the whole command stays under the bytes the
+    # cap check counts, plus a fixed slack for Python objects
+    atlas = engine.atlas("4x3x2")
+    oid = atlas.orbit_id(4384)
+    counted = required_bytes(atlas.shape) + atlas.member_bytes(oid) + _PRINT_BLOCK_BYTES
+    listing = tmp_path / "members.txt"
+    with open(listing, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        monkeypatch.setattr(sys, "stderr", open(os.devnull, "w"))
+        tracemalloc.start()
+        try:
+            code = main(["show-orbit", "--format", "4x3x2", "--code", "4384",
+                         "--members-limit", "100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sys.stderr.close()
+            monkeypatch.undo()
+    assert code == 0
+    lines = listing.read_text().splitlines()
+    assert len(lines[1].split()) == 1 + 423360
+    assert peak <= counted + (256 << 10)
 
 
 def test_show_orbit_members_threshold(capsys):

@@ -1,14 +1,21 @@
 """Orbit enumeration, large-orbit merging, snapshots, the memory cap.
 
 The orbit of one code is read off the session atlas as the codes that
-share its orbit id; python_spin recomputes it from the definition.
+share its orbit id; python_spin recomputes it from the definition, and
+table_oracle.table_orbits, the 2^N table engine, recomputes whole
+partitions.
 """
 
 import io
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from table_oracle import table_orbits
 
 from f2orbits.group import (Composite, block_permutations, compile_generators,
                             generator_set, identity_matrix, small_group_order,
@@ -55,7 +62,23 @@ def python_spin(shape, start, composites):
 # ---- single orbits ----
 
 def orbit_of(atlas, start):
-    return np.flatnonzero(atlas.assignment == atlas.orbit_id(start))
+    codes = np.arange(atlas.shape.code_bound)
+    return codes[atlas.orbit_id(codes) == atlas.orbit_id(start)]
+
+
+def gaussian_binomial(m, k):
+    # subspace counts by the q-Pascal rule [m, k] = [m-1, k-1] + 2^k [m-1, k]
+    if k == 0 or k == m:
+        return 1
+    if not 0 < k < m:
+        return 0
+    return gaussian_binomial(m - 1, k - 1) + (1 << k) * gaussian_binomial(m - 1, k)
+
+
+def slice_subspaces(dims):
+    # S: the subspaces of F2^M, M = N / d1, of dimension at most min(d1, M)
+    m = int(np.prod(dims[1:]))
+    return sum(gaussian_binomial(m, k) for k in range(min(dims[0], m) + 1))
 
 
 def test_spin_known_sizes(engine):
@@ -110,7 +133,8 @@ def test_orbit_counts_small_formats(engine):
 def test_zero_code_is_orbit_zero(engine):
     atlas = engine.atlas("2x2x2")
     assert atlas.orbit_id(0) == 0
-    assert int(atlas.assignment[0]) == 0
+    # the zero subspace, key 0, comes first
+    assert (int(atlas.keys[0]), int(atlas.assignment[0])) == (0, 0)
 
 
 def test_orbit_id_takes_arrays(engine):
@@ -125,14 +149,23 @@ def test_orbit_id_takes_arrays(engine):
             atlas.orbit_id(np.array([1, bad, 2]))
 
 
-def test_members_scan_every_block(engine):
-    # 3x2x2x2 has 2^24 codes, 16 scan blocks
+def test_members_are_the_orbit(engine):
+    # every orbit of 2x2x2x2 against the codes the table oracle puts in it
+    oracle = table_orbits(Shape((2, 2, 2, 2)))
+    atlas = engine.atlas("2x2x2x2")
+    for oid in range(atlas.orbit_count + 1):
+        assert atlas.members(oid).tolist() == \
+            np.flatnonzero(oracle.assignment == oid).tolist()
+    # on 3x2x2x2, 2^24 codes: sorted, the right size, starting at the
+    # canonical, and every member in the orbit
     atlas = engine.atlas("3x2x2x2")
     for oid in (0, 1, atlas.orbit_id(1 << 23), atlas.orbit_count):
         members = atlas.members(oid)
-        assert members.tolist() == np.flatnonzero(atlas.assignment == oid).tolist()
+        assert members.dtype == np.uint32
+        assert (np.diff(members.astype(np.int64)) > 0).all()
         assert members.size == atlas.sizes[oid]
         assert members[0] == atlas.canonicals[oid]
+        assert (atlas.orbit_id(members) == oid).all()
 
 
 def test_orbit_partition_sums(engine):
@@ -159,7 +192,7 @@ def test_orbit_ids_follow_canonical_order(engine):
 
 def test_canonical_is_orbit_minimum(engine):
     atlas = engine.atlas("3x2x2")
-    a = atlas.assignment
+    a = atlas.orbit_id(np.arange(atlas.shape.code_bound))
     for oid in range(atlas.orbit_count + 1):
         members = np.flatnonzero(a == oid)
         assert members.size == atlas.sizes[oid]
@@ -172,31 +205,56 @@ def test_generator_closure_preserves_ids_exhaustive(engine, per_mode_generators)
         s = engine.shape(fmt)
         atlas = engine.atlas(fmt)
         codes = np.arange(s.code_bound, dtype=np.uint32)
+        ids = atlas.orbit_id(codes)
         for prog in compile_generators(s, per_mode_generators(s)):
             images = prog.apply_array(codes.copy())
-            assert (atlas.assignment[images] == atlas.assignment).all()
+            assert (atlas.orbit_id(images) == ids).all()
 
 
 def test_composites_match_per_mode_partition(engine, per_mode_generators):
-    # the default composites against the 2n per-mode generators: the same
-    # assignment table, canonicals and sizes, so also the same orbit ids
+    # the slice engine on the default composites against the table oracle
+    # on the 2n per-mode generators: the same orbit id for every code, the
+    # same canonicals and sizes
     for fmt in ("2x2x2", "3x2x2", "2x2x2x2", "3x3x2"):
         s = engine.shape(fmt)
         composite = engine.atlas(fmt)
         assert len(generator_set(s)) < 2 * s.n
-        per_mode = enumerate_orbits(s, compile_generators(s, per_mode_generators(s)))
-        assert (per_mode.assignment == composite.assignment).all()
+        per_mode = table_orbits(s, compile_generators(s, per_mode_generators(s)))
+        assert (per_mode.assignment == composite.orbit_id(np.arange(s.code_bound))).all()
         assert (per_mode.canonicals == composite.canonicals).all()
         assert (per_mode.sizes == composite.sizes).all()
 
 
 def test_enumeration_accepts_custom_generators():
-    # identity-only generators: every nonzero code is its own orbit
+    # the table oracle takes any programs; under identity-only generators
+    # every nonzero code is its own orbit
     s = Shape((2, 2, 2))
     identity = Composite((identity_matrix(2),) * 3)
-    atlas = enumerate_orbits(s, compile_generators(s, (identity,)))
+    atlas = table_orbits(s, compile_generators(s, (identity,)))
     assert atlas.orbit_count == 255
     assert (atlas.sizes == 1).all()
+    with pytest.raises(ValueError, match="at most"):
+        table_orbits(Shape((4, 3, 2)))
+
+
+def test_slice_engine_matches_table_oracle(accepted_formats):
+    """Every accepted format of at most 16 entries, in every mode order,
+    two-mode formats included: the subspace count is the sum of Gaussian
+    binomials, and the canonicals, sizes and the orbit id of every code
+    equal the table engine's."""
+    checked = 0
+    for dims in accepted_formats:
+        s = Shape(dims)
+        if s.entry_count > 16:
+            continue
+        atlas = enumerate_orbits(s)
+        oracle = table_orbits(s)
+        assert atlas.keys.size == slice_subspaces(dims), dims
+        assert atlas.canonicals.tolist() == oracle.canonicals.tolist(), dims
+        assert atlas.sizes.tolist() == oracle.sizes.tolist(), dims
+        assert (atlas.orbit_id(np.arange(s.code_bound)) == oracle.assignment).all(), dims
+        checked += 1
+    assert checked == 27
 
 
 def test_orbit_counts_fit_the_cell(engine, accepted_formats):
@@ -256,11 +314,10 @@ def test_cell_width_four_is_refused(tmp_path, engine):
 # ---- memory cap ----
 
 def test_memory_cap_refusal():
-    # enumerate_orbits budgets its own table, code_bound cells, and refuses
-    # with exactly the estimate required_bytes reports
+    # enumerate_orbits refuses with exactly the estimate required_bytes
+    # reports, before it allocates
     s = Shape((3, 3, 2))
-    need = s.code_bound * 2
-    assert required_bytes(s) == need
+    need = required_bytes(s)
     with pytest.raises(MemoryCapError) as exc:
         enumerate_orbits(s, mem_cap=need - 1)
     assert exc.value.required == need
@@ -268,12 +325,38 @@ def test_memory_cap_refusal():
     assert "F2TO_MEM_CAP" in str(exc.value)
 
 
-def test_required_bytes_and_strategy():
-    # one table of code_bound 2-byte cells, whatever the format
-    for fmt in ((2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3)):
-        s = Shape(fmt)
-        assert required_bytes(s) == 2 * s.code_bound
+def test_required_bytes_and_strategy(accepted_formats):
+    """required_bytes on every accepted format, without enumerating: per
+    subspace a uint32 key, a uint16 id, a uint32 queue cell and one
+    uint32 permutation per composite; m + 1 tables of 2^M uint32; and
+    16 + 20 k bytes per item of one chunk of at most 2^14 items, k =
+    min(d1, M).  S comes from the q-Pascal rule."""
+    for dims in accepted_formats:
+        s = Shape(dims)
+        m, S = len(generator_set(s)), slice_subspaces(dims)
+        slice_bits = s.entry_count // dims[0]
+        k = min(dims[0], slice_bits)
+        assert required_bytes(s) == ((10 + 4 * m) * S + 4 * (m + 1) * (1 << slice_bits)
+                                     + (16 + 20 * k) * min(S, 1 << 14)), dims
+    assert len(accepted_formats) == 70
+    # the paper's largest formats need a small part of the old 2^N table
+    assert required_bytes(Shape((3, 3, 3))) < 0.07 * 2 * (1 << 27)
+    assert required_bytes(Shape((3, 2, 2, 2))) < 0.11 * 2 * (1 << 24)
     assert DEFAULT_MEM_CAP == 2 * 1024 ** 3
+
+
+def test_enumeration_peak_within_required_bytes():
+    # tracemalloc's peak over a cold enumeration stays under required_bytes
+    # plus a fixed slack for Python objects
+    for dims in ((3, 2, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
+        s = Shape(dims)
+        tracemalloc.start()
+        try:
+            enumerate_orbits(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= required_bytes(s) + (64 << 10), dims
 
 
 # ---- large orbits ----
@@ -324,14 +407,21 @@ def test_merge_matches_direct_enumeration(per_mode_generators):
         large = merge_large_orbits(s, atlas)
         progs = compile_generators(s, per_mode_generators(s))
         progs += tuple(transpose_program(s, p) for p in block_permutations(s)[1:])
-        direct = enumerate_orbits(s, progs)
+        direct = table_orbits(s, progs)
         assert large.canonicals.tolist() == direct.canonicals.tolist()
         assert large.sizes.tolist() == direct.sizes.tolist()
         for oid, canonical in enumerate(atlas.canonicals.tolist()):
             assert large.grouping[oid] == direct.orbit_id(canonical)
 
 
+
+
 # ---- snapshots ----
+
+def reseal(blob):
+    # a snapshot ends in the CRC-32 of everything before it
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
 
 def test_snapshot_roundtrip(tmp_path, engine):
     atlas = engine.atlas("3x2x2")
@@ -339,9 +429,11 @@ def test_snapshot_roundtrip(tmp_path, engine):
     save_atlas(atlas, str(path))
     back = load_atlas(str(path))
     assert back.shape == atlas.shape
+    assert (back.keys == atlas.keys).all()
     assert (back.assignment == atlas.assignment).all()
     assert (back.canonicals == atlas.canonicals).all()
     assert (back.sizes == atlas.sizes).all()
+    assert (back.keys.dtype, back.assignment.dtype) == (np.uint32, np.uint16)
     assert (back.canonicals.dtype, back.sizes.dtype) == (np.uint32, np.int64)
 
 
@@ -356,7 +448,7 @@ def test_snapshot_rejects_corruption(tmp_path, engine):
     with pytest.raises(ValueError):
         load_atlas(str(tmp_path / "m.snap"))
 
-    # cut inside the records, the cells, the dims and the fixed header
+    # cut inside the CRC, the keys, the dims and the fixed header
     for cut in (len(blob) - 3, 100, 8, 5):
         (tmp_path / "t.snap").write_bytes(blob[:cut])
         with pytest.raises(ValueError):
@@ -371,34 +463,95 @@ def test_snapshot_rejects_corruption(tmp_path, engine):
     assert size_field != -1
     mangled = blob[:size_field] + (28).to_bytes(8, "little") + blob[size_field + 8:]
     (tmp_path / "s.snap").write_bytes(mangled)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="CRC"):
         load_atlas(str(tmp_path / "s.snap"))
+    (tmp_path / "s.snap").write_bytes(reseal(mangled))
+    with pytest.raises(ValueError, match="sizes disagree"):
+        load_atlas(str(tmp_path / "s.snap"))
+
+    # the table engine's format version 1 is refused by name
+    (tmp_path / "v.snap").write_bytes(blob[:4] + bytes([1]) + blob[5:])
+    with pytest.raises(ValueError, match="unsupported snapshot version 1"):
+        load_atlas(str(tmp_path / "v.snap"))
 
 
 def test_snapshot_rejects_records_that_disagree_with_table(tmp_path, engine):
-    # 2x2x2 records are (canonical, size) for ids 1..7, the last 84 bytes:
-    # canonicals 1, 6, 18, 20, 22, 24, 107
+    # 2x2x2 records are (canonical, size) for ids 1..7, the 84 bytes before
+    # the CRC: canonicals 1, 6, 18, 20, 22, 24, 107
     atlas = engine.atlas("2x2x2")
     path = tmp_path / "orbits.snap"
     save_atlas(atlas, str(path))
     blob = path.read_bytes()
-    records = len(blob) - 12 * atlas.orbit_count
+    records = len(blob) - 4 - 12 * atlas.orbit_count
 
     def with_canonicals(*pairs):
         out = bytearray(blob)
         for oid, canonical in pairs:
             struct.pack_into("<I", out, records + 12 * (oid - 1), canonical)
-        return bytes(out)
+        return reseal(bytes(out))
 
-    # each case passes every check but one: bit 0 of id 2's canonical
-    # flipped (7 is in orbit 2, one above 6); id 3's canonical swapped for
-    # its member 33, past id 4's 20; id 3's for 8, in orbit 1; 107 moved
-    # past the code space
-    for bad in (with_canonicals((2, 6 ^ 1)), with_canonicals((3, 33)),
+    # each case, CRC resealed, passes every check but one: bit 0 of id 2's
+    # canonical flipped (7 spans a subspace of orbit 2 whose key it is,
+    # but 6 lies just below in the same orbit); 107 rewritten to 109, in
+    # orbit 7 with 108 in a lower orbit, but the key of span(6, 13) is 107;
+    # id 3's canonical swapped for 8, the key of a subspace in orbit 1;
+    # 107 moved past the code space
+    for bad in (with_canonicals((2, 6 ^ 1)), with_canonicals((7, 109)),
                 with_canonicals((3, 8)), with_canonicals((7, 256))):
         (tmp_path / "c.snap").write_bytes(bad)
-        with pytest.raises(ValueError, match="canonicals disagree with the table"):
+        with pytest.raises(ValueError, match="canonicals disagree with the keys and ids"):
             load_atlas(str(tmp_path / "c.snap"))
+
+
+def test_snapshot_rejects_inconsistent_subspaces(tmp_path, engine):
+    # 2x2x2: 10 header bytes, S = 51, then 51 keys and 51 ids; each edit
+    # is resealed, so it reaches the check it breaks
+    atlas = engine.atlas("2x2x2")
+    path = tmp_path / "orbits.snap"
+    save_atlas(atlas, str(path))
+    blob = path.read_bytes()
+    keys_at, ids_at = 14, 14 + 4 * 51
+    assert struct.unpack_from("<I", blob, 10) == (51,)
+
+    def edited(at, fmt, value):
+        out = bytearray(blob)
+        struct.pack_into(fmt, out, at, value)
+        return reseal(bytes(out))
+
+    # 0x40, slices (4, 0), lies between keys 33 and 35 but is no
+    # subspace's key, so a rewrite of key 34 to it keeps the keys ascending
+    assert atlas.keys[33:36].tolist() == [0x3c, 0x3d, 0x48]
+    last_key = struct.unpack_from("<I", blob, ids_at - 4)[0]
+    cases = [
+        (edited(10, "<I", 50), "lists 50 subspaces"),
+        (edited(keys_at + 4, "<I", last_key + 1), "keys are not the subspaces"),
+        (edited(keys_at + 4 * 34, "<I", 0x40), "keys are not the subspaces"),
+        (edited(ids_at + 2 * 50, "<H", 8), "orbit id past"),
+        (edited(ids_at + 2 * 50, "<H", 1), "sizes disagree"),
+    ]
+    for bad, message in cases:
+        (tmp_path / "k.snap").write_bytes(bad)
+        with pytest.raises(ValueError, match=message):
+            load_atlas(str(tmp_path / "k.snap"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_snapshot_damage_is_refused(tmp_path_factory, data):
+    # any truncation, and any single flipped bit, ends in ValueError
+    s = Shape((2, 2, 2))
+    path = tmp_path_factory.mktemp("snap") / "orbits.snap"
+    save_atlas(enumerate_orbits(s), str(path))
+    blob = path.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        bad = bytearray(blob)
+        bad[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(bad))
+    with pytest.raises(ValueError):
+        load_atlas(str(path), s)
 
 
 def test_snapshot_shape_check(tmp_path, engine):
@@ -410,15 +563,20 @@ def test_snapshot_shape_check(tmp_path, engine):
     assert ok.orbit_count == 7
 
 
-def _old_writer_bytes(atlas):
-    # the buffered writer save_atlas replaced, kept as the byte-layout oracle
+def _buffered_writer_bytes(atlas):
+    # the snapshot layout written field by field, the byte-layout oracle
     buf = io.BytesIO()
-    buf.write(b"F2OA" + bytes([1, atlas.shape.n]) + bytes(atlas.shape.dims))
+    buf.write(b"F2OA" + bytes([2, atlas.shape.n]) + bytes(atlas.shape.dims))
     buf.write(bytes([2]))
-    buf.write(atlas.assignment[1:].astype("<u2").tobytes())
+    buf.write(struct.pack("<I", atlas.keys.size))
+    for key in atlas.keys.tolist():
+        buf.write(struct.pack("<I", key))
+    for oid in atlas.assignment.tolist():
+        buf.write(struct.pack("<H", oid))
     buf.write(struct.pack("<I", atlas.orbit_count))
     for canonical, size in zip(atlas.canonicals[1:].tolist(), atlas.sizes[1:].tolist()):
         buf.write(struct.pack("<IQ", canonical, size))
+    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
     return buf.getvalue()
 
 
@@ -426,7 +584,7 @@ def test_snapshot_bytes_match_buffered_writer(tmp_path, engine):
     for fmt in ("2x2x2", "3x2x2"):
         path = tmp_path / f"{fmt}.snap"
         save_atlas(engine.atlas(fmt), str(path))
-        assert path.read_bytes() == _old_writer_bytes(engine.atlas(fmt))
+        assert path.read_bytes() == _buffered_writer_bytes(engine.atlas(fmt))
     # the temporary file is renamed over the target, none is left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == ["2x2x2.snap", "3x2x2.snap"]
 

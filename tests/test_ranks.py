@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from table_oracle import table_orbits
+
 from f2orbits.group import Composite, compile_generators, identity_matrix
-from f2orbits.orbits import LargeOrbitAtlas, enumerate_orbits
+from f2orbits.orbits import LargeOrbitAtlas
 from f2orbits.ranks import (DistributionRow, _orbit_adjacency, brute_force_rank,
                             large_orbit_ranks, percent_string, seed_rank_one)
 from f2orbits.tensor import Shape, enumerate_simple_tensors
@@ -25,7 +27,7 @@ def test_seed_rejects_split_simples():
     # orbit, which the seeding step must notice
     s = Shape((2, 2, 2))
     identity = Composite((identity_matrix(2),) * 3)
-    atlas = enumerate_orbits(s, compile_generators(s, (identity,)))
+    atlas = table_orbits(s, compile_generators(s, (identity,)))
     with pytest.raises(RuntimeError):
         seed_rank_one(s, atlas)
 
@@ -41,7 +43,7 @@ def test_known_ranks_by_canonical(engine):
 def reference_adjacency(atlas):
     # orbit adjacency sets of the nonzero orbits, built one code pair
     # (2k, 2k+1) at a time
-    a = atlas.assignment.tolist()
+    a = atlas.orbit_id(np.arange(atlas.shape.code_bound)).tolist()
     adj = [set() for _ in range(atlas.orbit_count + 1)]
     for code in range(2, len(a), 2):
         adj[a[code]].add(a[code + 1])
@@ -107,8 +109,8 @@ def test_perturbation_changes_rank_by_at_most_one(engine):
         by = engine.ranks(fmt).by_orbit.astype(np.int16)
         cb = engine.shape(fmt).code_bound
         codes = np.arange(cb, dtype=np.uint32)
-        r = by[atlas.assignment[codes]]
-        rflip = by[atlas.assignment[codes ^ 1]]
+        r = by[atlas.orbit_id(codes)]
+        rflip = by[atlas.orbit_id(codes ^ 1)]
         assert int(np.abs(r - rflip).max()) == 1
 
 
