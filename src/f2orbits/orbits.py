@@ -40,7 +40,7 @@ clear in every earlier row, with its lower bits free.  For each
 composite of group.generator_set, its slice map (the composite with the
 identity on mode 1, applied to the 2^M codes of the last slice) gives
 one uint32 permutation of the subspaces: map the rows of every key,
-reduce them, pack, and find the image by binary search.  The
+reduce them, pack, and look the images up in ascending order.  The
 projections of generators of G generate G'.  A spin over the
 permutations then marks one uint16 orbit id per subspace, scanning the
 keys in ascending order, so each orbit starts at its canonical key and
@@ -100,13 +100,14 @@ def required_bytes(shape: Shape) -> int:
     """Peak bytes enumerate_orbits allocates, from the Gaussian binomials:
     per subspace a key, an id, a queue cell and one uint32 permutation
     per composite; the m slice maps and the lead table, 2^M uint32 each;
-    and the transients of one chunk, which hold about 16 + 20 k bytes per
-    item while reducing k rows (tests/test_orbits.py measures the peak
-    with tracemalloc).  load_atlas is checked against the same figure."""
+    and one chunk of permutation reducing k rows, 24 + 13 k bytes per
+    item: rows, basis, a uint32 and a bool temporary per row, two tops, a
+    pivot, and the last chunk's images and int64 order (tests/test_orbits.py
+    checks the peak with tracemalloc).  load_atlas checks the same figure."""
     s = subspace_count(shape)
     m = len(generator_set(shape))
     return ((10 + 4 * m) * s + 4 * (m + 1) * (1 << slice_bits(shape))
-            + (16 + 20 * max_dim(shape)) * min(s, CHUNK))
+            + (24 + 13 * max_dim(shape)) * min(s, CHUNK))
 
 
 def _check_cap(shape: Shape, mem_cap: int) -> None:
@@ -198,26 +199,25 @@ def _spin_into(assignment, orbit_id, start, perms, queue):
 
 
 def _next_unassigned(assignment, pos):
-    cb = assignment.size
-    while pos < cb:
-        hi = min(pos + CHUNK, cb)
-        hits = assignment[pos:hi] == _SENTINEL
-        i = int(hits.argmax())
-        if hits[i]:
-            return pos + i
-        pos = hi
+    for lo in range(pos, assignment.size, CHUNK):
+        hits = assignment[lo:lo + CHUNK] == _SENTINEL
+        if hits.any():
+            return lo + int(hits.argmax())
     return -1
 
 
 def _orbit_sizes(shape: Shape, keys: np.ndarray, assignment: np.ndarray,
                  count: int) -> np.ndarray:
     """sizes[id] = the sum of t(dim U) over the subspaces U of orbit id;
-    the k-spaces are the keys in [2^((k-1)M), 2^(kM))."""
+    the k-spaces are the keys in [2^((k-1)M), 2^(kM)), counted by chunk
+    so that neither the keys nor the ids are cast whole."""
     m = slice_bits(shape)
-    bounds = np.searchsorted(keys, [0] + [1 << (k * m) for k in range(max_dim(shape) + 1)])
+    edges = [0] + [1 << (k * m) for k in range(max_dim(shape) + 1)]
+    bounds = np.searchsorted(keys, np.array(edges, KEY))
     sizes = np.zeros(count, np.int64)
     for t, lo, hi in zip(tuple_counts(shape), bounds[:-1], bounds[1:]):
-        sizes += t * np.bincount(assignment[lo:hi], minlength=count)[:count]
+        for at in range(lo, hi, CHUNK):
+            sizes += t * np.bincount(assignment[at:min(at + CHUNK, hi)], minlength=count)
     return sizes
 
 

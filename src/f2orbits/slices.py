@@ -63,33 +63,31 @@ def lead_table(bits: int) -> np.ndarray:
 
 
 def reduce_rows(rows: np.ndarray, steps: int, lead: np.ndarray) -> np.ndarray:
-    """The reduced row echelon basis of the span of each row of rows, an
-    (n, w) uint32 array of vectors, as an (n, steps) array with the rows
-    in descending order and zero rows last; steps must be at least the
-    rank.  rows is overwritten."""
-    out = np.zeros((rows.shape[0], steps), KEY)
+    """The reduced row echelon basis of the span of each column of rows, a
+    (w, n) uint32 array of w vectors per item, as a (steps, n) array with
+    the rows descending and zero rows last; steps must be at least the
+    rank.  rows is overwritten: pass a copy of what the caller reads."""
+    out = np.zeros((steps, rows.shape[1]), KEY)
     for i in range(steps):
-        top = rows.max(axis=1)
-        pivot = lead[top][:, None]
-        rows ^= ((rows & pivot) != 0) * top[:, None]
-        out[:, :i] ^= ((out[:, :i] & pivot) != 0) * top[:, None]
-        out[:, i] = top
+        top = rows.max(axis=0)
+        pivot = lead[top]
+        rows ^= ((rows & pivot) != 0) * top
+        out[:i] ^= ((out[:i] & pivot) != 0) * top
+        out[i] = top
     return out
 
 
 def pack(basis: np.ndarray, m: int) -> np.ndarray:
     """The keys of reduced bases from reduce_rows: row i in slot i from the
     bottom, so the least row ends up in the highest nonzero slot."""
-    key = np.zeros(basis.shape[0], KEY)
-    for i in range(basis.shape[1]):
-        key |= basis[:, i] << np.uint32(i * m)
-    return key
+    shifts = np.arange(basis.shape[0], dtype=KEY)[:, None] * np.uint32(m)
+    return np.bitwise_or.reduce(basis << shifts, axis=0)
 
 
 def unpack(keys: np.ndarray, m: int, k: int) -> np.ndarray:
-    """The lowest k slots of each key, as an (n, k) array."""
-    shifts = np.arange(k, dtype=KEY) * np.uint32(m)
-    return (keys[:, None] >> shifts) & np.uint32((1 << m) - 1)
+    """The lowest k slots of each key, as a (k, n) array."""
+    shifts = np.arange(k, dtype=KEY)[:, None] * np.uint32(m)
+    return (keys >> shifts) & np.uint32((1 << m) - 1)
 
 
 def subspace_keys(shape: Shape) -> np.ndarray:
@@ -103,7 +101,7 @@ def subspace_keys(shape: Shape) -> np.ndarray:
     lo, hi = 0, 1
     for k in range(max_dim(shape)):
         parents = keys[lo:hi]
-        occupied = np.bitwise_or.reduce(unpack(parents, m, k), axis=1)
+        occupied = np.bitwise_or.reduce(unpack(parents, m, k), axis=0)
         # the parent's least row sits in slot k - 1, and its pivot is above
         # p exactly when the row is at least 2^(p+1); the zero space's is M
         least = parents >> np.uint32((k - 1) * m) if k else np.array([1 << m])
@@ -137,13 +135,14 @@ def slice_maps(shape: Shape) -> list[np.ndarray]:
 
 def permutation(shape: Shape, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     """perm[i] = the index in keys of the image of subspace i under the
-    slice map table."""
+    slice map table; each chunk probes the keys in ascending order."""
     m, k = slice_bits(shape), max_dim(shape)
     lead = lead_table(m)
     perm = np.empty(keys.size, KEY)
     for lo in range(0, keys.size, CHUNK):
-        rows = table[unpack(keys[lo:lo + CHUNK], m, k)]
-        perm[lo:lo + CHUNK] = np.searchsorted(keys, pack(reduce_rows(rows, k, lead), m))
+        image = pack(reduce_rows(table[unpack(keys[lo:lo + CHUNK], m, k)], k, lead), m)
+        order = np.argsort(image)
+        perm[lo:lo + CHUNK][order] = np.searchsorted(keys, image[order])
     return perm
 
 
@@ -164,11 +163,11 @@ def spanning_codes(shape: Shape, keys: np.ndarray, k: int) -> np.ndarray:
     in keys and every d1 x k coefficient matrix A of rank k."""
     bases = unpack(keys, slice_bits(shape), k)
     spread = _spread_coefficients(shape, k)
-    out = np.zeros((bases.shape[0], spread.shape[1]), KEY)
+    out = np.zeros((bases.shape[1], spread.shape[1]), KEY)
     per = max(1, CHUNK // spread.shape[1])
-    for lo in range(0, bases.shape[0], per):
+    for lo in range(0, bases.shape[1], per):
         for c in range(k):
-            out[lo:lo + per] ^= bases[lo:lo + per, c, None] * spread[c]
+            out[lo:lo + per] ^= bases[c, lo:lo + per, None] * spread[c]
     return out.reshape(-1)
 
 
@@ -183,10 +182,10 @@ def _spread_coefficients(shape: Shape, k: int) -> np.ndarray:
     pos = 0
     for lo in range(0, 1 << (d1 * k), CHUNK):
         cols = unpack(np.arange(lo, min(lo + CHUNK, 1 << (d1 * k)), dtype=KEY), d1, k)
-        cols = cols[reduce_rows(cols.copy(), k, lead)[:, k - 1] != 0]
+        cols = cols[:, reduce_rows(cols.copy(), k, lead)[k - 1] != 0]
         spread = np.zeros_like(cols)
         for j in range(d1):
             spread |= ((cols >> np.uint32(j)) & 1) << np.uint32((d1 - 1 - j) * m)
-        out[:, pos:pos + cols.shape[0]] = spread.T
-        pos += cols.shape[0]
+        out[:, pos:pos + cols.shape[1]] = spread
+        pos += cols.shape[1]
     return out

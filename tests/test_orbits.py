@@ -329,7 +329,7 @@ def test_required_bytes_and_strategy(accepted_formats):
     """required_bytes on every accepted format, without enumerating: per
     subspace a uint32 key, a uint16 id, a uint32 queue cell and one
     uint32 permutation per composite; m + 1 tables of 2^M uint32; and
-    16 + 20 k bytes per item of one chunk of at most 2^14 items, k =
+    24 + 13 k bytes per item of one chunk of at most 2^14 items, k =
     min(d1, M).  S comes from the q-Pascal rule."""
     for dims in accepted_formats:
         s = Shape(dims)
@@ -337,7 +337,7 @@ def test_required_bytes_and_strategy(accepted_formats):
         slice_bits = s.entry_count // dims[0]
         k = min(dims[0], slice_bits)
         assert required_bytes(s) == ((10 + 4 * m) * S + 4 * (m + 1) * (1 << slice_bits)
-                                     + (16 + 20 * k) * min(S, 1 << 14)), dims
+                                     + (24 + 13 * k) * min(S, 1 << 14)), dims
     assert len(accepted_formats) == 70
     # the paper's largest formats need a small part of the old 2^N table
     assert required_bytes(Shape((3, 3, 3))) < 0.07 * 2 * (1 << 27)

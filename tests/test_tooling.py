@@ -1,6 +1,7 @@
 """Repository checks: the orbit table stays behind orbits.py, the public
-names and the README's Library example match the package, and the
-benchmark's layer pass still runs against the package.
+names and the README's Library example match the package, the
+benchmark's layer pass still runs against the package, and the
+benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -63,3 +64,10 @@ def test_benchmark_layer_pass_large(tmp_path):
     out = run_layer_pass(tmp_path, "3x2x2x2", "large")
     assert out["problems"] == []
     assert out["counts"]["orbits.large_orbits"] == 212
+
+
+def test_benchmark_selfcheck_passes():
+    # the benchmark's own check of its reference comparison and result schema
+    done = subprocess.run([sys.executable, str(ROOT / "benchmark" / "selfcheck.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
