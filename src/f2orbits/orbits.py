@@ -41,13 +41,19 @@ composite of group.generator_set, its slice map (the composite with the
 identity on mode 1, applied to the 2^M codes of the last slice) gives
 one uint32 permutation of the subspaces: map the rows of every key,
 reduce them, pack, and look the images up in ascending order.  The
-projections of generators of G generate G'.  A spin over the
-permutations then marks one uint16 orbit id per subspace, scanning the
-keys in ascending order, so each orbit starts at its canonical key and
-the ids 1, 2, ... ascend with the canonical form.  Id 0 is the zero
-tensor, the zero subspace at index 0.  Two bytes always suffice: no
-format up to MAX_ENTRIES entries has more than 696 nonzero orbits
-(tests/test_orbits.py::test_orbit_counts_fit_the_cell sweeps them all).
+projections of generators of G generate G'.  spin.py then marks one
+uint16 orbit id per subspace, many orbits per pass: a batch takes the
+next unassigned keys of one dimension in ascending order as its starts,
+spreads them all breadth first, and makes each class of starts that meet
+one orbit.  Its least start is its canonical key: every key below the
+last start was either assigned before the batch or is a start, and every
+orbit the batch meets was wholly unassigned, as each batch spins its
+orbits whole.  So numbering the classes by least start keeps the ids 1,
+2, ... ascending with the canonical form, with no renumbering pass.
+Id 0 is the zero tensor, the zero subspace at index 0.  Two bytes
+always suffice: no format up to MAX_ENTRIES entries has more than 696
+nonzero orbits (tests/test_orbits.py::test_orbit_counts_fit_the_cell
+sweeps them all).
 
 The keys and the ids are the atlas: orbit_id(code) reduces the code's
 slices to a key and looks it up.  Every per-subspace array has S cells,
@@ -71,17 +77,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import block_permutations, generator_set, transpose_program
-from .slices import (CHUNK, KEY, max_dim, permutation, slice_bits, slice_maps,
-                     span_keys, spanning_codes, subspace_count, subspace_keys,
-                     tuple_counts)
+from .slices import (CHUNK, KEY, level_bounds, max_dim, permutation, slice_bits,
+                     slice_maps, span_keys, spanning_codes, subspace_count,
+                     subspace_keys, tuple_counts)
+from .spin import BATCH_MAX, CELL, spin
 from .tensor import Shape
 
 DEFAULT_MEM_CAP = 2 * 1024 ** 3
 
 _SNAPSHOT_MAGIC = b"F2OA"
 _SNAPSHOT_VERSION = 2
-_CELL = np.dtype(np.uint16)
-_SENTINEL = int(np.iinfo(_CELL).max)
 _RECORD = np.dtype([("canonical", "<u4"), ("size", "<u8")])
 
 
@@ -100,14 +105,16 @@ def required_bytes(shape: Shape) -> int:
     """Peak bytes enumerate_orbits allocates, from the Gaussian binomials:
     per subspace a key, an id, a queue cell and one uint32 permutation
     per composite; the m slice maps and the lead table, 2^M uint32 each;
-    and one chunk of permutation reducing k rows, 24 + 13 k bytes per
-    item: rows, basis, a uint32 and a bool temporary per row, two tops, a
-    pivot, and the last chunk's images and int64 order (tests/test_orbits.py
-    checks the peak with tracemalloc).  load_atlas checks the same figure."""
+    one chunk of permutation reducing k rows, 24 + 13 k bytes per item:
+    rows, basis, a uint32 and a bool temporary per row, two tops, a
+    pivot, and the last chunk's images and int64 order; and the spin's
+    link mask between the at most min(S, 256) starts of a batch, with one
+    temporary of its size (tests/test_orbits.py checks the peak with
+    tracemalloc).  load_atlas checks the same figure."""
     s = subspace_count(shape)
     m = len(generator_set(shape))
     return ((10 + 4 * m) * s + 4 * (m + 1) * (1 << slice_bits(shape))
-            + (24 + 13 * max_dim(shape)) * min(s, CHUNK))
+            + (24 + 13 * max_dim(shape)) * min(s, CHUNK) + 2 * min(s, BATCH_MAX) ** 2)
 
 
 def _check_cap(shape: Shape, mem_cap: int) -> None:
@@ -140,13 +147,19 @@ class OrbitAtlas:
 
     def orbit_id(self, codes):
         """The orbit id of an int code, or an array of ids for an integer
-        array of codes.  ValueError if any code is out of range."""
+        array of codes.  ValueError if any code is out of range.  Each
+        chunk's span keys probe the keys in ascending order."""
         codes = np.asarray(codes)
         bad = (codes < 0) | (codes >= self.shape.code_bound)
         if bad.any():
             raise ValueError(f"code {codes[bad].flat[0]} out of range for {self.shape}")
-        index = np.searchsorted(self.keys, span_keys(self.shape, codes.reshape(-1)))
-        ids = self.assignment[index].reshape(codes.shape)
+        flat = codes.reshape(-1)
+        ids = np.empty(flat.size, CELL)
+        for lo in range(0, flat.size, CHUNK):
+            probes = span_keys(self.shape, flat[lo:lo + CHUNK])
+            order = np.argsort(probes)
+            ids[lo:lo + CHUNK][order] = self.assignment[np.searchsorted(self.keys, probes[order])]
+        ids = ids.reshape(codes.shape)
         return int(ids) if codes.ndim == 0 else ids
 
     def members(self, orbit_id: int) -> np.ndarray:
@@ -176,44 +189,14 @@ class OrbitAtlas:
         return (int(self.canonicals[orbit_id]).bit_length() + m - 1) // m
 
 
-# ---- spinning ----
-
-def _spin_into(assignment, orbit_id, start, perms, queue):
-    """Mark the subspace orbit of start with orbit_id, breadth first with
-    queue as the work list.  The permutations are bijections, so the
-    images of a duplicate-free chunk are duplicate-free, and marking cells
-    between permutations filters overlap without any sorting."""
-    assignment[start] = orbit_id
-    queue[0] = start
-    head, tail = 0, 1
-    while head < tail:
-        stop = min(tail, head + CHUNK)
-        frontier = queue[head:stop]
-        for perm in perms:
-            img = perm[frontier]
-            fresh = img[assignment[img] == _SENTINEL]
-            assignment[fresh] = orbit_id
-            queue[tail:tail + fresh.size] = fresh
-            tail += fresh.size
-        head = stop
-
-
-def _next_unassigned(assignment, pos):
-    for lo in range(pos, assignment.size, CHUNK):
-        hits = assignment[lo:lo + CHUNK] == _SENTINEL
-        if hits.any():
-            return lo + int(hits.argmax())
-    return -1
-
+# ---- enumeration ----
 
 def _orbit_sizes(shape: Shape, keys: np.ndarray, assignment: np.ndarray,
                  count: int) -> np.ndarray:
     """sizes[id] = the sum of t(dim U) over the subspaces U of orbit id;
-    the k-spaces are the keys in [2^((k-1)M), 2^(kM)), counted by chunk
-    so that neither the keys nor the ids are cast whole."""
-    m = slice_bits(shape)
-    edges = [0] + [1 << (k * m) for k in range(max_dim(shape) + 1)]
-    bounds = np.searchsorted(keys, np.array(edges, KEY))
+    the k-spaces are counted by chunk so that neither the keys nor the
+    ids are cast whole."""
+    bounds = level_bounds(shape, keys)
     sizes = np.zeros(count, np.int64)
     for t, lo, hi in zip(tuple_counts(shape), bounds[:-1], bounds[1:]):
         for at in range(lo, hi, CHUNK):
@@ -234,23 +217,12 @@ def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
     _check_cap(shape, mem_cap)
     keys = subspace_keys(shape)
     perms = [permutation(shape, keys, table) for table in slice_maps(shape)]
-    assignment = np.full(keys.size, _SENTINEL, _CELL)
-    assignment[0] = 0
-    queue = np.empty(keys.size, KEY)
-    canonicals = [0]
-    pos = 1
-    while (start := _next_unassigned(assignment, pos)) >= 0:
-        orbit_id = len(canonicals)
-        if orbit_id >= _SENTINEL:
-            raise RuntimeError(
-                f"{shape} has more than {_SENTINEL - 1} orbits, too many for a 2-byte cell")
-        canonicals.append(int(keys[start]))
-        _spin_into(assignment, orbit_id, start, perms, queue)
-        pos = start + 1
-    del perms, queue
-    sizes = _orbit_sizes(shape, keys, assignment, len(canonicals))
+    assignment, firsts = spin(perms, level_bounds(shape, keys))
+    del perms
+    canonicals = keys[firsts]
+    sizes = _orbit_sizes(shape, keys, assignment, canonicals.size)
     assert sizes.sum() == shape.code_bound, "orbit sizes do not cover the space"
-    return OrbitAtlas(shape, keys, assignment, np.array(canonicals, np.uint32), sizes)
+    return OrbitAtlas(shape, keys, assignment, canonicals, sizes)
 
 
 # ---- large orbits ----
@@ -306,7 +278,7 @@ def save_atlas(atlas: OrbitAtlas, path: str) -> None:
     records["canonical"] = atlas.canonicals[1:]
     records["size"] = atlas.sizes[1:]
     header = (_SNAPSHOT_MAGIC + bytes([_SNAPSHOT_VERSION, atlas.shape.n])
-              + bytes(atlas.shape.dims) + bytes([_CELL.itemsize]))
+              + bytes(atlas.shape.dims) + bytes([CELL.itemsize]))
     parts = (header, struct.pack("<I", atlas.keys.size),
              memoryview(atlas.keys.astype("<u4", copy=False)).cast("B"),
              memoryview(atlas.assignment.astype("<u2", copy=False)).cast("B"),
@@ -359,7 +331,7 @@ def load_atlas(path: str, shape: Shape | None = None, *,
         found = Shape(tuple(tail[:n]))
         if shape is not None and shape != found:
             raise ValueError(f"{path} holds {found}, expected {shape}")
-        if tail[n] != _CELL.itemsize:
+        if tail[n] != CELL.itemsize:
             raise ValueError(f"bad snapshot cell width {tail[n]}")
         _check_cap(found, mem_cap)
         count_s = f.read(4)
@@ -384,9 +356,9 @@ def load_atlas(path: str, shape: Shape | None = None, *,
     if zlib.crc32(rest[:-4], crc) != struct.unpack_from("<I", rest, len(rest) - 4)[0]:
         raise ValueError(f"{path} fails its CRC check")
     if sys.byteorder == "big":
-        keys, assignment = keys.astype(KEY), assignment.astype(_CELL)
+        keys, assignment = keys.astype(KEY), assignment.astype(CELL)
     else:
-        keys, assignment = keys.view(KEY), assignment.view(_CELL)
+        keys, assignment = keys.view(KEY), assignment.view(CELL)
     records = np.frombuffer(rest, _RECORD, count, offset=4)
     canonicals = np.concatenate(([0], records["canonical"])).astype(np.uint32)
     sizes = np.concatenate(([1], records["size"])).astype(np.int64)

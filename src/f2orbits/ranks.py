@@ -41,10 +41,10 @@ class RankAtlas:
 def seed_rank_one(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
     """Mark the single orbit holding all simple tensors with rank 1."""
     simples = np.array(enumerate_simple_tensors(shape), dtype=np.uint32)
-    ids = np.unique(atlas.orbit_id(simples))
-    if ids.size != 1:
-        raise RuntimeError(
-            f"simple tensors fall into {ids.size} orbits; the group action is broken")
+    ids = atlas.orbit_id(simples)
+    if ids.min() != ids.max():
+        raise RuntimeError(f"simple tensors fall into {len(set(ids.tolist()))} orbits; "
+                           "the group action is broken")
     by_orbit = np.zeros(atlas.orbit_count + 1, dtype=np.uint8)
     by_orbit[int(ids[0])] = 1
     return RankAtlas(by_orbit)
@@ -136,9 +136,9 @@ def large_orbit_ranks(large: LargeOrbitAtlas, ranks: RankAtlas) -> np.ndarray:
     they do not."""
     out = np.zeros(large.orbit_count + 1, dtype=np.uint8)
     out[large.grouping] = ranks.by_orbit
-    mixed = np.unique(large.grouping[out[large.grouping] != ranks.by_orbit])
-    if mixed.size:
-        raise RuntimeError(f"large orbits {mixed.tolist()} mix ranks")
+    mixed = sorted(set(large.grouping[out[large.grouping] != ranks.by_orbit].tolist()))
+    if mixed:
+        raise RuntimeError(f"large orbits {mixed} mix ranks")
     return out
 
 

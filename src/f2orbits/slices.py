@@ -30,6 +30,14 @@ def max_dim(shape: Shape) -> int:
     return min(shape.dims[0], slice_bits(shape))
 
 
+def level_bounds(shape: Shape, keys: np.ndarray) -> list[int]:
+    """bounds[k]:bounds[k+1] indexes the keys of the k-spaces, which lie in
+    [2^((k-1)M), 2^(kM)), for k = 0..min(d1, M)."""
+    m = slice_bits(shape)
+    edges = [0] + [1 << (k * m) for k in range(max_dim(shape) + 1)]
+    return np.searchsorted(keys, np.array(edges, KEY)).tolist()
+
+
 def gaussian_binomial(m: int, k: int) -> int:
     """The number of k-dimensional subspaces of F2^m."""
     num = den = 1

@@ -1,0 +1,117 @@
+"""The spin: one orbit id per subspace, from the permutations that the
+generators induce on the subspaces (orbits.py gives the setting and why
+the ids ascend with the canonical form).
+
+The spin works one dimension at a time and many orbits per pass.  A
+batch takes the next nb unassigned subspaces in ascending order as its
+starts and spreads them all breadth first, start j writing the label
+first + j, so each cell is visited once.  An image that already holds
+another label of the batch links the two starts in an nb x nb bool mask,
+and each class of linked starts is one orbit, whose id goes to its
+least start.  Each dimension starts with nb = 1, then aims at
+_BATCH_CELLS cells per batch from the last batch's count, nb between 1
+and BATCH_MAX: few large orbits spin one at a time, with no labels
+gathered and no links tested, and many small ones a few hundred at
+once.  Besides the ids and the work queue, one cell each per subspace,
+every buffer is one chunk long except the mask, at most BATCH_MAX^2
+bytes.
+"""
+
+import numpy as np
+
+from .slices import CHUNK, KEY
+
+CELL = np.dtype(np.uint16)
+SENTINEL = int(np.iinfo(CELL).max)
+BATCH_MAX = 256
+_BATCH_CELLS = 4096
+
+
+def spin(perms, bounds):
+    """The orbit id of every subspace (uint16, the zero subspace at index 0
+    in orbit 0) and the index of each orbit's least subspace, by id, for
+    permutations of subspaces whose k-spaces are bounds[k]:bounds[k+1]."""
+    assignment = np.full(bounds[-1], SENTINEL, CELL)
+    assignment[0] = 0
+    queue = np.empty(bounds[-1], KEY)
+    firsts = [0]
+    for pos, stop in zip(bounds[1:-1], bounds[2:]):
+        nb = 1
+        while (starts := _next_unassigned(assignment, pos, stop, nb)).size:
+            cells, roots = _spin_batch(assignment, len(firsts), starts, perms, queue)
+            firsts += starts[roots].tolist()
+            pos = int(starts[-1]) + 1
+            nb = min(max(nb * _BATCH_CELLS // cells, 1), BATCH_MAX)
+    return assignment, firsts
+
+
+def _next_unassigned(assignment, pos, stop, count):
+    """Up to count indices of unassigned cells in [pos, stop), ascending."""
+    found = [np.empty(0, np.intp)]
+    for lo in range(pos, stop, CHUNK):
+        hits = np.flatnonzero(assignment[lo:min(lo + CHUNK, stop)] == SENTINEL)
+        found.append(hits[:count] + lo)
+        count -= found[-1].size
+        if not count:
+            break
+    return np.concatenate(found)
+
+
+def _least_linked(link):
+    """least[i] = the least label joined to label i by a chain of links,
+    for an n x n bool mask of links in either direction, which is
+    overwritten: each round takes the least label over every link, then
+    jumps pointers.  The labels take the narrowest dtype, so a round
+    allocates about n^2 bytes."""
+    link |= link.T
+    least = np.arange(len(link), dtype=np.min_scalar_type(len(link) - 1))
+    while True:
+        step = np.where(link, least, least[:, None]).min(axis=1)
+        step = step[step]
+        if (step == least).all():
+            return least
+        least = step
+
+
+def _spin_batch(assignment, first, starts, perms, queue):
+    """Spin the orbits of the unassigned starts in one breadth-first pass
+    with queue as the work list, start j writing the label first + j,
+    then give each class of linked starts one id, ascending from first.
+    Returns the number of cells labelled and a mask of the starts least
+    in their orbit.  The permutations are bijections, so the images of a
+    duplicate-free chunk are duplicate-free, and marking cells between
+    permutations filters overlap without any sorting."""
+    nb = starts.size
+    if first + nb > SENTINEL:
+        raise RuntimeError(f"orbit ids {first}..{first + nb - 1} reach the sentinel "
+                           f"{SENTINEL}: too many orbits for a 2-byte cell")
+    assignment[starts] = np.arange(first, first + nb)
+    queue[:nb] = starts
+    link = np.zeros((nb, nb), bool)
+    head, tail = 0, nb
+    while head < tail:
+        stop = min(tail, head + CHUNK)
+        frontier = queue[head:stop]
+        label = assignment[frontier] if nb > 1 else first
+        for perm in perms:
+            img = perm[frontier]
+            cell = assignment[img]
+            new = cell == SENTINEL
+            fresh = img[new]
+            if nb > 1:
+                assignment[fresh] = label[new]
+                old = ~new
+                link[label[old] - first, cell[old] - first] = True
+            else:
+                assignment[fresh] = first
+            queue[tail:tail + fresh.size] = fresh
+            tail += fresh.size
+        head = stop
+    least = _least_linked(link)
+    roots = least == np.arange(nb)
+    if not roots.all():
+        remap = (first - 1 + np.cumsum(roots))[least].astype(CELL)
+        for lo in range(0, tail, CHUNK):
+            cells = queue[lo:min(lo + CHUNK, tail)]
+            assignment[cells] = remap[assignment[cells] - first]
+    return tail, roots

@@ -3,7 +3,8 @@
 The orbit of one code is read off the session atlas as the codes that
 share its orbit id; python_spin recomputes it from the definition, and
 table_oracle.table_orbits, the 2^N table engine, recomputes whole
-partitions.
+partitions.  reference_spin spins the subspaces one orbit at a time, the
+reference for the batched spin and its merging of labels.
 """
 
 import io
@@ -13,7 +14,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from table_oracle import table_orbits
 
@@ -24,7 +25,9 @@ from f2orbits.orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits,
                              load_atlas, merge_large_orbits, required_bytes,
                              save_atlas)
 from f2orbits.report import NoReferenceError, load_reference
-from f2orbits.tensor import Shape, get_entry, index_of
+from f2orbits.slices import permutation, slice_maps, subspace_keys, tuple_counts
+from f2orbits.spin import SENTINEL, _least_linked, _spin_batch
+from f2orbits.tensor import Shape, get_entry, index_of, parse_shape
 
 
 def reference_apply(shape, composite, code):
@@ -237,6 +240,87 @@ def test_enumeration_accepts_custom_generators():
         table_orbits(Shape((4, 3, 2)))
 
 
+# ---- the batched spin ----
+
+def reference_spin(shape):
+    # one orbit at a time: the least unassigned subspace starts a
+    # breadth-first spin and is the canonical; sizes weight each subspace
+    # by t(dim U)
+    keys = subspace_keys(shape)
+    perms = [permutation(shape, keys, table) for table in slice_maps(shape)]
+    assignment = np.full(keys.size, -1)
+    assignment[0] = 0
+    canonicals = [0]
+    while (rest := np.flatnonzero(assignment < 0)).size:
+        frontier = rest[:1]
+        assignment[frontier] = len(canonicals)
+        canonicals.append(int(keys[rest[0]]))
+        while frontier.size:
+            images = np.unique(np.concatenate([perm[frontier] for perm in perms]))
+            frontier = images[assignment[images] < 0]
+            assignment[frontier] = len(canonicals) - 1
+    m = shape.entry_count // shape.dims[0]
+    dims = np.searchsorted([1 << (k * m) for k in range(len(tuple_counts(shape)))], keys,
+                           side="right")
+    sizes = np.bincount(assignment, weights=np.array(tuple_counts(shape))[dims])
+    return keys, assignment, np.array(canonicals), sizes.astype(np.int64)
+
+
+def test_batched_spin_matches_reference_spin(engine):
+    # formats of many small orbits (merging batches of up to 256 starts)
+    # and of few large ones (single-start batches), array for array
+    for fmt in ("3x2x2x2", "2x2x2x2", "4x3x2", "3x3x3", "3x9"):
+        atlas = engine.atlas(fmt)
+        keys, assignment, canonicals, sizes = reference_spin(parse_shape(fmt))
+        assert np.array_equal(atlas.keys, keys), fmt
+        assert np.array_equal(atlas.assignment, assignment), fmt
+        assert np.array_equal(atlas.canonicals, canonicals), fmt
+        assert np.array_equal(atlas.sizes, sizes), fmt
+
+
+def _links(n):
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return st.tuples(st.just(n), st.lists(pair, max_size=300))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=st.integers(1, 256).flatmap(_links))
+@example(case=(256, [(i + 1, i) for i in range(255)]))
+@example(case=(256, []))
+def test_least_linked_matches_union_find(case):
+    # the least label of each class of linked labels, against a plain
+    # union-find whose root is always the least label of its class
+    n, pairs = case
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    link = np.zeros((n, n), bool)
+    for i, j in pairs:
+        link[i, j] = True
+        a, b = find(i), find(j)
+        parent[max(a, b)] = min(a, b)
+    assert _least_linked(link).tolist() == [find(i) for i in range(n)]
+
+
+def test_spin_batch_refuses_labels_at_the_sentinel():
+    # two starts from first = 65534 would write 65535, the mark of an
+    # unassigned cell: refused before any cell changes
+    perms = [np.array([0, 2, 1], np.uint32)]
+    assignment = np.full(3, SENTINEL, np.uint16)
+    queue = np.empty(3, np.uint32)
+    with pytest.raises(RuntimeError, match="2-byte cell"):
+        _spin_batch(assignment, SENTINEL - 1, np.array([1, 2]), perms, queue)
+    assert (assignment == SENTINEL).all()
+    # from one lower they fit; the swap links them into one orbit
+    cells, roots = _spin_batch(assignment, SENTINEL - 2, np.array([1, 2]), perms, queue)
+    assert (cells, roots.tolist()) == (2, [True, False])
+    assert assignment.tolist() == [SENTINEL, SENTINEL - 2, SENTINEL - 2]
+
+
 def test_slice_engine_matches_table_oracle(accepted_formats):
     """Every accepted format of at most 16 entries, in every mode order,
     two-mode formats included: the subspace count is the sum of Gaussian
@@ -328,16 +412,19 @@ def test_memory_cap_refusal():
 def test_required_bytes_and_strategy(accepted_formats):
     """required_bytes on every accepted format, without enumerating: per
     subspace a uint32 key, a uint16 id, a uint32 queue cell and one
-    uint32 permutation per composite; m + 1 tables of 2^M uint32; and
+    uint32 permutation per composite; m + 1 tables of 2^M uint32;
     24 + 13 k bytes per item of one chunk of at most 2^14 items, k =
-    min(d1, M).  S comes from the q-Pascal rule."""
+    min(d1, M); and a spin batch's link mask of at most min(S, 256)^2
+    bools plus one temporary of its size.  S comes from the q-Pascal
+    rule."""
     for dims in accepted_formats:
         s = Shape(dims)
         m, S = len(generator_set(s)), slice_subspaces(dims)
         slice_bits = s.entry_count // dims[0]
         k = min(dims[0], slice_bits)
         assert required_bytes(s) == ((10 + 4 * m) * S + 4 * (m + 1) * (1 << slice_bits)
-                                     + (24 + 13 * k) * min(S, 1 << 14)), dims
+                                     + (24 + 13 * k) * min(S, 1 << 14)
+                                     + 2 * min(S, 256) ** 2), dims
     assert len(accepted_formats) == 70
     # the paper's largest formats need a small part of the old 2^N table
     assert required_bytes(Shape((3, 3, 3))) < 0.07 * 2 * (1 << 27)

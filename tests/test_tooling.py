@@ -1,7 +1,7 @@
-"""Repository checks: the orbit table stays behind orbits.py, the public
-names and the README's Library example match the package, the
-benchmark's layer pass still runs against the package, and the
-benchmark's self-check passes.
+"""Repository checks: the orbit table stays behind orbits.py, classify
+does not import numpy.ma, the public names and the README's Library
+example match the package, the benchmark's layer pass still runs
+against the package, and the benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -34,6 +34,19 @@ def test_orbit_table_stays_in_orbits():
     # outside orbits.py, orbit ids are read through OrbitAtlas.orbit_id
     for name in ("ranks.py", "report.py", "cli.py"):
         assert "assignment" not in (ROOT / "src" / "f2orbits" / name).read_text(), name
+
+
+def test_classify_does_not_import_numpy_ma():
+    # a plain np.unique calls np.ma.is_masked, and importing numpy.ma
+    # costs every run tens of milliseconds and most of a megabyte
+    code = ("import sys\n"
+            "from f2orbits.cli import main\n"
+            "assert main(['classify', '--format', '3x2x2x2', '--flavor', 'large']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_public_names_resolve():
