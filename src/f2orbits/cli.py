@@ -71,15 +71,18 @@ def _build_parser():
 
 def _resolve_cap(args):
     if getattr(args, "mem_cap", None) is not None:
-        return args.mem_cap
-    env = os.environ.get("F2TO_MEM_CAP")
-    if env is None:
+        name, value = "--mem-cap", str(args.mem_cap)
+    elif (value := os.environ.get("F2TO_MEM_CAP")) is not None:
+        name = "F2TO_MEM_CAP"
+    else:
         return DEFAULT_MEM_CAP
     try:
-        return int(env)
+        cap = int(value)
     except ValueError:
-        raise ValueError(
-            f"F2TO_MEM_CAP must be a whole number of bytes, got {env!r}") from None
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"{name} must be a whole number of bytes, got {value!r}")
+    return cap
 
 
 class _Phases:

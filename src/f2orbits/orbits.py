@@ -60,17 +60,17 @@ slices to a key and looks it up.  Every per-subspace array has S cells,
 S the subspace count, which required_bytes takes from Gaussian binomials;
 no array of 2^N cells is built.
 
-A snapshot (format version 2) is a small header, S, the keys, the ids,
-the orbit count and one (canonical, size) record per nonzero orbit, then
-a CRC-32 of all of it.  Saving streams into a temporary file that
-replaces the target only once complete; loading checks the memory cap
-before it allocates, then the CRC and the records against the keys and
-ids.
+Of the atlas, only the ids are costly to recompute: the keys depend on
+the format alone, and since the ids ascend with the canonical form, id i
+first occurs where the running maximum of the ids steps to i, at orbit
+i's canonical key.  So a snapshot (format version 3) is a small header
+naming the format, the S ids and a CRC-32 of both, and enumeration and
+loading derive the canonicals and sizes the same way, in _atlas.  Saving writes
+a temporary file that replaces the target only once complete; loading
+checks the memory cap before it allocates, then the length and the CRC.
 """
 
 import os
-import struct
-import sys
 import zlib
 from dataclasses import dataclass
 
@@ -86,8 +86,7 @@ from .tensor import Shape
 DEFAULT_MEM_CAP = 2 * 1024 ** 3
 
 _SNAPSHOT_MAGIC = b"F2OA"
-_SNAPSHOT_VERSION = 2
-_RECORD = np.dtype([("canonical", "<u4"), ("size", "<u8")])
+_SNAPSHOT_VERSION = 3
 
 
 class MemoryCapError(RuntimeError):
@@ -204,6 +203,25 @@ def _orbit_sizes(shape: Shape, keys: np.ndarray, assignment: np.ndarray,
     return sizes
 
 
+def _atlas(shape: Shape, keys: np.ndarray, assignment: np.ndarray) -> OrbitAtlas:
+    """The atlas of the ids of every subspace, with the canonicals and
+    sizes derived from them: orbit i's canonical is the key where the
+    running maximum of the ids steps to i.  ValueError for ids that put a
+    nonzero id at the zero subspace, skip a number, or are out of order,
+    where an id first occurs before a lower one."""
+    if assignment[0] != 0:
+        raise ValueError(f"orbit id {assignment[0]} at the zero subspace")
+    peak = np.maximum.accumulate(assignment)
+    firsts = np.flatnonzero(peak[1:] != peak[:-1]) + 1
+    sizes = _orbit_sizes(shape, keys, assignment, int(peak[-1]) + 1)
+    if not sizes.all():
+        raise ValueError(f"orbit ids skip {sizes.argmin()}")
+    if firsts.size != sizes.size - 1:
+        raise ValueError("orbit ids do not ascend with their least keys")
+    assert sizes.sum() == shape.code_bound, "orbit sizes do not cover the space"
+    return OrbitAtlas(shape, keys, assignment, keys[np.concatenate(([0], firsts))], sizes)
+
+
 def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
                      mem_cap: int = DEFAULT_MEM_CAP) -> OrbitAtlas:
     """Partition the codes of shape into the orbits of GL(d1,2) x ... x
@@ -217,12 +235,9 @@ def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
     _check_cap(shape, mem_cap)
     keys = subspace_keys(shape)
     perms = [permutation(shape, keys, table) for table in slice_maps(shape)]
-    assignment, firsts = spin(perms, level_bounds(shape, keys))
+    assignment = spin(perms, level_bounds(shape, keys))
     del perms
-    canonicals = keys[firsts]
-    sizes = _orbit_sizes(shape, keys, assignment, canonicals.size)
-    assert sizes.sum() == shape.code_bound, "orbit sizes do not cover the space"
-    return OrbitAtlas(shape, keys, assignment, canonicals, sizes)
+    return _atlas(shape, keys, assignment)
 
 
 # ---- large orbits ----
@@ -269,28 +284,20 @@ def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
 # ---- snapshots ----
 
 def save_atlas(atlas: OrbitAtlas, path: str) -> None:
-    """Binary snapshot: magic, version, mode count, dims, cell width
-    (always 2), S, the keys (<u4), the ids (<u2), the orbit count and the
-    orbit records, then the CRC-32 of everything before it.  The arrays
-    are written without a copy on little-endian hosts, into a temporary
-    file in the same directory that is renamed over path."""
-    records = np.empty(atlas.orbit_count, _RECORD)
-    records["canonical"] = atlas.canonicals[1:]
-    records["size"] = atlas.sizes[1:]
+    """Binary snapshot, 6 + n + 2 S + 4 bytes for n modes and S
+    subspaces: magic, version, mode count, dims, the orbit ids (<u2) and
+    the CRC-32 of everything before it.  The ids are written without a
+    copy on little-endian hosts, into a temporary file in the same
+    directory that is renamed over path."""
     header = (_SNAPSHOT_MAGIC + bytes([_SNAPSHOT_VERSION, atlas.shape.n])
-              + bytes(atlas.shape.dims) + bytes([CELL.itemsize]))
-    parts = (header, struct.pack("<I", atlas.keys.size),
-             memoryview(atlas.keys.astype("<u4", copy=False)).cast("B"),
-             memoryview(atlas.assignment.astype("<u2", copy=False)).cast("B"),
-             struct.pack("<I", atlas.orbit_count), records.tobytes())
+              + bytes(atlas.shape.dims))
+    ids = memoryview(atlas.assignment.astype("<u2", copy=False)).cast("B")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            crc = 0
-            for part in parts:
-                f.write(part)
-                crc = zlib.crc32(part, crc)
-            f.write(struct.pack("<I", crc))
+            f.write(header)
+            f.write(ids)
+            f.write(zlib.crc32(ids, zlib.crc32(header)).to_bytes(4, "little"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -298,24 +305,15 @@ def save_atlas(atlas: OrbitAtlas, path: str) -> None:
         raise
 
 
-def _read_array(f, path, count, dtype):
-    out = np.empty(count, dtype)
-    if f.readinto(memoryview(out).cast("B")) != out.nbytes:
-        raise ValueError(f"{path} is truncated")
-    return out
-
-
 def load_atlas(path: str, shape: Shape | None = None, *,
                mem_cap: int = DEFAULT_MEM_CAP) -> OrbitAtlas:
-    """Read a snapshot written by save_atlas.  A snapshot of another
+    """Read a snapshot written by save_atlas and derive the keys,
+    canonicals and sizes from its format and ids.  A snapshot of another
     format than shape, if given, raises ValueError before required_bytes
     of its format is checked against mem_cap (MemoryCapError), and that
     check comes before any allocation.  Malformed files raise ValueError:
-    a bad header, length or CRC, keys other than the subspace keys of
-    the format, ids past the orbit count, ids whose tuple counts disagree with the sizes, and
-    records whose canonicals do not ascend, are not the key of their own
-    subspace, lie in another orbit or have a code of their own orbit just
-    below."""
+    a bad magic, version or header, a length other than the format's,
+    a failed CRC, and ids that _atlas refuses."""
     with open(path, "rb") as f:
         head = f.read(6)
         if head[:4] != _SNAPSHOT_MAGIC:
@@ -324,60 +322,21 @@ def load_atlas(path: str, shape: Shape | None = None, *,
             raise ValueError(f"{path} is truncated")
         if head[4] != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {head[4]}")
-        n = head[5]
-        tail = f.read(n + 1)
-        if len(tail) != n + 1:
+        dims = f.read(head[5])
+        if len(dims) != head[5]:
             raise ValueError(f"{path} is truncated")
-        found = Shape(tuple(tail[:n]))
+        found = Shape(tuple(dims))
         if shape is not None and shape != found:
             raise ValueError(f"{path} holds {found}, expected {shape}")
-        if tail[n] != CELL.itemsize:
-            raise ValueError(f"bad snapshot cell width {tail[n]}")
         _check_cap(found, mem_cap)
-        count_s = f.read(4)
-        if len(count_s) != 4:
+        s = subspace_count(found)
+        size, expected = os.fstat(f.fileno()).st_size, 6 + len(dims) + 2 * s + 4
+        if size != expected:
+            raise ValueError(f"{path} has {size} bytes; a {found} snapshot has {expected}")
+        assignment = np.empty(s, "<u2")
+        if f.readinto(memoryview(assignment).cast("B")) != assignment.nbytes:
             raise ValueError(f"{path} is truncated")
-        (s,) = struct.unpack("<I", count_s)
-        if s != subspace_count(found):
-            raise ValueError(f"{path} lists {s} subspaces, {found} has "
-                             f"{subspace_count(found)}")
-        if os.fstat(f.fileno()).st_size < f.tell() + 6 * s + 8:
-            raise ValueError(f"{path} is truncated")
-        keys = _read_array(f, path, s, "<u4")
-        assignment = _read_array(f, path, s, "<u2")
-        rest = f.read()
-    crc = zlib.crc32(keys, zlib.crc32(count_s, zlib.crc32(tail, zlib.crc32(head))))
-    crc = zlib.crc32(assignment, crc)
-    if len(rest) < 8:
-        raise ValueError(f"{path} is truncated")
-    (count,) = struct.unpack_from("<I", rest)
-    if len(rest) != 8 + _RECORD.itemsize * count:
-        raise ValueError(f"{path} has truncated or trailing record data")
-    if zlib.crc32(rest[:-4], crc) != struct.unpack_from("<I", rest, len(rest) - 4)[0]:
+        crc = int.from_bytes(f.read(4), "little")
+    if zlib.crc32(assignment, zlib.crc32(dims, zlib.crc32(head))) != crc:
         raise ValueError(f"{path} fails its CRC check")
-    if sys.byteorder == "big":
-        keys, assignment = keys.astype(KEY), assignment.astype(CELL)
-    else:
-        keys, assignment = keys.view(KEY), assignment.view(CELL)
-    records = np.frombuffer(rest, _RECORD, count, offset=4)
-    canonicals = np.concatenate(([0], records["canonical"])).astype(np.uint32)
-    sizes = np.concatenate(([1], records["size"])).astype(np.int64)
-    atlas = OrbitAtlas(found, keys, assignment, canonicals, sizes)
-    # the keys depend on the format alone; rebuilding them costs about
-    # as much as reading them
-    if not np.array_equal(keys, subspace_keys(found)):
-        raise ValueError(f"{path} keys are not the subspaces of {found}")
-    if int(assignment.max()) > count:
-        raise ValueError(f"{path} has an orbit id past its {count} orbits")
-    if (_orbit_sizes(found, keys, assignment, count + 1) != sizes).any():
-        raise ValueError(f"{path} record sizes disagree with the orbit ids")
-    # codes below canonical i lie in orbits below i, so the code just
-    # below it does; each canonical must also be its own subspace's key
-    ids = np.arange(count + 1)
-    if not ((canonicals[:-1] < canonicals[1:]).all()
-            and canonicals[-1] < found.code_bound
-            and (span_keys(found, canonicals) == canonicals).all()
-            and (atlas.orbit_id(canonicals) == ids).all()
-            and (atlas.orbit_id(canonicals[1:] - 1) < ids[1:]).all()):
-        raise ValueError(f"{path} record canonicals disagree with the keys and ids")
-    return atlas
+    return _atlas(found, subspace_keys(found), assignment.astype(CELL, copy=False))

@@ -29,20 +29,21 @@ _BATCH_CELLS = 4096
 
 def spin(perms, bounds):
     """The orbit id of every subspace (uint16, the zero subspace at index 0
-    in orbit 0) and the index of each orbit's least subspace, by id, for
-    permutations of subspaces whose k-spaces are bounds[k]:bounds[k+1]."""
+    in orbit 0), for permutations of subspaces whose k-spaces are
+    bounds[k]:bounds[k+1].  Id i first occurs at orbit i's least
+    subspace, so the ids alone give each orbit's canonical."""
     assignment = np.full(bounds[-1], SENTINEL, CELL)
     assignment[0] = 0
     queue = np.empty(bounds[-1], KEY)
-    firsts = [0]
+    count = 1
     for pos, stop in zip(bounds[1:-1], bounds[2:]):
         nb = 1
         while (starts := _next_unassigned(assignment, pos, stop, nb)).size:
-            cells, roots = _spin_batch(assignment, len(firsts), starts, perms, queue)
-            firsts += starts[roots].tolist()
+            cells, roots = _spin_batch(assignment, count, starts, perms, queue)
+            count += int(roots.sum())
             pos = int(starts[-1]) + 1
             nb = min(max(nb * _BATCH_CELLS // cells, 1), BATCH_MAX)
-    return assignment, firsts
+    return assignment
 
 
 def _next_unassigned(assignment, pos, stop, count):

@@ -110,6 +110,20 @@ def test_mem_cap_env(capsys, monkeypatch):
     assert "F2TO_MEM_CAP" in err and "'lots'" in err
 
 
+def test_negative_mem_cap_is_invalid(capsys, monkeypatch):
+    # a negative cap is invalid input that names itself; a cap of 0 is a
+    # valid cap that refuses every run
+    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--mem-cap", "-1")
+    assert code == 1 and out == ""
+    assert "--mem-cap" in err and "'-1'" in err
+    monkeypatch.setenv("F2TO_MEM_CAP", "-3")
+    code, out, err = run(capsys, "classify", "--format", "2x2x2")
+    assert code == 1 and out == ""
+    assert "F2TO_MEM_CAP" in err and "'-3'" in err
+    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--mem-cap", "0")
+    assert code == 2 and "cap is 0 bytes" in err
+
+
 def test_snapshot_reuse(capsys, tmp_path):
     snap = tmp_path / "a.snap"
     code, first, err1 = run(capsys, "classify", "--format", "3x2x2",
@@ -154,25 +168,13 @@ def test_snapshot_format_mismatch(capsys, tmp_path):
     assert "holds 2x2x2, expected 3x2x2" in err
 
 
-def test_snapshot_cell_width_four_refused(capsys, tmp_path):
+def test_snapshot_bad_ids_refused(capsys, tmp_path):
     snap = tmp_path / "a.snap"
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
     blob = bytearray(snap.read_bytes())
-    blob[9] = 4  # the width byte after magic, version, mode count and dims
-    snap.write_bytes(bytes(blob))
-    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
-    assert code == 1 and out == ""
-    assert "cell width 4" in err
-
-
-def test_snapshot_record_disagreeing_with_table_refused(capsys, tmp_path):
-    snap = tmp_path / "a.snap"
-    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
-    blob = bytearray(snap.read_bytes())
-    # bit 0 of the second record's canonical: 6 becomes 7, which lies in
-    # the same orbit but is not its least code; the records end 4 bytes
-    # before the end, where the CRC goes
-    blob[len(blob) - 4 - 12 * 6] ^= 1
+    # the id of the zero subspace, after magic, version, mode count and
+    # dims, becomes 1
+    blob[9] ^= 1
     snap.write_bytes(bytes(blob))
     code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
     assert code == 1 and out == ""
@@ -181,7 +183,7 @@ def test_snapshot_record_disagreeing_with_table_refused(capsys, tmp_path):
     snap.write_bytes(bytes(blob))
     code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
     assert code == 1 and out == ""
-    assert "canonicals disagree with the keys and ids" in err
+    assert "orbit id 1 at the zero subspace" in err
 
 
 def test_cell_width_option_is_gone(capsys):

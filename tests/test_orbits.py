@@ -378,21 +378,10 @@ def test_orbit_counts_fit_the_cell(engine, accepted_formats):
         "4x2x2", "4x3x2", "5x2x2", "6x2x2"]
 
 
-def test_cell_width_four_is_refused(tmp_path, engine):
-    s = Shape((2, 2, 2))
+def test_cell_width_four_is_refused(engine):
     with pytest.raises(ValueError):
-        enumerate_orbits(s, cell_width=4)
+        enumerate_orbits(Shape((2, 2, 2)), cell_width=4)
     assert engine.atlas("2x2x2").assignment.dtype == np.uint16
-    # a snapshot whose header claims 4-byte cells is malformed
-    path = tmp_path / "orbits.snap"
-    save_atlas(engine.atlas("2x2x2"), str(path))
-    blob = bytearray(path.read_bytes())
-    width_at = 6 + s.n
-    assert blob[width_at] == 2
-    blob[width_at] = 4
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="cell width 4"):
-        load_atlas(str(path))
 
 
 # ---- memory cap ----
@@ -535,7 +524,7 @@ def test_snapshot_rejects_corruption(tmp_path, engine):
     with pytest.raises(ValueError):
         load_atlas(str(tmp_path / "m.snap"))
 
-    # cut inside the CRC, the keys, the dims and the fixed header
+    # cut inside the CRC, the ids, the dims and the fixed header
     for cut in (len(blob) - 3, 100, 8, 5):
         (tmp_path / "t.snap").write_bytes(blob[:cut])
         with pytest.raises(ValueError):
@@ -545,76 +534,43 @@ def test_snapshot_rejects_corruption(tmp_path, engine):
     with pytest.raises(ValueError):
         load_atlas(str(tmp_path / "x.snap"))
 
-    # corrupt one record size so the partition no longer sums
-    size_field = blob.rfind((27).to_bytes(8, "little"))
-    assert size_field != -1
-    mangled = blob[:size_field] + (28).to_bytes(8, "little") + blob[size_field + 8:]
-    (tmp_path / "s.snap").write_bytes(mangled)
+    # an edited id fails the CRC
+    (tmp_path / "c.snap").write_bytes(blob[:-6] + bytes([blob[-6] ^ 1]) + blob[-5:])
     with pytest.raises(ValueError, match="CRC"):
-        load_atlas(str(tmp_path / "s.snap"))
-    (tmp_path / "s.snap").write_bytes(reseal(mangled))
-    with pytest.raises(ValueError, match="sizes disagree"):
-        load_atlas(str(tmp_path / "s.snap"))
+        load_atlas(str(tmp_path / "c.snap"))
 
-    # the table engine's format version 1 is refused by name
-    (tmp_path / "v.snap").write_bytes(blob[:4] + bytes([1]) + blob[5:])
-    with pytest.raises(ValueError, match="unsupported snapshot version 1"):
-        load_atlas(str(tmp_path / "v.snap"))
-
-
-def test_snapshot_rejects_records_that_disagree_with_table(tmp_path, engine):
-    # 2x2x2 records are (canonical, size) for ids 1..7, the 84 bytes before
-    # the CRC: canonicals 1, 6, 18, 20, 22, 24, 107
-    atlas = engine.atlas("2x2x2")
-    path = tmp_path / "orbits.snap"
-    save_atlas(atlas, str(path))
-    blob = path.read_bytes()
-    records = len(blob) - 4 - 12 * atlas.orbit_count
-
-    def with_canonicals(*pairs):
-        out = bytearray(blob)
-        for oid, canonical in pairs:
-            struct.pack_into("<I", out, records + 12 * (oid - 1), canonical)
-        return reseal(bytes(out))
-
-    # each case, CRC resealed, passes every check but one: bit 0 of id 2's
-    # canonical flipped (7 spans a subspace of orbit 2 whose key it is,
-    # but 6 lies just below in the same orbit); 107 rewritten to 109, in
-    # orbit 7 with 108 in a lower orbit, but the key of span(6, 13) is 107;
-    # id 3's canonical swapped for 8, the key of a subspace in orbit 1;
-    # 107 moved past the code space
-    for bad in (with_canonicals((2, 6 ^ 1)), with_canonicals((7, 109)),
-                with_canonicals((3, 8)), with_canonicals((7, 256))):
-        (tmp_path / "c.snap").write_bytes(bad)
-        with pytest.raises(ValueError, match="canonicals disagree with the keys and ids"):
-            load_atlas(str(tmp_path / "c.snap"))
+    # the table engine's version 1 and the version 2 that stored keys and
+    # orbit records are refused by name
+    for version in (1, 2):
+        (tmp_path / "v.snap").write_bytes(blob[:4] + bytes([version]) + blob[5:])
+        with pytest.raises(ValueError, match=f"unsupported snapshot version {version}"):
+            load_atlas(str(tmp_path / "v.snap"))
 
 
 def test_snapshot_rejects_inconsistent_subspaces(tmp_path, engine):
-    # 2x2x2: 10 header bytes, S = 51, then 51 keys and 51 ids; each edit
-    # is resealed, so it reaches the check it breaks
+    # 2x2x2: 9 header bytes, then the ids of the S = 51 subspaces; each
+    # edit is resealed, so it reaches the check it breaks
     atlas = engine.atlas("2x2x2")
     path = tmp_path / "orbits.snap"
     save_atlas(atlas, str(path))
     blob = path.read_bytes()
-    keys_at, ids_at = 14, 14 + 4 * 51
-    assert struct.unpack_from("<I", blob, 10) == (51,)
+    assert len(blob) == 9 + 2 * 51 + 4
+    ids_at = 9
 
-    def edited(at, fmt, value):
+    def edited(index, value):
         out = bytearray(blob)
-        struct.pack_into(fmt, out, at, value)
+        struct.pack_into("<H", out, ids_at + 2 * index, value)
         return reseal(bytes(out))
 
-    # 0x40, slices (4, 0), lies between keys 33 and 35 but is no
-    # subspace's key, so a rewrite of key 34 to it keeps the keys ascending
-    assert atlas.keys[33:36].tolist() == [0x3c, 0x3d, 0x48]
-    last_key = struct.unpack_from("<I", blob, ids_at - 4)[0]
+    # subspace 1 is the key 1, the canonical of orbit 1, which has other
+    # subspaces, as has orbit 5 of the last subspace; 7 is the last id
+    assert atlas.assignment[[0, 1, 50]].tolist() == [0, 1, 5]
+    assert (atlas.assignment == 1).sum() > 1 and (atlas.assignment == 5).sum() > 1
+    assert atlas.orbit_count == 7
     cases = [
-        (edited(10, "<I", 50), "lists 50 subspaces"),
-        (edited(keys_at + 4, "<I", last_key + 1), "keys are not the subspaces"),
-        (edited(keys_at + 4 * 34, "<I", 0x40), "keys are not the subspaces"),
-        (edited(ids_at + 2 * 50, "<H", 8), "orbit id past"),
-        (edited(ids_at + 2 * 50, "<H", 1), "sizes disagree"),
+        (edited(0, 1), "orbit id 1 at the zero subspace"),
+        (edited(1, 2), "do not ascend with their least keys"),
+        (edited(50, 9), "orbit ids skip 8"),
     ]
     for bad, message in cases:
         (tmp_path / "k.snap").write_bytes(bad)
@@ -653,16 +609,9 @@ def test_snapshot_shape_check(tmp_path, engine):
 def _buffered_writer_bytes(atlas):
     # the snapshot layout written field by field, the byte-layout oracle
     buf = io.BytesIO()
-    buf.write(b"F2OA" + bytes([2, atlas.shape.n]) + bytes(atlas.shape.dims))
-    buf.write(bytes([2]))
-    buf.write(struct.pack("<I", atlas.keys.size))
-    for key in atlas.keys.tolist():
-        buf.write(struct.pack("<I", key))
+    buf.write(b"F2OA" + bytes([3, atlas.shape.n]) + bytes(atlas.shape.dims))
     for oid in atlas.assignment.tolist():
         buf.write(struct.pack("<H", oid))
-    buf.write(struct.pack("<I", atlas.orbit_count))
-    for canonical, size in zip(atlas.canonicals[1:].tolist(), atlas.sizes[1:].tolist()):
-        buf.write(struct.pack("<IQ", canonical, size))
     buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
     return buf.getvalue()
 

@@ -77,6 +77,9 @@ def test_benchmark_layer_pass_large(tmp_path):
     out = run_layer_pass(tmp_path, "3x2x2x2", "large")
     assert out["problems"] == []
     assert out["counts"]["orbits.large_orbits"] == 212
+    # a snapshot is the header, 2 bytes per subspace and the CRC, so
+    # orbits.snapshot_mb follows the format
+    assert out["snapshot_bytes"] == 10 + 2 * 108_206 + 4
 
 
 def test_benchmark_selfcheck_passes():
