@@ -6,15 +6,21 @@ one mode applies the stored linear map to that mode's coordinate vectors:
 x'[i] = sum_j x[j] * rows[j][i] over GF(2), a row vector times the matrix.
 Under this convention apply(a @ b, c) == apply(b, apply(a, c)).
 
-Every mode action (and mode permutation) compiles to a list of (shift,
-mask) terms: new_code = XOR over terms of a masked, shifted copy of the
-old code.  Actions on different modes commute, so a Composite, one matrix
-per mode, fuses into a single such map.  A compiled map is linear on the
-N bits of a code, so the array path needs no terms: two lookup tables
-hold the images of every low half (ceil(N/2) bits) and every high half,
-and apply_array(codes) = lo[codes & lo_mask] ^ hi[codes >> lo_bits], at
-the same cost for any map.  Every compiled map is a bijection on codes,
-so images of duplicate-free frontiers stay duplicate-free.
+Every action is built one way, from the images of basis tensors:
+(g1, ..., gn) sends the tensor with one 1 at subscripts (j1, ..., jn) to
+the outer product of row j1 of g1, ..., row jn of gn (basis_images,
+through tensor.simple_code), and linearity gives the rest.
+compile_composite turns the N images into a CodeMap of (shift, mask)
+terms: new_code = XOR over terms of a masked, shifted copy of the old
+code.  A mode action is the composite with the identity elsewhere, and a
+mode permutation moves basis tensors to basis tensors.
+slices.slice_maps takes the images of the M bits of one slice only.  A
+compiled map is linear, so the array path needs no terms: two lookup
+tables hold the images of every low half (ceil(N/2) bits) and every
+high half, and apply_array(codes) = lo[codes & lo_mask] ^ hi[codes >>
+lo_bits], at the same cost for any map.  Every compiled map is a
+bijection on codes, so images of duplicate-free frontiers stay
+duplicate-free.
 
 Enumeration stores one permutation of the slice-space subspaces per
 generator and does one gather per subspace per generator (orbits.py),
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Shape, coord_masks, index_of, position_of, transpose
+from .tensor import Shape, simple_code, transpose
 
 
 # ---- matrices over GF(2) ----
@@ -248,45 +254,34 @@ class CodeMap:
         return lo[codes & lo_mask] ^ hi[codes >> lo_bits]
 
 
+def basis_images(dims, matrices) -> list[int]:
+    """images[b] = the image of code 1 << b under matrices[k - 1] acting on
+    mode k of format dims: the outer product of the rows picked by the
+    subscripts of bit b.  dims may have a single mode."""
+    rows = [m.rows for m in matrices]
+    images = [simple_code(dims, [r[j] for r, j in zip(rows, idx)])
+              for idx in itertools.product(*map(range, dims))]
+    return images[::-1]
+
+
 @functools.lru_cache(maxsize=None)
 def compile_mode_action(shape: Shape, k: int, matrix: GLMatrix) -> CodeMap:
-    """Compile matrix acting on mode k (1-based) to (shift, mask) terms.
-
-    A set entry with subscript j in the acted mode contributes to subscript
-    i whenever M[j][i] = 1; in code weights that is a shift by
-    (j - i) * stride of the mode."""
+    """Compile matrix acting on mode k (1-based): the composite with the
+    identity on every other mode."""
     if not 1 <= k <= shape.n:
         raise ValueError(f"mode {k} out of range for {shape}")
-    d = shape.dims[k - 1]
-    if matrix.d != d:
-        raise ValueError(
-            f"matrix dimension {matrix.d} does not match mode {k} of {shape}")
-    stride = shape.strides[k - 1]
-    masks = coord_masks(shape)[k - 1]
-    terms = {}
-    for j in range(1, d + 1):
-        for i in range(1, d + 1):
-            if matrix.entry(j, i):
-                shift = (j - i) * stride
-                terms[shift] = terms.get(shift, 0) | masks[j - 1]
-    return CodeMap(shape.entry_count, terms.items())
+    matrices = [identity_matrix(d) for d in shape.dims]
+    matrices[k - 1] = matrix
+    return compile_composite(shape, Composite(tuple(matrices)))
 
 
 def compile_composite(shape: Shape, element: Composite) -> CodeMap:
-    """Fuse the per-mode actions of a composite into one CodeMap."""
+    """Compile a composite from the images of the N basis tensors."""
     dims = tuple(m.d for m in element.matrices)
     if dims != shape.dims:
         raise ValueError(f"composite of {'x'.join(map(str, dims))} matrices "
                          f"does not match {shape}")
-    maps = [compile_mode_action(shape, k, m)
-            for k, m in enumerate(element.matrices, start=1)]
-    images = []
-    for p in range(shape.entry_count):
-        img = 1 << p
-        for m in maps:
-            img = m(img)
-        images.append(img)
-    return CodeMap.from_images(shape.entry_count, images)
+    return CodeMap.from_images(shape.entry_count, basis_images(dims, element.matrices))
 
 
 def compile_generators(shape: Shape, composites) -> tuple[CodeMap, ...]:
@@ -296,14 +291,14 @@ def compile_generators(shape: Shape, composites) -> tuple[CodeMap, ...]:
 
 @functools.lru_cache(maxsize=None)
 def transpose_program(shape: Shape, perm: tuple[int, ...]) -> CodeMap:
-    """Compile a dimension-preserving mode permutation to CodeMap form.
-    Agrees with tensor.transpose by construction of the terms."""
+    """Compile a dimension-preserving mode permutation to CodeMap form:
+    source[p] is the position whose entry moves to position p, the
+    subscripts of p permuted as tensor.transpose does."""
     transpose(shape, 0, perm)  # validates the permutation
     n_bits = shape.entry_count
+    source = np.arange(n_bits).reshape(shape.dims).transpose(np.argsort(np.array(perm) - 1))
     images = [0] * n_bits
-    for p in range(n_bits):
-        idx = index_of(shape, p)
-        q = position_of(shape, tuple(idx[s - 1] for s in perm))
+    for p, q in enumerate(source.ravel().tolist()):
         # the entry at position q moves to position p
         images[n_bits - 1 - q] = 1 << (n_bits - 1 - p)
     cm = CodeMap.from_images(n_bits, images)

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import block_permutations, generator_set, transpose_program
+from .group import block_permutations, generator_set, small_group_order, transpose_program
 from .slices import (CHUNK, KEY, level_bounds, max_dim, permutation, slice_bits,
                      slice_maps, span_keys, spanning_codes, subspace_count,
                      subspace_keys, tuple_counts)
@@ -207,8 +207,9 @@ def _atlas(shape: Shape, keys: np.ndarray, assignment: np.ndarray) -> OrbitAtlas
     """The atlas of the ids of every subspace, with the canonicals and
     sizes derived from them: orbit i's canonical is the key where the
     running maximum of the ids steps to i.  ValueError for ids that put a
-    nonzero id at the zero subspace, skip a number, or are out of order,
-    where an id first occurs before a lower one."""
+    nonzero id at the zero subspace, skip a number, are out of order,
+    where an id first occurs before a lower one, or give an orbit whose
+    size does not divide the group order, as every orbit's size does."""
     if assignment[0] != 0:
         raise ValueError(f"orbit id {assignment[0]} at the zero subspace")
     peak = np.maximum.accumulate(assignment)
@@ -218,6 +219,11 @@ def _atlas(shape: Shape, keys: np.ndarray, assignment: np.ndarray) -> OrbitAtlas
         raise ValueError(f"orbit ids skip {sizes.argmin()}")
     if firsts.size != sizes.size - 1:
         raise ValueError("orbit ids do not ascend with their least keys")
+    order = small_group_order(shape)
+    for i, size in enumerate(sizes.tolist()):
+        if order % size:
+            raise ValueError(f"orbit {i} has {size} tensors, which does not "
+                             f"divide the group order {order}")
     assert sizes.sum() == shape.code_bound, "orbit sizes do not cover the space"
     return OrbitAtlas(shape, keys, assignment, keys[np.concatenate(([0], firsts))], sizes)
 

@@ -13,7 +13,7 @@ on chunks of CHUNK items.
 
 import numpy as np
 
-from .group import Composite, compile_composite, generator_set, identity_matrix
+from .group import basis_images, generator_set
 from .tensor import Shape
 
 KEY = np.dtype(np.uint32)
@@ -127,16 +127,15 @@ def subspace_keys(shape: Shape) -> np.ndarray:
 
 
 def slice_maps(shape: Shape) -> list[np.ndarray]:
-    """One uint32 table of 2^M entries per composite: the composite with
-    the identity on mode 1, applied to the codes of the last slice, filled
-    by linearity from the images of its M bits."""
-    eye = identity_matrix(shape.dims[0])
+    """One uint32 table of 2^M entries per composite: its matrices on modes
+    2..n applied to a slice, filled by linearity from the images of the M
+    basis slices."""
     tables = []
     for c in generator_set(shape):
-        image = compile_composite(shape, Composite((eye,) + c.matrices[1:]))
-        table = np.zeros(1 << slice_bits(shape), KEY)
-        for b in range(slice_bits(shape)):
-            table[1 << b:2 << b] = table[:1 << b] ^ image(1 << b)
+        images = basis_images(shape.dims[1:], c.matrices[1:])
+        table = np.zeros(1 << len(images), KEY)
+        for b, image in enumerate(images):
+            table[1 << b:2 << b] = table[:1 << b] ^ image
         tables.append(table)
     return tables
 

@@ -12,12 +12,13 @@ pure; codes are plain Python ints (N <= 27 keeps them inside one 32-bit
 word for the array-based modules).
 """
 
-import functools
 import re
 from dataclasses import dataclass
 
-# Largest supported entry count.  2^27 code tables are the design limit;
-# anything bigger would not fit the array-based enumeration anyway.
+# Largest supported entry count.  No array of 2^N cells is built: the
+# limits are that codes and subspace keys fit a uint32, orbit ids a
+# uint16 and required_bytes the default memory cap, and every format of
+# at most 27 entries meets all three.
 MAX_ENTRIES = 27
 
 _FORMAT_RE = re.compile(r"^\d+(x\d+)+$")
@@ -114,32 +115,27 @@ def get_entry(shape: Shape, code: int, idx) -> int:
 
 # ---- simple tensors ----
 
-@functools.lru_cache(maxsize=None)
-def coord_masks(shape: Shape) -> tuple[tuple[int, ...], ...]:
-    """coord_masks(shape)[k-1][i-1] = mask of all positions with subscript
-    i in mode k."""
-    masks = [[0] * d for d in shape.dims]
-    for p in range(shape.entry_count):
-        w = 1 << (shape.entry_count - 1 - p)
-        for k, i in enumerate(index_of(shape, p)):
-            masks[k][i - 1] |= w
-    return tuple(tuple(m) for m in masks)
+def simple_code(dims, vectors) -> int:
+    """The code of v1 (x) ... (x) vn, where bit i - 1 of vectors[k - 1] is
+    subscript i of mode k.  The last mode varies fastest, subscript 1 of
+    each mode in the higher bits."""
+    code, width = 1, 1
+    for d, v in zip(reversed(dims), reversed(vectors)):
+        inner, code = code, 0
+        for i in range(d):
+            code = code << width | (inner if v >> i & 1 else 0)
+        width *= d
+    return code
 
 
 def enumerate_simple_tensors(shape: Shape) -> list[int]:
     """All rank-1 codes, ascending.  Count is prod(2^dk - 1): distinct
-    tuples of nonzero vectors give distinct outer products over GF(2)."""
-    per_mode = []
-    for k, d in enumerate(shape.dims):
-        masks = coord_masks(shape)[k]
-        mode = []
-        for v in range(1, 1 << d):
-            m = 0
-            for i in range(d):
-                if (v >> i) & 1:
-                    m |= masks[i]
-            mode.append(m)
-        per_mode.append(mode)
+    tuples of nonzero vectors give distinct outer products over GF(2).
+    v1 (x) ... (x) vn is the AND over k of the mask of vk on mode k, the
+    simple code with all-ones vectors on the other modes."""
+    ones = [(1 << d) - 1 for d in shape.dims]
+    per_mode = [[simple_code(shape.dims, ones[:k] + [v] + ones[k + 1:])
+                 for v in range(1, 1 << d)] for k, d in enumerate(shape.dims)]
     codes = set(per_mode[0])
     for mode in per_mode[1:]:
         codes = {c & m for c in codes for m in mode}

@@ -12,6 +12,10 @@ runs on are checked against a set that shares nothing with their layout.
 
 accepted_formats lists every dims tuple Shape accepts, in every mode
 order.
+
+reference_apply is the one reference for the group action: it applies a
+composite from the definition, one entry at a time, and shares no code
+with group.py or slices.py.
 """
 
 import pytest
@@ -20,7 +24,7 @@ from f2orbits.group import Composite, gl_generators, identity_matrix
 from f2orbits.orbits import enumerate_orbits, merge_large_orbits
 from f2orbits.ranks import large_orbit_ranks, propagate_ranks, rank_distribution
 from f2orbits.report import summarize
-from f2orbits.tensor import MAX_ENTRIES, parse_shape
+from f2orbits.tensor import MAX_ENTRIES, index_of, parse_shape
 
 
 class Engine:
@@ -65,10 +69,30 @@ def engine():
     return Engine()
 
 
+def reference_apply(shape, composite, code):
+    """The image of code under composite, mode by mode: acting on mode k,
+    the entry at subscripts idx becomes the sum over j of M[j][idx_k]
+    times the entry at idx with subscript j in mode k."""
+    n = shape.entry_count
+    indices = [index_of(shape, p) for p in range(n)]
+    entry = {idx: (code >> (n - 1 - p)) & 1 for p, idx in enumerate(indices)}
+    for k, mat in enumerate(composite.matrices):
+        entry = {idx: sum(mat.entry(j, idx[k]) & entry[idx[:k] + (j,) + idx[k + 1:]]
+                          for j in range(1, mat.d + 1)) & 1
+                 for idx in indices}
+    return sum(entry[idx] << (n - 1 - p) for p, idx in enumerate(indices))
+
+
+def on_mode(shape, k, matrix):
+    """The composite with matrix on mode k (1-based), the identity elsewhere."""
+    matrices = [identity_matrix(d) for d in shape.dims]
+    matrices[k - 1] = matrix
+    return Composite(tuple(matrices))
+
+
 def _per_mode_generators(shape):
-    eye = tuple(identity_matrix(d) for d in shape.dims)
-    return tuple(Composite(eye[:k] + (m,) + eye[k + 1:])
-                 for k, d in enumerate(shape.dims) for m in gl_generators(d))
+    return tuple(on_mode(shape, k, m)
+                 for k, d in enumerate(shape.dims, start=1) for m in gl_generators(d))
 
 
 @pytest.fixture(scope="session")

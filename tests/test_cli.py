@@ -186,6 +186,22 @@ def test_snapshot_bad_ids_refused(capsys, tmp_path):
     assert "orbit id 1 at the zero subspace" in err
 
 
+def test_snapshot_split_orbit_refused(capsys, tmp_path):
+    # the last of the 51 subspace ids moved to a new orbit 8 and resealed:
+    # the ids ascend and skip nothing, but orbit 5 keeps 48 tensors, and
+    # 48 does not divide the group order 216
+    snap = tmp_path / "a.snap"
+    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
+    blob = bytearray(snap.read_bytes())
+    assert blob[-6:-4] == (5).to_bytes(2, "little")
+    blob[-6:-4] = (8).to_bytes(2, "little")
+    blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
+    snap.write_bytes(bytes(blob))
+    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
+    assert code == 1 and out == ""
+    assert "orbit 5 has 48 tensors, which does not divide the group order 216" in err
+
+
 def test_cell_width_option_is_gone(capsys):
     # cells are always 2 bytes, so no subcommand offers a width
     for command in ("classify", "verify", "conjecture", "show-orbit"):

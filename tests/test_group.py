@@ -1,8 +1,8 @@
 """Matrix group machinery and compiled mode actions.
 
-The compiled shift/mask programs are checked against reference_apply,
-which reapplies the definition one entry at a time and shares no code
-with the compiler.
+The compiled maps are checked against conftest.reference_apply, which
+reapplies the definition one entry at a time and shares no code with
+basis_images or tensor.simple_code.
 
 test_generator_set_generates_small_group proves, with sympy's
 Schreier-Sims order computation, that generator_set generates the whole
@@ -30,6 +30,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import on_mode, reference_apply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,24 +40,7 @@ from f2orbits.group import (CodeMap, Composite, GLMatrix, block_permutations,
                             equal_dim_blocks, generator_set, gl_generators,
                             group_order, identity_matrix, large_group_order,
                             small_group_order, transpose_program)
-from f2orbits.tensor import Shape, get_entry, index_of, transpose
-
-
-def reference_apply(shape, mode, mat, code):
-    # definition-level reimplementation: substitute in one direction,
-    # entry by entry
-    k = mode - 1
-    d = shape.dims[k]
-    out = 0
-    for p in range(shape.entry_count):
-        idx = index_of(shape, p)
-        bit = 0
-        for j in range(1, d + 1):
-            src = idx[:k] + (j,) + idx[k + 1:]
-            bit ^= mat.entry(j, idx[k]) & get_entry(shape, code, src)
-        if bit:
-            out |= 1 << (shape.entry_count - 1 - p)
-    return out
+from f2orbits.tensor import Shape, transpose
 
 
 def random_gl(d, rng, steps=12):
@@ -227,14 +211,11 @@ def test_compiled_matches_reference_on_generators(per_mode_generators):
             for m in gl_generators(d):
                 prog = compile_mode_action(s, k, m)
                 for code in sample:
-                    assert prog(code) == reference_apply(s, k, m, code)
+                    assert prog(code) == reference_apply(s, on_mode(s, k, m), code)
         for comp in generator_set(s) + per_mode_generators(s):
             prog = compile_composite(s, comp)
             for code in sample:
-                want = code
-                for k, m in enumerate(comp.matrices, start=1):
-                    want = reference_apply(s, k, m, want)
-                assert prog(code) == want
+                assert prog(code) == reference_apply(s, comp, code)
 
 
 def test_compiled_matches_reference_on_random_matrices():
@@ -247,7 +228,7 @@ def test_compiled_matches_reference_on_random_matrices():
             prog = compile_mode_action(s, mode, m)
             for _ in range(50):
                 code = rng.randrange(s.code_bound)
-                assert prog(code) == reference_apply(s, mode, m, code)
+                assert prog(code) == reference_apply(s, on_mode(s, mode, m), code)
 
 
 def test_action_composition_law():

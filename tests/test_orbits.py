@@ -14,6 +14,7 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import reference_apply
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from table_oracle import table_orbits
@@ -27,24 +28,7 @@ from f2orbits.orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits,
 from f2orbits.report import NoReferenceError, load_reference
 from f2orbits.slices import permutation, slice_maps, subspace_keys, tuple_counts
 from f2orbits.spin import SENTINEL, _least_linked, _spin_batch
-from f2orbits.tensor import Shape, get_entry, index_of, parse_shape
-
-
-def reference_apply(shape, composite, code):
-    # per-entry oracle, shared logic with nothing in the compiled path:
-    # substitute along each mode in turn
-    for k, mat in enumerate(composite.matrices):
-        out = 0
-        for p in range(shape.entry_count):
-            idx = index_of(shape, p)
-            bit = 0
-            for j in range(1, shape.dims[k] + 1):
-                src = idx[:k] + (j,) + idx[k + 1:]
-                bit ^= mat.entry(j, idx[k]) & get_entry(shape, code, src)
-            if bit:
-                out |= 1 << (shape.entry_count - 1 - p)
-        code = out
-    return code
+from f2orbits.tensor import Shape, parse_shape
 
 
 def python_spin(shape, start, composites):
@@ -571,6 +555,9 @@ def test_snapshot_rejects_inconsistent_subspaces(tmp_path, engine):
         (edited(0, 1), "orbit id 1 at the zero subspace"),
         (edited(1, 2), "do not ascend with their least keys"),
         (edited(50, 9), "orbit ids skip 8"),
+        # ids that load in order can still split an orbit: moving the last
+        # subspace to a new orbit 8 leaves orbit 5 with 54 - 6 tensors
+        (edited(50, 8), "orbit 5 has 48 tensors, which does not divide the group order 216"),
     ]
     for bad, message in cases:
         (tmp_path / "k.snap").write_bytes(bad)

@@ -1,15 +1,18 @@
 """The slice kernels against oracles that share no code with them.
 
 reduce_rows is checked item by item against a pure-Python reduced row
-echelon form, and every permutation of every accepted format with at
+echelon form, the slice maps against conftest.reference_apply on every
+accepted format, and every permutation of every accepted format with at
 most 2^17 subspaces is checked to be a bijection that sends each key to
 the span of its mapped rows.
 """
 
 import numpy as np
+from conftest import reference_apply
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from f2orbits.group import Composite, generator_set, identity_matrix
 from f2orbits.slices import (KEY, lead_table, permutation, reduce_rows, slice_bits,
                              slice_maps, span_keys, subspace_count, subspace_keys)
 from f2orbits.tensor import Shape
@@ -86,3 +89,24 @@ def test_permutations_are_bijections_onto_the_mapped_spans(accepted_formats):
             assert np.array_equal(keys[perm], image), dims
         checked += 1
     assert checked == 55
+
+
+def test_slice_maps_match_the_definition(accepted_formats):
+    # each table is the composite with the identity on mode 1, acting on
+    # the last slice: its M basis codes against the per-entry reference,
+    # and every other entry by linearity, on a fixed sample of pairs
+    rng = np.random.default_rng(31)
+    for dims in accepted_formats:
+        s = Shape(dims)
+        m = slice_bits(s)
+        tables = slice_maps(s)
+        composites = generator_set(s)
+        assert len(tables) == len(composites), dims
+        x, y = rng.integers(0, 1 << m, size=(2, 256))
+        for table, c in zip(tables, composites):
+            assert table.dtype == KEY and table.size == 1 << m, dims
+            action = Composite((identity_matrix(dims[0]),) + c.matrices[1:])
+            assert [int(table[1 << b]) for b in range(m)] == \
+                [reference_apply(s, action, 1 << b) for b in range(m)], dims
+            assert np.array_equal(table[x ^ y], table[x] ^ table[y]), dims
+    assert len(accepted_formats) == 70

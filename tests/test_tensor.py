@@ -1,10 +1,12 @@
 """Encoding, indexing, simple tensors, transposition."""
 
+import random
+
 import pytest
 
-from f2orbits.tensor import (MAX_ENTRIES, Shape, coord_masks,
-                             enumerate_simple_tensors, get_entry, index_of,
-                             parse_shape, position_of, transpose)
+from f2orbits.tensor import (MAX_ENTRIES, Shape, enumerate_simple_tensors,
+                             get_entry, index_of, parse_shape, position_of,
+                             simple_code, transpose)
 
 
 def single_entry(shape, idx):
@@ -81,18 +83,22 @@ def test_entry_msb_is_all_ones_subscript():
     assert get_entry(s, 1, (2, 2, 2)) == 1
 
 
-def test_coord_masks_partition_positions():
-    for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 3)):
+def test_simple_code_entries():
+    # entry (i1, ..., in) of v1 (x) ... (x) vn is the product of bit
+    # i_k - 1 of every v_k; a single mode's code is its vector read from
+    # subscript 1 down
+    rng = random.Random(5)
+    for dims in ((2, 3, 2), (3, 9), (2, 2, 2, 2), (4, 3, 2)):
         s = Shape(dims)
-        full = (1 << s.entry_count) - 1
-        for k in range(s.n):
-            masks = coord_masks(s)[k]
-            assert len(masks) == dims[k]
-            union = 0
-            for m in masks:
-                assert union & m == 0
-                union |= m
-            assert union == full
+        for _ in range(20):
+            vectors = [rng.randrange(1 << d) for d in dims]
+            code = simple_code(dims, vectors)
+            for p in range(s.entry_count):
+                idx = index_of(s, p)
+                want = all((v >> (i - 1)) & 1 for v, i in zip(vectors, idx))
+                assert get_entry(s, code, idx) == want
+    assert simple_code((5,), [0b00110]) == 0b01100
+    assert simple_code((2, 2), [0, 3]) == 0
 
 
 def test_simple_tensor_single_entry():

@@ -1,7 +1,8 @@
-"""Repository checks: the orbit table stays behind orbits.py, classify
-does not import numpy.ma, the public names and the README's Library
-example match the package, the benchmark's layer pass still runs
-against the package, and the benchmark's self-check passes.
+"""Repository checks: the orbit table stays behind orbits.py, slices.py
+builds no N-bit map, classify does not import numpy.ma, the public names
+and the README's Library example match the package, the benchmark's
+layer pass still runs against the package, and the benchmark's
+self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -10,6 +11,7 @@ smallest format and on 3x2x2x2 large so a change to that API shows up
 here.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -34,6 +36,17 @@ def test_orbit_table_stays_in_orbits():
     # outside orbits.py, orbit ids are read through OrbitAtlas.orbit_id
     for name in ("ranks.py", "report.py", "cli.py"):
         assert "assignment" not in (ROOT / "src" / "f2orbits" / name).read_text(), name
+
+
+def test_slices_builds_no_code_map():
+    # the slice maps come from the images of the M basis slices, so
+    # enumeration compiles no map over all N bits of a code
+    tree = ast.parse((ROOT / "src" / "f2orbits" / "slices.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported, "no imports found"
+    forbidden = {"CodeMap", "compile_composite", "compile_mode_action", "compile_generators"}
+    assert imported & forbidden == set()
 
 
 def test_classify_does_not_import_numpy_ma():
