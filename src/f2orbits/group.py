@@ -6,27 +6,29 @@ one mode applies the stored linear map to that mode's coordinate vectors:
 x'[i] = sum_j x[j] * rows[j][i] over GF(2), a row vector times the matrix.
 Under this convention apply(a @ b, c) == apply(b, apply(a, c)).
 
-Every action is built one way, from the images of basis tensors:
+Every group action is built one way, from the images of basis tensors:
 (g1, ..., gn) sends the tensor with one 1 at subscripts (j1, ..., jn) to
 the outer product of row j1 of g1, ..., row jn of gn (basis_images,
 through tensor.simple_code), and linearity gives the rest.
+slices.slice_maps takes the images of the M bits of one slice only.  A
+mode permutation moves entries to entries, so transpose_codes applies
+it to an array of codes as one gather of their bits.
+
 compile_composite turns the N images into a CodeMap of (shift, mask)
 terms: new_code = XOR over terms of a masked, shifted copy of the old
-code.  A mode action is the composite with the identity elsewhere, and a
-mode permutation moves basis tensors to basis tensors.
-slices.slice_maps takes the images of the M bits of one slice only.  A
-compiled map is linear, so the array path needs no terms: two lookup
-tables hold the images of every low half (ceil(N/2) bits) and every
-high half, and apply_array(codes) = lo[codes & lo_mask] ^ hi[codes >>
-lo_bits], at the same cost for any map.  Every compiled map is a
-bijection on codes, so images of duplicate-free frontiers stay
-duplicate-free.
+code, and a mode action is the composite with the identity elsewhere.
+No classify path compiles a CodeMap; benchmark/layers.py and the table
+oracle in tests/ do.  A compiled map is linear, so the array path needs
+no terms: two lookup tables hold the images of every low half
+(ceil(N/2) bits) and every high half, and apply_array(codes) =
+lo[codes & lo_mask] ^ hi[codes >> lo_bits], at the same cost for any
+map.
 
 Enumeration stores one permutation of the slice-space subspaces per
-generator and does one gather per subspace per generator (orbits.py),
-so the default generator set is as small as the group allows: m =
-max(2, number of modes of dimension 2) composites, not the 2n per-mode
-generators.  For d >= 3, GL(d, 2) is simple and nonabelian, and a
+generator (slices.py) and does one gather per subspace per generator
+(spin.py), so the default generator set is as small as the group
+allows: m = max(2, number of modes of dimension 2) composites, not the
+2n per-mode generators.  For d >= 3, GL(d, 2) is simple and nonabelian, and a
 direct product of such groups is generated by two elements that carry
 one generating pair per factor, as long as no automorphism carries one
 factor's pair to another's (P. Hall, "The Eulerian functions of a
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Shape, simple_code, transpose
+from .tensor import Shape, simple_code
 
 
 # ---- matrices over GF(2) ----
@@ -150,11 +152,7 @@ def equal_dim_blocks(shape: Shape) -> tuple[tuple[int, ...], ...]:
 
 def large_group_order(shape: Shape) -> int:
     """Small group extended by all permutations of equal-dimension modes."""
-    out = small_group_order(shape)
-    for block in equal_dim_blocks(shape):
-        for i in range(2, len(block) + 1):
-            out *= i
-    return out
+    return small_group_order(shape) * len(block_permutations(shape))
 
 
 def block_permutations(shape: Shape) -> list[tuple[int, ...]]:
@@ -170,6 +168,20 @@ def block_permutations(shape: Shape) -> list[tuple[int, ...]]:
         perms.append(tuple(sigma))
     perms.sort(key=lambda s: s != tuple(range(1, shape.n + 1)))
     return perms
+
+
+def transpose_codes(shape: Shape, codes: np.ndarray, perms) -> np.ndarray:
+    """out[..., j] = tensor.transpose(shape, codes, perms[j]) for an
+    integer array of codes and dimension-preserving mode permutations,
+    as uint32, by one gather of the codes' bits: source[p] is the
+    position whose entry moves to position p."""
+    n = shape.entry_count
+    positions = np.arange(n).reshape(shape.dims)
+    sources = np.array([positions.transpose(np.argsort(np.array(perm) - 1)).ravel()
+                        for perm in perms])
+    weights = np.uint32(1) << np.arange(n - 1, -1, -1, dtype=np.uint32)
+    bits = (np.asarray(codes)[..., None] & weights) != 0
+    return (bits[..., sources] * weights).sum(axis=-1, dtype=np.uint32)
 
 
 # ---- actions ----
@@ -287,22 +299,3 @@ def compile_composite(shape: Shape, element: Composite) -> CodeMap:
 def compile_generators(shape: Shape, composites) -> tuple[CodeMap, ...]:
     """One fused CodeMap per composite, in order."""
     return tuple(compile_composite(shape, c) for c in composites)
-
-
-@functools.lru_cache(maxsize=None)
-def transpose_program(shape: Shape, perm: tuple[int, ...]) -> CodeMap:
-    """Compile a dimension-preserving mode permutation to CodeMap form:
-    source[p] is the position whose entry moves to position p, the
-    subscripts of p permuted as tensor.transpose does."""
-    transpose(shape, 0, perm)  # validates the permutation
-    n_bits = shape.entry_count
-    source = np.arange(n_bits).reshape(shape.dims).transpose(np.argsort(np.array(perm) - 1))
-    images = [0] * n_bits
-    for p, q in enumerate(source.ravel().tolist()):
-        # the entry at position q moves to position p
-        images[n_bits - 1 - q] = 1 << (n_bits - 1 - p)
-    cm = CodeMap.from_images(n_bits, images)
-    # cheap sanity: must agree with the reference implementation somewhere
-    probe = (1 << (n_bits - 1)) | 1
-    assert cm(probe) == transpose(shape, probe, perm)
-    return cm

@@ -39,9 +39,10 @@ k-space plus a row whose pivot lies below every earlier pivot and is
 clear in every earlier row, with its lower bits free.  For each
 composite of group.generator_set, its slice map (the composite with the
 identity on mode 1, applied to the 2^M codes of the last slice) gives
-one uint32 permutation of the subspaces: map the rows of every key,
-reduce them, pack, and look the images up in ascending order.  The
-projections of generators of G generate G'.  spin.py then marks one
+one uint32 permutation of the subspaces: map the rows of every key and
+look their span up with slices.span_index, which reduces and packs the
+rows and probes the keys in ascending order.  The projections of
+generators of G generate G'.  spin.py then marks one
 uint16 orbit id per subspace, many orbits per pass: a batch takes the
 next unassigned keys of one dimension in ascending order as its starts,
 spreads them all breadth first, and makes each class of starts that meet
@@ -55,10 +56,13 @@ always suffice: no format up to MAX_ENTRIES entries has more than 696
 nonzero orbits (tests/test_orbits.py::test_orbit_counts_fit_the_cell
 sweeps them all).
 
-The keys and the ids are the atlas: orbit_id(code) reduces the code's
-slices to a key and looks it up.  Every per-subspace array has S cells,
-S the subspace count, which required_bytes takes from Gaussian binomials;
-no array of 2^N cells is built.
+The keys and the ids are the atlas: orbit_id(code) looks the span of
+the code's slices up with the same span_index.  merge_large_orbits
+permutes the modes of every canonical with group.transpose_codes, one
+gather of their bits, and reads the images' ids through orbit_id.
+Every per-subspace array has S cells, S the subspace count, which
+required_bytes takes from Gaussian binomials; no array of 2^N cells is
+built.
 
 Of the atlas, only the ids are costly to recompute: the keys depend on
 the format alone, and since the ids ascend with the canonical form, id i
@@ -76,10 +80,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import block_permutations, generator_set, small_group_order, transpose_program
-from .slices import (CHUNK, KEY, level_bounds, max_dim, permutation, slice_bits,
-                     slice_maps, span_keys, spanning_codes, subspace_count,
-                     subspace_keys, tuple_counts)
+from .group import block_permutations, generator_set, small_group_order, transpose_codes
+from .slices import (CHUNK, KEY, lead_table, level_bounds, max_dim, permutation,
+                     slice_bits, slice_maps, span_index, spanning_codes, subspace_count,
+                     subspace_keys, tuple_counts, unpack)
 from .spin import BATCH_MAX, CELL, spin
 from .tensor import Shape
 
@@ -104,9 +108,10 @@ def required_bytes(shape: Shape) -> int:
     """Peak bytes enumerate_orbits allocates, from the Gaussian binomials:
     per subspace a key, an id, a queue cell and one uint32 permutation
     per composite; the m slice maps and the lead table, 2^M uint32 each;
-    one chunk of permutation reducing k rows, 24 + 13 k bytes per item:
-    rows, basis, a uint32 and a bool temporary per row, two tops, a
-    pivot, and the last chunk's images and int64 order; and the spin's
+    one chunk of permutation reducing k rows, at most 24 + 13 k bytes per
+    item: while reducing, the rows, the basis, a uint32 and a bool
+    temporary per row, two tops and a pivot; while probing, the rows, the
+    images, a sorted copy and two int64 arrays; and the spin's
     link mask between the at most min(S, 256) starts of a batch, with one
     temporary of its size (tests/test_orbits.py checks the peak with
     tracemalloc).  load_atlas checks the same figure."""
@@ -146,18 +151,19 @@ class OrbitAtlas:
 
     def orbit_id(self, codes):
         """The orbit id of an int code, or an array of ids for an integer
-        array of codes.  ValueError if any code is out of range.  Each
-        chunk's span keys probe the keys in ascending order."""
+        array of codes.  ValueError if any code is out of range."""
         codes = np.asarray(codes)
         bad = (codes < 0) | (codes >= self.shape.code_bound)
         if bad.any():
             raise ValueError(f"code {codes[bad].flat[0]} out of range for {self.shape}")
         flat = codes.reshape(-1)
+        d1, m = self.shape.dims[0], slice_bits(self.shape)
+        lead = lead_table(m)
         ids = np.empty(flat.size, CELL)
         for lo in range(0, flat.size, CHUNK):
-            probes = span_keys(self.shape, flat[lo:lo + CHUNK])
-            order = np.argsort(probes)
-            ids[lo:lo + CHUNK][order] = self.assignment[np.searchsorted(self.keys, probes[order])]
+            rows = unpack(flat[lo:lo + CHUNK].astype(KEY), m, d1)
+            index = span_index(self.shape, self.keys, rows, lead)
+            ids[lo:lo + CHUNK] = self.assignment[index]
         ids = ids.reshape(codes.shape)
         return int(ids) if codes.ndim == 0 else ids
 
@@ -190,12 +196,11 @@ class OrbitAtlas:
 
 # ---- enumeration ----
 
-def _orbit_sizes(shape: Shape, keys: np.ndarray, assignment: np.ndarray,
-                 count: int) -> np.ndarray:
+def _orbit_sizes(shape: Shape, assignment: np.ndarray, count: int) -> np.ndarray:
     """sizes[id] = the sum of t(dim U) over the subspaces U of orbit id;
-    the k-spaces are counted by chunk so that neither the keys nor the
-    ids are cast whole."""
-    bounds = level_bounds(shape, keys)
+    the k-spaces are counted by chunk so that the ids are not cast
+    whole."""
+    bounds = level_bounds(shape)
     sizes = np.zeros(count, np.int64)
     for t, lo, hi in zip(tuple_counts(shape), bounds[:-1], bounds[1:]):
         for at in range(lo, hi, CHUNK):
@@ -214,7 +219,7 @@ def _atlas(shape: Shape, keys: np.ndarray, assignment: np.ndarray) -> OrbitAtlas
         raise ValueError(f"orbit id {assignment[0]} at the zero subspace")
     peak = np.maximum.accumulate(assignment)
     firsts = np.flatnonzero(peak[1:] != peak[:-1]) + 1
-    sizes = _orbit_sizes(shape, keys, assignment, int(peak[-1]) + 1)
+    sizes = _orbit_sizes(shape, assignment, int(peak[-1]) + 1)
     if not sizes.all():
         raise ValueError(f"orbit ids skip {sizes.argmin()}")
     if firsts.size != sizes.size - 1:
@@ -241,7 +246,7 @@ def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
     _check_cap(shape, mem_cap)
     keys = subspace_keys(shape)
     perms = [permutation(shape, keys, table) for table in slice_maps(shape)]
-    assignment = spin(perms, level_bounds(shape, keys))
+    assignment = spin(perms, level_bounds(shape))
     del perms
     return _atlas(shape, keys, assignment)
 
@@ -278,9 +283,8 @@ def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
     canonical code, so that minimum holds the large orbit's canonical, and
     ranking the minima numbers the large orbits in canonical order.  The
     zero orbit is its own minimum, so it stays large id 0."""
-    least = np.minimum.reduce([
-        atlas.orbit_id(transpose_program(shape, sigma).apply_array(atlas.canonicals))
-        for sigma in block_permutations(shape)])
+    images = transpose_codes(shape, atlas.canonicals, block_permutations(shape))
+    least = atlas.orbit_id(images).min(axis=1)
     roots, grouping = np.unique(least, return_inverse=True)
     sizes = np.zeros(roots.size, dtype=np.int64)
     np.add.at(sizes, grouping, atlas.sizes)

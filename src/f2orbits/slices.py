@@ -11,6 +11,8 @@ slices span its subspace.  Every pass over many subspaces or codes works
 on chunks of CHUNK items.
 """
 
+import itertools
+
 import numpy as np
 
 from .group import basis_images, generator_set
@@ -30,14 +32,6 @@ def max_dim(shape: Shape) -> int:
     return min(shape.dims[0], slice_bits(shape))
 
 
-def level_bounds(shape: Shape, keys: np.ndarray) -> list[int]:
-    """bounds[k]:bounds[k+1] indexes the keys of the k-spaces, which lie in
-    [2^((k-1)M), 2^(kM)), for k = 0..min(d1, M)."""
-    m = slice_bits(shape)
-    edges = [0] + [1 << (k * m) for k in range(max_dim(shape) + 1)]
-    return np.searchsorted(keys, np.array(edges, KEY)).tolist()
-
-
 def gaussian_binomial(m: int, k: int) -> int:
     """The number of k-dimensional subspaces of F2^m."""
     num = den = 1
@@ -47,10 +41,18 @@ def gaussian_binomial(m: int, k: int) -> int:
     return num // den
 
 
+def level_bounds(shape: Shape) -> list[int]:
+    """bounds[k]:bounds[k+1] indexes the keys of the k-spaces, for k =
+    0..min(d1, M): the levels ascend, and level k holds the Gaussian
+    binomial [M, k] keys."""
+    m = slice_bits(shape)
+    return list(itertools.accumulate(
+        (gaussian_binomial(m, k) for k in range(max_dim(shape) + 1)), initial=0))
+
+
 def subspace_count(shape: Shape) -> int:
     """S, the number of subspaces of F2^M of dimension at most min(d1, M)."""
-    m = slice_bits(shape)
-    return sum(gaussian_binomial(m, k) for k in range(max_dim(shape) + 1))
+    return level_bounds(shape)[-1]
 
 
 def tuple_counts(shape: Shape) -> list[int]:
@@ -140,29 +142,27 @@ def slice_maps(shape: Shape) -> list[np.ndarray]:
     return tables
 
 
+def span_index(shape: Shape, keys: np.ndarray, rows: np.ndarray,
+               lead: np.ndarray) -> np.ndarray:
+    """The index in keys of the span of each column of rows, a (w, n)
+    uint32 array of slices, as uint32: the spans are reduced and packed,
+    then probe the keys in ascending order.  rows is overwritten."""
+    image = pack(reduce_rows(rows, max_dim(shape), lead), slice_bits(shape))
+    order = np.argsort(image)
+    image[order] = np.searchsorted(keys, image[order])
+    return image
+
+
 def permutation(shape: Shape, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     """perm[i] = the index in keys of the image of subspace i under the
-    slice map table; each chunk probes the keys in ascending order."""
+    slice map table."""
     m, k = slice_bits(shape), max_dim(shape)
     lead = lead_table(m)
     perm = np.empty(keys.size, KEY)
     for lo in range(0, keys.size, CHUNK):
-        image = pack(reduce_rows(table[unpack(keys[lo:lo + CHUNK], m, k)], k, lead), m)
-        order = np.argsort(image)
-        perm[lo:lo + CHUNK][order] = np.searchsorted(keys, image[order])
+        rows = table[unpack(keys[lo:lo + CHUNK], m, k)]
+        perm[lo:lo + CHUNK] = span_index(shape, keys, rows, lead)
     return perm
-
-
-def span_keys(shape: Shape, codes: np.ndarray) -> np.ndarray:
-    """The key of the span of each code's slices, for a flat array of
-    in-range codes."""
-    d1, m, k = shape.dims[0], slice_bits(shape), max_dim(shape)
-    lead = lead_table(m)
-    out = np.empty(codes.size, KEY)
-    for lo in range(0, codes.size, CHUNK):
-        rows = unpack(codes[lo:lo + CHUNK].astype(KEY), m, d1)
-        out[lo:lo + CHUNK] = pack(reduce_rows(rows, k, lead), m)
-    return out
 
 
 def spanning_codes(shape: Shape, keys: np.ndarray, k: int) -> np.ndarray:

@@ -4,17 +4,17 @@ It shares nothing with the slice-span engine in f2orbits.orbits but the
 compiled generators: one uint16 cell per code, spun breadth first from
 each unassigned code in ascending order under compiled CodeMaps.  Any
 programs may be passed, for example identity-only generators, or the
-per-mode generators plus the mode-permutation programs to enumerate the
-large group directly.  Formats of at most 2^18 codes only, which takes
-in 3x3x2.
+per-mode generators plus the transpose_map of each mode permutation to
+enumerate the large group directly.  Formats of at most 2^18 codes
+only, which takes in 3x3x2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from f2orbits.group import compile_generators, generator_set
-from f2orbits.tensor import Shape
+from f2orbits.group import CodeMap, compile_generators, generator_set
+from f2orbits.tensor import Shape, transpose
 
 MAX_CODES = 1 << 18
 _SENTINEL = 0xFFFF
@@ -40,6 +40,13 @@ class TableAtlas:
             raise ValueError(f"code {codes[bad].flat[0]} out of range for {self.shape}")
         ids = self.assignment[codes]
         return int(ids) if codes.ndim == 0 else ids
+
+
+def transpose_map(shape: Shape, perm) -> CodeMap:
+    """The CodeMap of a mode permutation, from tensor.transpose of the N
+    basis codes."""
+    n = shape.entry_count
+    return CodeMap.from_images(n, [transpose(shape, 1 << b, perm) for b in range(n)])
 
 
 def table_orbits(shape: Shape, programs=None) -> TableAtlas:

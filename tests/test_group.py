@@ -33,13 +33,14 @@ import pytest
 from conftest import on_mode, reference_apply
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from table_oracle import transpose_map
 
 from f2orbits.group import (CodeMap, Composite, GLMatrix, block_permutations,
                             compile_composite,
                             compile_generators, compile_mode_action,
                             equal_dim_blocks, generator_set, gl_generators,
                             group_order, identity_matrix, large_group_order,
-                            small_group_order, transpose_program)
+                            small_group_order, transpose_codes)
 from f2orbits.tensor import Shape, transpose
 
 
@@ -294,7 +295,7 @@ def test_apply_array_matches_scalar(per_mode_generators):
             rng.integers(0, s.code_bound, size=300, dtype=np.uint32)])
         progs = list(compile_generators(s, generator_set(s)))
         progs += compile_generators(s, per_mode_generators(s))
-        progs += [transpose_program(s, p) for p in block_permutations(s)]
+        progs += [transpose_map(s, p) for p in block_permutations(s)]
         for prog in progs:
             assert prog.apply_array(codes).tolist() == [prog(int(c)) for c in codes]
 
@@ -343,23 +344,24 @@ def test_compile_rejects_mismatched_action():
         compile_composite(s, Composite((i2, i2, i3)))
 
 
-def test_transpose_program_matches_transpose():
-    rng = random.Random(23)
-    cases = [((2, 2, 2), (2, 3, 1)), ((2, 2, 2), (3, 2, 1)),
-             ((3, 2, 2), (1, 3, 2)), ((2, 2, 2, 2), (4, 3, 2, 1)),
-             ((3, 2, 2, 2), (1, 3, 4, 2))]
-    for dims, perm in cases:
+def test_transpose_codes_matches_transpose(accepted_formats):
+    # the merge's bit gather against the entry-by-entry transpose, for
+    # every mode permutation of every format that has more than one
+    rng = np.random.default_rng(23)
+    checked = 0
+    for dims in accepted_formats:
         s = Shape(dims)
-        prog = transpose_program(s, perm)
-        for _ in range(200):
-            c = rng.randrange(s.code_bound)
-            assert prog(c) == transpose(s, c, perm)
-
-
-def test_transpose_program_rejects_bad_perm():
-    s = Shape((3, 2, 2))
-    with pytest.raises(ValueError):
-        transpose_program(s, (2, 1, 3))
+        perms = block_permutations(s)
+        if len(perms) == 1:
+            continue
+        codes = np.concatenate(([0, 1, s.code_bound - 1, 1 << (s.entry_count - 1)],
+                                rng.integers(0, s.code_bound, size=24)))
+        out = transpose_codes(s, codes.astype(np.uint32), perms)
+        assert out.shape == (codes.size, len(perms)) and out.dtype == np.uint32, dims
+        for j, perm in enumerate(perms):
+            assert out[:, j].tolist() == [transpose(s, int(c), perm) for c in codes], dims
+        checked += 1
+    assert checked == 26
 
 
 def test_codemap_scalar_range_check():

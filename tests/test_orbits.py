@@ -17,11 +17,10 @@ import pytest
 from conftest import reference_apply
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from table_oracle import table_orbits
+from table_oracle import table_orbits, transpose_map
 
 from f2orbits.group import (Composite, block_permutations, compile_generators,
-                            generator_set, identity_matrix, small_group_order,
-                            transpose_program)
+                            generator_set, identity_matrix, small_group_order)
 from f2orbits.orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits,
                              load_atlas, merge_large_orbits, required_bytes,
                              save_atlas)
@@ -458,7 +457,7 @@ def test_merge_with_no_equal_dims_is_identity(engine):
 
 def test_merge_matches_direct_enumeration(per_mode_generators):
     # oracle: enumerate under the per-mode generators plus the
-    # mode-permutation programs and compare canonical/size multisets; the
+    # mode-permutation maps and compare canonical/size multisets; the
     # direct ids also ascend with the canonical code, so the grouping
     # must send each small orbit to the direct id of its canonical
     for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
@@ -466,7 +465,7 @@ def test_merge_matches_direct_enumeration(per_mode_generators):
         atlas = enumerate_orbits(s)
         large = merge_large_orbits(s, atlas)
         progs = compile_generators(s, per_mode_generators(s))
-        progs += tuple(transpose_program(s, p) for p in block_permutations(s)[1:])
+        progs += tuple(transpose_map(s, p) for p in block_permutations(s)[1:])
         direct = table_orbits(s, progs)
         assert large.canonicals.tolist() == direct.canonicals.tolist()
         assert large.sizes.tolist() == direct.sizes.tolist()

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2orbits.group import Composite, generator_set, identity_matrix
-from f2orbits.slices import (KEY, lead_table, permutation, reduce_rows, slice_bits,
-                             slice_maps, span_keys, subspace_count, subspace_keys)
+from f2orbits.slices import (KEY, lead_table, max_dim, pack, permutation, reduce_rows,
+                             slice_bits, slice_maps, subspace_count, subspace_keys)
 from f2orbits.tensor import Shape
 
 
@@ -78,14 +78,12 @@ def test_permutations_are_bijections_onto_the_mapped_spans(accepted_formats):
             continue
         keys = subspace_keys(s)
         m, d1 = slice_bits(s), dims[0]
-        slots = [(keys >> np.uint32(j * m)) & np.uint32((1 << m) - 1) for j in range(d1)]
+        slots = np.array([(keys >> np.uint32(j * m)) & np.uint32((1 << m) - 1)
+                          for j in range(d1)])
         for table in slice_maps(s):
             perm = permutation(s, keys, table)
             assert np.array_equal(np.sort(perm), np.arange(keys.size)), dims
-            mapped = np.zeros(keys.size, KEY)
-            for j, slot in enumerate(slots):
-                mapped |= table[slot] << np.uint32(j * m)
-            image = span_keys(s, mapped)
+            image = pack(reduce_rows(table[slots], max_dim(s), lead_table(m)), m)
             assert np.array_equal(keys[perm], image), dims
         checked += 1
     assert checked == 55

@@ -1,5 +1,6 @@
-"""Repository checks: the orbit table stays behind orbits.py, slices.py
-builds no N-bit map, classify does not import numpy.ma, the public names
+"""Repository checks: the orbit table stays behind orbits.py, only
+group.py builds N-bit maps, one function looks spans up among the
+subspace keys, classify does not import numpy.ma, the public names
 and the README's Library example match the package, the benchmark's
 layer pass still runs against the package, and the benchmark's
 self-check passes.
@@ -38,15 +39,38 @@ def test_orbit_table_stays_in_orbits():
         assert "assignment" not in (ROOT / "src" / "f2orbits" / name).read_text(), name
 
 
+def modules():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "f2orbits").glob("*.py"))}
+
+
 def test_slices_builds_no_code_map():
-    # the slice maps come from the images of the M basis slices, so
-    # enumeration compiles no map over all N bits of a code
-    tree = ast.parse((ROOT / "src" / "f2orbits" / "slices.py").read_text())
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert imported, "no imports found"
-    forbidden = {"CodeMap", "compile_composite", "compile_mode_action", "compile_generators"}
-    assert imported & forbidden == set()
+    # the slice maps come from the images of the M basis slices and the
+    # merge permutes the canonicals' bits, so no module but group.py,
+    # which keeps them for benchmark/layers.py, compiles a map over all
+    # N bits of a code
+    forbidden = {"CodeMap", "compile_composite", "compile_mode_action",
+                 "compile_generators", "transpose_program"}
+    for name, tree in modules().items():
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert imported & forbidden == set(), name
+    assert "transpose_program" not in (ROOT / "src" / "f2orbits" / "group.py").read_text()
+
+
+def test_one_span_lookup():
+    # a span is looked up among the subspace keys in one place,
+    # slices.span_index, the one body arithmetic numbering would replace
+    def searches(tree):
+        return sum(isinstance(node, ast.Attribute) and node.attr == "searchsorted"
+                   or isinstance(node, ast.Name) and node.id == "searchsorted"
+                   for node in ast.walk(tree))
+
+    trees = modules()
+    found = {name: searches(tree) for name, tree in trees.items()}
+    lookup = next(node for node in ast.walk(trees["slices.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "span_index")
+    assert searches(lookup) == sum(found.values()) >= 1, found
 
 
 def test_classify_does_not_import_numpy_ma():
