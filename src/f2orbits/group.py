@@ -177,8 +177,8 @@ def transpose_codes(shape: Shape, codes: np.ndarray, perms) -> np.ndarray:
     position whose entry moves to position p."""
     n = shape.entry_count
     positions = np.arange(n).reshape(shape.dims)
-    sources = np.array([positions.transpose(np.argsort(np.array(perm) - 1)).ravel()
-                        for perm in perms])
+    inverses = [[perm.index(j + 1) for j in range(shape.n)] for perm in perms]
+    sources = np.array([positions.transpose(inverse).ravel() for inverse in inverses])
     weights = np.uint32(1) << np.arange(n - 1, -1, -1, dtype=np.uint32)
     bits = (np.asarray(codes)[..., None] & weights) != 0
     return (bits[..., sources] * weights).sum(axis=-1, dtype=np.uint32)

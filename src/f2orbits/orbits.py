@@ -40,10 +40,10 @@ clear in every earlier row, with its lower bits free.  For each
 composite of group.generator_set, its slice map (the composite with the
 identity on mode 1, applied to the 2^M codes of the last slice) gives
 one uint32 permutation of the subspaces: map the rows of every key and
-look their span up with slices.span_index, which reduces and packs the
-rows and probes the keys in ascending order.  The projections of
-generators of G generate G'.  spin.py then marks one
-uint16 orbit id per subspace, many orbits per pass: a batch takes the
+number their span with slices.span_index, which reduces the rows and
+ranks the basis by arithmetic on its pivots and free bits, with no
+search.  The projections of generators of G generate G'.  spin.py then
+marks one uint16 orbit id per subspace, many orbits per pass: a batch takes the
 next unassigned keys of one dimension in ascending order as its starts,
 spreads them all breadth first, and makes each class of starts that meet
 one orbit.  Its least start is its canonical key: every key below the
@@ -56,8 +56,8 @@ always suffice: no format up to MAX_ENTRIES entries has more than 696
 nonzero orbits (tests/test_orbits.py::test_orbit_counts_fit_the_cell
 sweeps them all).
 
-The keys and the ids are the atlas: orbit_id(code) looks the span of
-the code's slices up with the same span_index.  merge_large_orbits
+The keys and the ids are the atlas: orbit_id(code) numbers the span of
+the code's slices with the same span_index.  merge_large_orbits
 permutes the modes of every canonical with group.transpose_codes, one
 gather of their bits, and reads the images' ids through orbit_id.
 Every per-subspace array has S cells, S the subspace count, which
@@ -81,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import block_permutations, generator_set, small_group_order, transpose_codes
-from .slices import (CHUNK, KEY, lead_table, level_bounds, max_dim, permutation,
+from .slices import (CHUNK, KEY, index_tables, level_bounds, max_dim, permutation,
                      slice_bits, slice_maps, span_index, spanning_codes, subspace_count,
                      subspace_keys, tuple_counts, unpack)
 from .spin import BATCH_MAX, CELL, spin
@@ -107,18 +107,17 @@ class MemoryCapError(RuntimeError):
 def required_bytes(shape: Shape) -> int:
     """Peak bytes enumerate_orbits allocates, from the Gaussian binomials:
     per subspace a key, an id, a queue cell and one uint32 permutation
-    per composite; the m slice maps and the lead table, 2^M uint32 each;
-    one chunk of permutation reducing k rows, at most 24 + 13 k bytes per
-    item: while reducing, the rows, the basis, a uint32 and a bool
-    temporary per row, two tops and a pivot; while probing, the rows, the
-    images, a sorted copy and two int64 arrays; and the spin's
-    link mask between the at most min(S, 256) starts of a batch, with one
-    temporary of its size (tests/test_orbits.py checks the peak with
-    tracemalloc).  load_atlas checks the same figure."""
+    per composite; the m slice maps and the k + 2 tables of span_index,
+    2^M uint32 each; one chunk of permutation, at most 20 + 8 k bytes per
+    item: the rows, later the pivots, and the basis, 4 k each, an int64
+    pivot set, the index and two temporaries (mapping the rows takes 12 k,
+    and k <= 5); and the spin's link mask between the at most min(S, 256)
+    starts of a batch, with one temporary of its size (tests/test_orbits.py
+    checks the peak with tracemalloc).  load_atlas checks the same figure."""
     s = subspace_count(shape)
-    m = len(generator_set(shape))
-    return ((10 + 4 * m) * s + 4 * (m + 1) * (1 << slice_bits(shape))
-            + (24 + 13 * max_dim(shape)) * min(s, CHUNK) + 2 * min(s, BATCH_MAX) ** 2)
+    m, k = len(generator_set(shape)), max_dim(shape)
+    return ((10 + 4 * m) * s + 4 * (m + k + 2) * (1 << slice_bits(shape))
+            + (20 + 8 * k) * min(s, CHUNK) + 2 * min(s, BATCH_MAX) ** 2)
 
 
 def _check_cap(shape: Shape, mem_cap: int) -> None:
@@ -158,11 +157,11 @@ class OrbitAtlas:
             raise ValueError(f"code {codes[bad].flat[0]} out of range for {self.shape}")
         flat = codes.reshape(-1)
         d1, m = self.shape.dims[0], slice_bits(self.shape)
-        lead = lead_table(m)
+        tables = index_tables(self.shape)
         ids = np.empty(flat.size, CELL)
         for lo in range(0, flat.size, CHUNK):
             rows = unpack(flat[lo:lo + CHUNK].astype(KEY), m, d1)
-            index = span_index(self.shape, self.keys, rows, lead)
+            index = span_index(rows, tables)
             ids[lo:lo + CHUNK] = self.assignment[index]
         ids = ids.reshape(codes.shape)
         return int(ids) if codes.ndim == 0 else ids

@@ -9,6 +9,24 @@ k rows in ascending order, so the keys of k-spaces lie in
 [2^((k-1)M), 2^(kM)); orbits.py shows that a key is the least code whose
 slices span its subspace.  Every pass over many subspaces or codes works
 on chunks of CHUNK items.
+
+Numbering.  span_index finds a span's index among the keys by
+arithmetic, with no search.  cnt_m(L, p) = 2^(pL) [m - p, L]_2 counts
+the L-spaces of F2^m whose least pivot is at least p, the last ones of
+their level, as a level ascends with its least row b1.  For each b1
+with pivot p, the other rows of a k-space range over the (k-1)-spaces
+with pivots above p and bit p clear, which with bit p deleted are the
+last cnt_(M-1)(k-1, p) of level k-1 of F2^(M-1), in the same order.  So
+the k-spaces after b1 < ... < bk in their level number
+
+    after_M(b1..bk) = cnt_M(k, p) - (b1 - 2^p + 1) cnt_(M-1)(k-1, p)
+                      + after_(M-1)(b2..bk with bit p deleted).
+
+Unrolled, row b_i has pivot q_i = p_i - i + 1 once the i - 1 pivots
+below it are deleted, and free_i, its bits below that pivot, counts
+mul_i = cnt_(M-i)(k-i, q_i) times.  So the index is base[P] plus the
+sum of mul_i free_i, with base[P] the level's last index less the sum
+of cnt_(M-i+1)(k-i+1, q_i) - mul_i: both hang on the pivot set P only.
 """
 
 import itertools
@@ -64,34 +82,21 @@ def tuple_counts(shape: Shape) -> list[int]:
     return out
 
 
-def lead_table(bits: int) -> np.ndarray:
-    """lead[v] = the highest set bit of v as a mask, 0 for v = 0."""
-    lead = np.zeros(1 << bits, KEY)
-    for b in range(bits):
-        lead[1 << b:2 << b] = 1 << b
-    return lead
-
-
-def reduce_rows(rows: np.ndarray, steps: int, lead: np.ndarray) -> np.ndarray:
+def reduce_rows(rows: np.ndarray, steps: int) -> np.ndarray:
     """The reduced row echelon basis of the span of each column of rows, a
     (w, n) uint32 array of w vectors per item, as a (steps, n) array with
     the rows descending and zero rows last; steps must be at least the
-    rank.  rows is overwritten: pass a copy of what the caller reads."""
+    rank.  rows is overwritten, and left zero: pass a copy of what the
+    caller reads."""
     out = np.zeros((steps, rows.shape[1]), KEY)
     for i in range(steps):
         top = rows.max(axis=0)
-        pivot = lead[top]
-        rows ^= ((rows & pivot) != 0) * top
-        out[:i] ^= ((out[:i] & pivot) != 0) * top
+        # top has no bit above its pivot, so adding it lowers a row exactly
+        # when the row holds that pivot (row by row: one row of temporary)
+        for row in itertools.chain(rows, out[:i]):
+            np.minimum(row, row ^ top, out=row)
         out[i] = top
     return out
-
-
-def pack(basis: np.ndarray, m: int) -> np.ndarray:
-    """The keys of reduced bases from reduce_rows: row i in slot i from the
-    bottom, so the least row ends up in the highest nonzero slot."""
-    shifts = np.arange(basis.shape[0], dtype=KEY)[:, None] * np.uint32(m)
-    return np.bitwise_or.reduce(basis << shifts, axis=0)
 
 
 def unpack(keys: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -142,26 +147,63 @@ def slice_maps(shape: Shape) -> list[np.ndarray]:
     return tables
 
 
-def span_index(shape: Shape, keys: np.ndarray, rows: np.ndarray,
-               lead: np.ndarray) -> np.ndarray:
-    """The index in keys of the span of each column of rows, a (w, n)
-    uint32 array of slices, as uint32: the spans are reduced and packed,
-    then probe the keys in ascending order.  rows is overwritten."""
-    image = pack(reduce_rows(rows, max_dim(shape), lead), slice_bits(shape))
-    order = np.argsort(image)
-    image[order] = np.searchsorted(keys, image[order])
-    return image
+def index_tables(shape: Shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lead, base, mul) for span_index: lead[v] is the highest set bit of
+    v as a mask (0 for v = 0), and base[P] and mul[j, P], for the pivot
+    set P of a reduced basis as an M-bit mask and its row j from the top,
+    are as in the module docstring, 0 for a zero row."""
+    m, top, bounds = slice_bits(shape), max_dim(shape), level_bounds(shape)
+
+    def cnt(mm, rank, p):
+        return gaussian_binomial(mm - p, rank) << (p * rank)
+
+    lead, base = np.zeros(1 << m, KEY), np.zeros(1 << m, KEY)
+    mul = np.zeros((top, 1 << m), KEY)
+    for b in range(m):
+        lead[1 << b:2 << b] = 1 << b
+    for k in range(1, top + 1):
+        for pivots in itertools.combinations(range(m), k):
+            at, last = sum(1 << p for p in pivots), bounds[k + 1] - 1
+            for i, p in enumerate(pivots):
+                mul[k - 1 - i, at] = times = cnt(m - i - 1, k - i - 1, p - i)
+                last -= cnt(m - i, k - i, p - i) - times
+            base[at] = last
+    return lead, base, mul
+
+
+def span_index(rows: np.ndarray, tables) -> np.ndarray:
+    """The index among the subspace keys of the span of each column of
+    rows, a (w >= min(d1, M), n) uint32 array of slices, as uint32, from
+    its reduced basis and index_tables of the format; overwrites rows."""
+    lead, base, mul = tables
+    basis = reduce_rows(rows, mul.shape[0])
+    # the pivots as masks, in rows the reduction left zero
+    pivots = rows[:len(basis)]
+    for row, pivot in zip(basis, pivots):
+        np.take(lead, row, out=pivot)
+    pivot_set = np.bitwise_or.reduce(pivots, axis=0).astype(np.intp)
+    # -2^p: adding it to a row clears the row's pivot p, and
+    # x - ((x >> 1) & -2^p) deletes bit p of x when it is clear
+    masks = np.negative(pivots, out=pivots)
+    index = base.take(pivot_set)
+    for j, free in enumerate(basis):
+        free += masks[j]
+        for lower in masks[j + 1:]:
+            free -= (free >> 1) & lower
+        free *= mul[j].take(pivot_set)
+        index += free
+    return index
 
 
 def permutation(shape: Shape, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     """perm[i] = the index in keys of the image of subspace i under the
     slice map table."""
     m, k = slice_bits(shape), max_dim(shape)
-    lead = lead_table(m)
+    tables = index_tables(shape)
     perm = np.empty(keys.size, KEY)
     for lo in range(0, keys.size, CHUNK):
         rows = table[unpack(keys[lo:lo + CHUNK], m, k)]
-        perm[lo:lo + CHUNK] = span_index(shape, keys, rows, lead)
+        perm[lo:lo + CHUNK] = span_index(rows, tables)
     return perm
 
 
@@ -184,12 +226,11 @@ def _spread_coefficients(shape: Shape, k: int) -> np.ndarray:
     bit (d1-1-j) M set when A[j, c] = 1, so that the XOR over c of B_c
     times entry [c, a] is the code of the tuple A B."""
     d1, m = shape.dims[0], slice_bits(shape)
-    lead = lead_table(d1)
     out = np.empty((k, tuple_counts(shape)[k]), KEY)
     pos = 0
     for lo in range(0, 1 << (d1 * k), CHUNK):
         cols = unpack(np.arange(lo, min(lo + CHUNK, 1 << (d1 * k)), dtype=KEY), d1, k)
-        cols = cols[:, reduce_rows(cols.copy(), k, lead)[k - 1] != 0]
+        cols = cols[:, reduce_rows(cols.copy(), k)[k - 1] != 0]
         spread = np.zeros_like(cols)
         for j in range(d1):
             spread |= ((cols >> np.uint32(j)) & 1) << np.uint32((d1 - 1 - j) * m)

@@ -384,18 +384,19 @@ def test_memory_cap_refusal():
 def test_required_bytes_and_strategy(accepted_formats):
     """required_bytes on every accepted format, without enumerating: per
     subspace a uint32 key, a uint16 id, a uint32 queue cell and one
-    uint32 permutation per composite; m + 1 tables of 2^M uint32;
-    24 + 13 k bytes per item of one chunk of at most 2^14 items, k =
-    min(d1, M); and a spin batch's link mask of at most min(S, 256)^2
-    bools plus one temporary of its size.  S comes from the q-Pascal
-    rule."""
+    uint32 permutation per composite; m + k + 2 tables of 2^M uint32 (the
+    slice maps, the lead table and the ranking tables); 20 + 8 k bytes
+    per item of one chunk of at most 2^14 items, k = min(d1, M); and a
+    spin batch's link mask of at most min(S, 256)^2 bools plus one
+    temporary of its size.  S comes from the q-Pascal rule."""
     for dims in accepted_formats:
         s = Shape(dims)
         m, S = len(generator_set(s)), slice_subspaces(dims)
         slice_bits = s.entry_count // dims[0]
         k = min(dims[0], slice_bits)
-        assert required_bytes(s) == ((10 + 4 * m) * S + 4 * (m + 1) * (1 << slice_bits)
-                                     + (24 + 13 * k) * min(S, 1 << 14)
+        assert required_bytes(s) == ((10 + 4 * m) * S
+                                     + 4 * (m + k + 2) * (1 << slice_bits)
+                                     + (20 + 8 * k) * min(S, 1 << 14)
                                      + 2 * min(S, 256) ** 2), dims
     assert len(accepted_formats) == 70
     # the paper's largest formats need a small part of the old 2^N table
@@ -407,7 +408,7 @@ def test_required_bytes_and_strategy(accepted_formats):
 def test_enumeration_peak_within_required_bytes():
     # tracemalloc's peak over a cold enumeration stays under required_bytes
     # plus a fixed slack for Python objects
-    for dims in ((3, 2, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
+    for dims in ((3, 3, 3), (3, 2, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
         s = Shape(dims)
         tracemalloc.start()
         try:

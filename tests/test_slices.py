@@ -4,8 +4,13 @@ reduce_rows is checked item by item against a pure-Python reduced row
 echelon form, the slice maps against conftest.reference_apply on every
 accepted format, and every permutation of every accepted format with at
 most 2^17 subspaces is checked to be a bijection that sends each key to
-the span of its mapped rows.
+the span of its mapped rows.  span_index numbers spans by arithmetic;
+the sorted probe, pack plus np.searchsorted into the keys, is its
+reference: every key's own basis must get its own index, and random
+slice rows the probe's index.
 """
+
+import functools
 
 import numpy as np
 from conftest import reference_apply
@@ -13,9 +18,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2orbits.group import Composite, generator_set, identity_matrix
-from f2orbits.slices import (KEY, lead_table, max_dim, pack, permutation, reduce_rows,
-                             slice_bits, slice_maps, subspace_count, subspace_keys)
-from f2orbits.tensor import Shape
+from f2orbits.slices import (CHUNK, KEY, index_tables, level_bounds, max_dim,
+                             permutation, reduce_rows, slice_bits, slice_maps, span_index,
+                             subspace_count, subspace_keys, unpack)
+from f2orbits.tensor import Shape, parse_shape
+
+
+def pack(basis, m):
+    """The keys of reduced bases from reduce_rows: row i in slot i from the
+    bottom, so the least row ends up in the highest nonzero slot."""
+    shifts = np.arange(basis.shape[0], dtype=KEY)[:, None] * np.uint32(m)
+    return np.bitwise_or.reduce(basis << shifts, axis=0)
 
 
 def python_rref(vectors, steps):
@@ -57,7 +70,7 @@ def test_reduce_rows_matches_python_rref(case):
     buf = np.zeros((w + 1, n), KEY)
     buf[0] = 1
     buf[1:] = np.array(items, KEY).T
-    got = reduce_rows(buf[1:], steps, lead_table(m))
+    got = reduce_rows(buf[1:], steps)
     assert got.shape == (steps, n)
     assert got.T.tolist() == expected
     assert (buf[0] == 1).all()
@@ -66,7 +79,7 @@ def test_reduce_rows_matches_python_rref(case):
     items_array = np.array(items, KEY)
     view = items_array.T
     assert view.flags.c_contiguous == (w == 1 or n == 1)
-    assert reduce_rows(view.copy(), steps, lead_table(m)).T.tolist() == expected
+    assert reduce_rows(view.copy(), steps).T.tolist() == expected
     assert items_array.tolist() == items
 
 
@@ -83,7 +96,7 @@ def test_permutations_are_bijections_onto_the_mapped_spans(accepted_formats):
         for table in slice_maps(s):
             perm = permutation(s, keys, table)
             assert np.array_equal(np.sort(perm), np.arange(keys.size)), dims
-            image = pack(reduce_rows(table[slots], max_dim(s), lead_table(m)), m)
+            image = pack(reduce_rows(table[slots], max_dim(s)), m)
             assert np.array_equal(keys[perm], image), dims
         checked += 1
     assert checked == 55
@@ -108,3 +121,51 @@ def test_slice_maps_match_the_definition(accepted_formats):
                 [reference_apply(s, action, 1 << b) for b in range(m)], dims
             assert np.array_equal(table[x ^ y], table[x] ^ table[y]), dims
     assert len(accepted_formats) == 70
+
+
+def test_every_key_gets_its_own_index(accepted_formats):
+    # the arithmetic numbering inverts the key build on every accepted
+    # format; a level of more than 2^20 keys is checked at a stride
+    for dims in accepted_formats:
+        s = Shape(dims)
+        keys, tables = subspace_keys(s), index_tables(s)
+        bounds = level_bounds(s)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            at = np.arange(lo, hi, -(-(hi - lo) >> 20), dtype=KEY)
+            for start in range(0, at.size, CHUNK):
+                chunk = at[start:start + CHUNK]
+                rows = unpack(keys[chunk], slice_bits(s), max_dim(s))
+                assert np.array_equal(span_index(rows, tables), chunk), (dims, lo)
+    assert len(accepted_formats) == 70
+
+
+@functools.cache
+def probe_setup(fmt):
+    s = parse_shape(fmt)
+    return s, subspace_keys(s), index_tables(s)
+
+
+@st.composite
+def slice_rows(draw):
+    """(format, rows): a (d1, n) uint32 array of random slices, the shape
+    of the slices of n codes, often with repeats and zeros."""
+    fmt = draw(st.sampled_from(["2x2x2", "6x2x2", "3x3x3", "2x2x2x2", "2x13"]))
+    s = parse_shape(fmt)
+    d1, m = s.dims[0], slice_bits(s)
+    pool = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=d1 + 1))
+    n = draw(st.integers(1, 16))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=d1 * n, max_size=d1 * n))
+    return fmt, np.array([pool[i] for i in picks], KEY).reshape(d1, n)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=slice_rows())
+@example(case=("2x13", np.array([[8191, 0], [4096, 1]], KEY)))
+@example(case=("6x2x2", np.array([[1], [2], [4], [8], [15], [0]], KEY)))
+def test_span_index_matches_the_sorted_probe(case):
+    fmt, rows = case
+    s, keys, tables = probe_setup(fmt)
+    spans = pack(reduce_rows(rows.copy(), max_dim(s)), slice_bits(s))
+    probe = np.searchsorted(keys, spans)
+    assert np.array_equal(keys[probe], spans)
+    assert np.array_equal(span_index(rows, tables), probe)

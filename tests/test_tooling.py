@@ -1,9 +1,8 @@
 """Repository checks: the orbit table stays behind orbits.py, only
-group.py builds N-bit maps, one function looks spans up among the
-subspace keys, classify does not import numpy.ma, the public names
-and the README's Library example match the package, the benchmark's
-layer pass still runs against the package, and the benchmark's
-self-check passes.
+group.py builds N-bit maps, no module sorts or binary-searches for an
+index, classify does not import numpy.ma, the public names and the
+README's Library example match the package, the benchmark's layer pass
+still runs against the package, and the benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -59,18 +58,11 @@ def test_slices_builds_no_code_map():
 
 
 def test_one_span_lookup():
-    # a span is looked up among the subspace keys in one place,
-    # slices.span_index, the one body arithmetic numbering would replace
-    def searches(tree):
-        return sum(isinstance(node, ast.Attribute) and node.attr == "searchsorted"
-                   or isinstance(node, ast.Name) and node.id == "searchsorted"
-                   for node in ast.walk(tree))
-
-    trees = modules()
-    found = {name: searches(tree) for name, tree in trees.items()}
-    lookup = next(node for node in ast.walk(trees["slices.py"])
-                  if isinstance(node, ast.FunctionDef) and node.name == "span_index")
-    assert searches(lookup) == sum(found.values()) >= 1, found
+    # slices.span_index numbers a span from its reduced basis, so no
+    # module sorts or binary-searches for an index
+    for path in sorted((ROOT / "src" / "f2orbits").glob("*.py")):
+        text = path.read_text()
+        assert "searchsorted" not in text and "argsort" not in text, path.name
 
 
 def test_classify_does_not_import_numpy_ma():
