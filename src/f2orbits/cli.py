@@ -7,7 +7,6 @@ runs with the same configuration.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -129,6 +128,7 @@ def cmd_classify(args):
     cap = _resolve_cap(args)
     _, _, rows, dist = _compute(shape, cap, args.flavor, args.snapshot)
     if args.emit == "json":
+        import json
         doc = {
             "format": str(shape),
             "flavor": args.flavor,

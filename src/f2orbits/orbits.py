@@ -42,8 +42,9 @@ identity on mode 1, applied to the 2^M codes of the last slice) gives
 one uint32 permutation of the subspaces: map the rows of every key and
 number their span with slices.span_index, which reduces the rows and
 ranks the basis by arithmetic on its pivots and free bits, with no
-search.  The projections of generators of G generate G'.  spin.py then
-marks one uint16 orbit id per subspace, many orbits per pass: a batch takes the
+search.  The projections of generators of G generate G'.  The keys are
+dropped once the permutations are built.  spin.py then marks one uint16
+orbit id per subspace, many orbits per pass: a batch takes the
 next unassigned keys of one dimension in ascending order as its starts,
 spreads them all breadth first, and makes each class of starts that meet
 one orbit.  Its least start is its canonical key: every key below the
@@ -56,20 +57,21 @@ always suffice: no format up to MAX_ENTRIES entries has more than 696
 nonzero orbits (tests/test_orbits.py::test_orbit_counts_fit_the_cell
 sweeps them all).
 
-The keys and the ids are the atlas: orbit_id(code) numbers the span of
-the code's slices with the same span_index.  merge_large_orbits
-permutes the modes of every canonical with group.transpose_codes, one
-gather of their bits, and reads the images' ids through orbit_id.
-Every per-subspace array has S cells, S the subspace count, which
-required_bytes takes from Gaussian binomials; no array of 2^N cells is
-built.
+The ids are the atlas, the one array of S cells it keeps, S the
+subspace count: orbit_id(code) numbers the span of the code's slices
+with the same span_index, and slices.unrank, its inverse, gives back the
+key of a subspace from its index, for the canonicals and for members.
+merge_large_orbits permutes the modes of every canonical with
+group.transpose_codes, one gather of their bits, and reads the images'
+ids through orbit_id.  required_bytes takes S from Gaussian binomials;
+no array of 2^N cells is built.
 
-Of the atlas, only the ids are costly to recompute: the keys depend on
-the format alone, and since the ids ascend with the canonical form, id i
-first occurs where the running maximum of the ids steps to i, at orbit
-i's canonical key.  So a snapshot (format version 3) is a small header
-naming the format, the S ids and a CRC-32 of both, and enumeration and
-loading derive the canonicals and sizes the same way, in _atlas.  Saving writes
+Since the ids ascend with the canonical form, id i first occurs where
+the running maximum of the ids steps to i, at the index of orbit i's
+canonical key, which unrank turns into the canonical.  So a snapshot
+(format version 3) is a small header naming the format, the S ids and a
+CRC-32 of both, and enumeration and loading derive the canonicals and
+sizes the same way, in _atlas, with no key array.  Saving writes
 a temporary file that replaces the target only once complete; loading
 checks the memory cap before it allocates, then the length and the CRC.
 """
@@ -83,11 +85,12 @@ import numpy as np
 from .group import block_permutations, generator_set, small_group_order, transpose_codes
 from .slices import (CHUNK, KEY, index_tables, level_bounds, max_dim, permutation,
                      slice_bits, slice_maps, span_index, spanning_codes, subspace_count,
-                     subspace_keys, tuple_counts, unpack)
+                     subspace_keys, tuple_counts, unpack, unrank, unrank_bytes)
 from .spin import BATCH_MAX, CELL, spin
 from .tensor import Shape
 
 DEFAULT_MEM_CAP = 2 * 1024 ** 3
+FIXED_BYTES = 16 << 10
 
 _SNAPSHOT_MAGIC = b"F2OA"
 _SNAPSHOT_VERSION = 3
@@ -106,18 +109,24 @@ class MemoryCapError(RuntimeError):
 
 def required_bytes(shape: Shape) -> int:
     """Peak bytes enumerate_orbits allocates, from the Gaussian binomials:
-    per subspace a key, an id, a queue cell and one uint32 permutation
-    per composite; the m slice maps and the k + 2 tables of span_index,
-    2^M uint32 each; one chunk of permutation, at most 20 + 8 k bytes per
-    item: the rows, later the pivots, and the basis, 4 k each, an int64
-    pivot set, the index and two temporaries (mapping the rows takes 12 k,
-    and k <= 5); and the spin's link mask between the at most min(S, 256)
-    starts of a batch, with one temporary of its size (tests/test_orbits.py
-    checks the peak with tracemalloc).  load_atlas checks the same figure."""
-    s = subspace_count(shape)
+    the larger of its two phases, plus FIXED_BYTES of small arrays and
+    Python objects.  The permutations are built from a key per subspace,
+    the m slice maps and the k + 2 tables of span_index, 2^M uint32
+    each, and one chunk of at most 20 + 8 k bytes per item: the rows,
+    later the pivots, and the basis, 4 k each, an int64 pivot set, the
+    index and two temporaries (mapping the rows takes 12 k, and k <= 5).
+    The keys are dropped before the spin, which holds an id and a queue
+    cell per subspace beside the m permutations, one chunk of at most 24
+    bytes per item, and the link mask between the at most min(S, 256)
+    starts of a batch, with one temporary of its size
+    (tests/test_orbits.py checks the peak with tracemalloc).  load_atlas
+    checks the same figure."""
+    s, chunk = subspace_count(shape), min(subspace_count(shape), CHUNK)
     m, k = len(generator_set(shape)), max_dim(shape)
-    return ((10 + 4 * m) * s + 4 * (m + k + 2) * (1 << slice_bits(shape))
-            + (20 + 8 * k) * min(s, CHUNK) + 2 * min(s, BATCH_MAX) ** 2)
+    perm_phase = ((4 + 4 * m) * s + 4 * (m + k + 2) * (1 << slice_bits(shape))
+                  + (20 + 8 * k) * chunk)
+    spin_phase = (6 + 4 * m) * s + 24 * chunk + 2 * min(s, BATCH_MAX) ** 2
+    return max(perm_phase, spin_phase) + FIXED_BYTES
 
 
 def _check_cap(shape: Shape, mem_cap: int) -> None:
@@ -130,15 +139,14 @@ def _check_cap(shape: Shape, mem_cap: int) -> None:
 
 @dataclass(frozen=True)
 class OrbitAtlas:
-    """Complete orbit partition: keys (uint32, ascending) lists the span
-    of every subspace, assignment[i] (uint16) is the orbit id of the
-    subspace with key keys[i], and for each orbit id canonicals[id]
-    (uint32) is its least code and sizes[id] (int64) its tensor count;
-    slot 0 is the zero orbit, canonical 0 and size 1.  Code outside this
-    module reads orbits through orbit_id and members only."""
+    """Complete orbit partition: assignment[i] (uint16) is the orbit id of
+    subspace i, the subspace whose key slices.unrank gives, and for each
+    orbit id canonicals[id] (uint32) is its least code and sizes[id]
+    (int64) its tensor count; slot 0 is the zero orbit, canonical 0 and
+    size 1.  Code outside this module reads orbits through orbit_id and
+    members only."""
 
     shape: Shape
-    keys: np.ndarray
     assignment: np.ndarray
     canonicals: np.ndarray
     sizes: np.ndarray
@@ -173,18 +181,21 @@ class OrbitAtlas:
         k = self._dimension(orbit_id)
         if k == 0:
             return np.zeros(1, KEY)
-        out = spanning_codes(self.shape, self.keys[self.assignment == orbit_id], k)
+        keys = unrank(self.shape, np.flatnonzero(self.assignment == orbit_id))
+        out = spanning_codes(self.shape, keys, k)
         out.sort()
         return out
 
     def member_bytes(self, orbit_id: int) -> int:
         """Peak bytes members(orbit_id) allocates: the result, the id
-        mask, the bases, the coefficients and one block."""
+        mask, the indices, keys and bases of the orbit's subspaces, the
+        coefficients, one block and one chunk of unrank."""
         k = self._dimension(orbit_id)
         size = int(self.sizes[orbit_id])
         t = tuple_counts(self.shape)[k]
-        return (4 * size + self.keys.size + (4 + 4 * k) * (size // t) + 4 * k * t
-                + 4 * max(CHUNK, t) + (16 + 20 * k) * CHUNK)
+        return (4 * size + self.assignment.size + (12 + 4 * k) * (size // t) + 4 * k * t
+                + 4 * max(CHUNK, t) + (16 + 20 * k) * CHUNK
+                + unrank_bytes(k, size // t))
 
     def _dimension(self, orbit_id: int) -> int:
         """The dimension k of the subspaces of an orbit: its canonical is a
@@ -207,13 +218,14 @@ def _orbit_sizes(shape: Shape, assignment: np.ndarray, count: int) -> np.ndarray
     return sizes
 
 
-def _atlas(shape: Shape, keys: np.ndarray, assignment: np.ndarray) -> OrbitAtlas:
+def _atlas(shape: Shape, assignment: np.ndarray) -> OrbitAtlas:
     """The atlas of the ids of every subspace, with the canonicals and
-    sizes derived from them: orbit i's canonical is the key where the
-    running maximum of the ids steps to i.  ValueError for ids that put a
-    nonzero id at the zero subspace, skip a number, are out of order,
-    where an id first occurs before a lower one, or give an orbit whose
-    size does not divide the group order, as every orbit's size does."""
+    sizes derived from them: orbit i's canonical is the key of the
+    subspace where the running maximum of the ids steps to i.  ValueError
+    for ids that put a nonzero id at the zero subspace, skip a number, are
+    out of order, where an id first occurs before a lower one, or give an
+    orbit whose size does not divide the group order, as every orbit's
+    size does."""
     if assignment[0] != 0:
         raise ValueError(f"orbit id {assignment[0]} at the zero subspace")
     peak = np.maximum.accumulate(assignment)
@@ -229,7 +241,7 @@ def _atlas(shape: Shape, keys: np.ndarray, assignment: np.ndarray) -> OrbitAtlas
             raise ValueError(f"orbit {i} has {size} tensors, which does not "
                              f"divide the group order {order}")
     assert sizes.sum() == shape.code_bound, "orbit sizes do not cover the space"
-    return OrbitAtlas(shape, keys, assignment, keys[np.concatenate(([0], firsts))], sizes)
+    return OrbitAtlas(shape, assignment, unrank(shape, np.concatenate(([0], firsts))), sizes)
 
 
 def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
@@ -245,9 +257,10 @@ def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
     _check_cap(shape, mem_cap)
     keys = subspace_keys(shape)
     perms = [permutation(shape, keys, table) for table in slice_maps(shape)]
+    del keys
     assignment = spin(perms, level_bounds(shape))
     del perms
-    return _atlas(shape, keys, assignment)
+    return _atlas(shape, assignment)
 
 
 # ---- large orbits ----
@@ -316,8 +329,8 @@ def save_atlas(atlas: OrbitAtlas, path: str) -> None:
 
 def load_atlas(path: str, shape: Shape | None = None, *,
                mem_cap: int = DEFAULT_MEM_CAP) -> OrbitAtlas:
-    """Read a snapshot written by save_atlas and derive the keys,
-    canonicals and sizes from its format and ids.  A snapshot of another
+    """Read a snapshot written by save_atlas and derive the canonicals
+    and sizes from its format and ids.  A snapshot of another
     format than shape, if given, raises ValueError before required_bytes
     of its format is checked against mem_cap (MemoryCapError), and that
     check comes before any allocation.  Malformed files raise ValueError:
@@ -348,4 +361,4 @@ def load_atlas(path: str, shape: Shape | None = None, *,
         crc = int.from_bytes(f.read(4), "little")
     if zlib.crc32(assignment, zlib.crc32(dims, zlib.crc32(head))) != crc:
         raise ValueError(f"{path} fails its CRC check")
-    return _atlas(found, subspace_keys(found), assignment.astype(CELL, copy=False))
+    return _atlas(found, assignment.astype(CELL, copy=False))

@@ -18,7 +18,6 @@ XOR-with-a-simple-tensor moves, usable for small formats and small ranks.
 """
 
 import functools
-from decimal import ROUND_HALF_UP, Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -117,11 +116,11 @@ class DistributionRow(NamedTuple):
 
 
 def decimal_string(numerator: int, denominator: int) -> str:
-    """numerator/denominator to 4 decimal places, rounded half up."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        q = Decimal(numerator) / Decimal(denominator)
-        return str(q.quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+    """numerator/denominator to 4 decimal places, rounded half up, for
+    numerator >= 0 and denominator > 0: 10^4 n / d rounded half up is
+    floor((2 10^4 n + d) / 2d), in integers."""
+    q = (20000 * numerator + denominator) // (2 * denominator)
+    return f"{q // 10000}.{q % 10000:04d}"
 
 
 def percent_string(count: int, total: int) -> str:

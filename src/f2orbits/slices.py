@@ -1,4 +1,4 @@
-"""The subspaces of the mode-1 slice space of a format, as sorted keys.
+"""The subspaces of the mode-1 slice space of a format, numbered in key order.
 
 A code of format d1 x d2 x ... x dn is a d1-tuple of M-bit slices, M =
 N / d1, slice 1 in the most significant bits.  A subspace of F2^M of
@@ -27,6 +27,16 @@ below it are deleted, and free_i, its bits below that pivot, counts
 mul_i = cnt_(M-i)(k-i, q_i) times.  So the index is base[P] plus the
 sum of mul_i free_i, with base[P] the level's last index less the sum
 of cnt_(M-i+1)(k-i+1, q_i) - mul_i: both hang on the pivot set P only.
+
+Unranking.  unrank inverts the formula one row at a time.  The k-spaces
+after one with pivot p are the cnt_M(k, p + 1) with a higher pivot and
+some of the cnt_M(k, p) - cnt_M(k, p + 1) with pivot p, so p is the
+largest p with cnt_M(k, p) > after: a sum of comparisons against at most
+M thresholds, cnt_M(k, p) falling with p.  With x = cnt_M(k, p) - after
+and c = cnt_(M-1)(k-1, p), the formula reads x = j c - after' for j =
+b1 - 2^p + 1 and 0 <= after' < c, so j = ceil(x / c), b1 = 2^p + j - 1,
+and the rest is the (k-1)-space of F2^(M-1) with after' = j c - x after
+it; putting bit p back into its rows, as 0, gives b2 < ... < bk.
 """
 
 import itertools
@@ -147,16 +157,18 @@ def slice_maps(shape: Shape) -> list[np.ndarray]:
     return tables
 
 
+def _cnt(m: int, rank: int, p: int) -> int:
+    """cnt_m(rank, p), the rank-spaces of F2^m whose least pivot is at
+    least p (module docstring)."""
+    return gaussian_binomial(m - p, rank) << (p * rank) if m - p >= rank else 0
+
+
 def index_tables(shape: Shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lead, base, mul) for span_index: lead[v] is the highest set bit of
     v as a mask (0 for v = 0), and base[P] and mul[j, P], for the pivot
     set P of a reduced basis as an M-bit mask and its row j from the top,
     are as in the module docstring, 0 for a zero row."""
     m, top, bounds = slice_bits(shape), max_dim(shape), level_bounds(shape)
-
-    def cnt(mm, rank, p):
-        return gaussian_binomial(mm - p, rank) << (p * rank)
-
     lead, base = np.zeros(1 << m, KEY), np.zeros(1 << m, KEY)
     mul = np.zeros((top, 1 << m), KEY)
     for b in range(m):
@@ -165,8 +177,8 @@ def index_tables(shape: Shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for pivots in itertools.combinations(range(m), k):
             at, last = sum(1 << p for p in pivots), bounds[k + 1] - 1
             for i, p in enumerate(pivots):
-                mul[k - 1 - i, at] = times = cnt(m - i - 1, k - i - 1, p - i)
-                last -= cnt(m - i, k - i, p - i) - times
+                mul[k - 1 - i, at] = times = _cnt(m - i - 1, k - i - 1, p - i)
+                last -= _cnt(m - i, k - i, p - i) - times
             base[at] = last
     return lead, base, mul
 
@@ -193,6 +205,60 @@ def span_index(rows: np.ndarray, tables) -> np.ndarray:
         free *= mul[j].take(pivot_set)
         index += free
     return index
+
+
+def unrank(shape: Shape, index: np.ndarray) -> np.ndarray:
+    """The keys of the subspaces at index, an integer array, as uint32: the
+    inverse of span_index, by chunks (module docstring)."""
+    m, bounds = slice_bits(shape), level_bounds(shape)
+    index = np.asarray(index, np.int64).reshape(-1)
+    out = np.zeros(index.size, KEY)    # the zero space keeps key 0
+    for lo in range(0, index.size, CHUNK):
+        chunk = index[lo:lo + CHUNK]
+        level = np.zeros(chunk.size, np.int8)
+        for bound in bounds[1:-1]:
+            level += chunk >= bound
+        for k in range(1, len(bounds) - 1):
+            at = np.flatnonzero(level == k)
+            if at.size:
+                after = bounds[k + 1] - 1 - chunk[at]
+                out[lo + at] = _unrank_level(m, k, after)
+    return out
+
+
+def unrank_bytes(k: int, n: int) -> int:
+    """Peak bytes unrank allocates for n indices of k-spaces besides its
+    result: one chunk of at most 80 + 16 k bytes per item, the positions
+    and temporaries in int64 and the rows and pivots, k each, and 128 KiB
+    for numpy's casting buffers and small tables."""
+    return (80 + 16 * k) * min(n, CHUNK) + (128 << 10)
+
+
+def _unrank_level(m: int, k: int, after: np.ndarray) -> np.ndarray:
+    """The keys of the k-spaces of F2^m with after (int64) k-spaces after
+    them in their level, as int64."""
+    rows, pivots = [], []
+    for i in range(k):
+        mm, rank = m - i, k - i
+        counts = np.array([_cnt(mm, rank, p) for p in range(mm)], np.int64)
+        tails = np.array([_cnt(mm - 1, rank - 1, p) for p in range(mm)], np.int64)
+        p = (after < counts[1:, None]).sum(axis=0)
+        x = counts[p] - after
+        c = tails[p]
+        j = (x + c - 1) // c
+        rows.append((1 << p) + j - 1)
+        pivots.append(p)
+        after = j * c - x
+    # from the deepest row up, put each deleted pivot bit back as 0
+    for i in range(k - 2, -1, -1):
+        low = (1 << pivots[i]) - 1
+        for row in rows[i + 1:]:
+            row += row & ~low
+    key = rows[0]
+    for row in rows[1:]:
+        key <<= m
+        key |= row
+    return key
 
 
 def permutation(shape: Shape, keys: np.ndarray, table: np.ndarray) -> np.ndarray:

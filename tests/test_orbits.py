@@ -7,6 +7,7 @@ partitions.  reference_spin spins the subspaces one orbit at a time, the
 reference for the batched spin and its merging of labels.
 """
 
+import dataclasses
 import io
 import struct
 import tracemalloc
@@ -21,11 +22,11 @@ from table_oracle import table_orbits, transpose_map
 
 from f2orbits.group import (Composite, block_permutations, compile_generators,
                             generator_set, identity_matrix, small_group_order)
-from f2orbits.orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits,
-                             load_atlas, merge_large_orbits, required_bytes,
-                             save_atlas)
+from f2orbits.orbits import (DEFAULT_MEM_CAP, FIXED_BYTES, MemoryCapError, OrbitAtlas,
+                             enumerate_orbits, load_atlas, merge_large_orbits,
+                             required_bytes, save_atlas)
 from f2orbits.report import NoReferenceError, load_reference
-from f2orbits.slices import permutation, slice_maps, subspace_keys, tuple_counts
+from f2orbits.slices import permutation, slice_maps, subspace_keys, tuple_counts, unrank
 from f2orbits.spin import SENTINEL, _least_linked, _spin_batch
 from f2orbits.tensor import Shape, parse_shape
 
@@ -119,8 +120,9 @@ def test_orbit_counts_small_formats(engine):
 def test_zero_code_is_orbit_zero(engine):
     atlas = engine.atlas("2x2x2")
     assert atlas.orbit_id(0) == 0
-    # the zero subspace, key 0, comes first
-    assert (int(atlas.keys[0]), int(atlas.assignment[0])) == (0, 0)
+    # the zero subspace, key 0, comes first, and is alone in orbit 0
+    assert unrank(atlas.shape, np.array([0])).tolist() == [0]
+    assert np.flatnonzero(atlas.assignment == 0).tolist() == [0]
 
 
 def test_orbit_id_takes_arrays(engine):
@@ -152,6 +154,20 @@ def test_members_are_the_orbit(engine):
         assert members.size == atlas.sizes[oid]
         assert members[0] == atlas.canonicals[oid]
         assert (atlas.orbit_id(members) == oid).all()
+
+
+def test_member_bytes_bound_the_listing_peak(engine):
+    # members unranks the orbit's subspaces from their indices; its
+    # tracemalloc peak stays under member_bytes, on the orbit of most
+    # subspaces among those of at most 2^20 codes, and on the zero orbit
+    for fmt in ("2x2x2", "3x2x2x2", "3x3x3", "4x3x2"):
+        atlas = engine.atlas(fmt)
+        counts = np.bincount(atlas.assignment)
+        counts[atlas.sizes > 1 << 20] = 0
+        for oid in (0, int(counts.argmax())):
+            atlas.members(oid)
+            peak = traced_peak(lambda: atlas.members(oid))
+            assert peak <= atlas.member_bytes(oid), (fmt, oid)
 
 
 def test_orbit_partition_sums(engine):
@@ -251,11 +267,13 @@ def reference_spin(shape):
 
 def test_batched_spin_matches_reference_spin(engine):
     # formats of many small orbits (merging batches of up to 256 starts)
-    # and of few large ones (single-start batches), array for array
+    # and of few large ones (single-start batches), array for array; the
+    # atlas keeps no keys, and unranking its subspaces gives the
+    # reference's keys
     for fmt in ("3x2x2x2", "2x2x2x2", "4x3x2", "3x3x3", "3x9"):
         atlas = engine.atlas(fmt)
         keys, assignment, canonicals, sizes = reference_spin(parse_shape(fmt))
-        assert np.array_equal(atlas.keys, keys), fmt
+        assert np.array_equal(unrank(atlas.shape, np.arange(atlas.assignment.size)), keys), fmt
         assert np.array_equal(atlas.assignment, assignment), fmt
         assert np.array_equal(atlas.canonicals, canonicals), fmt
         assert np.array_equal(atlas.sizes, sizes), fmt
@@ -316,7 +334,7 @@ def test_slice_engine_matches_table_oracle(accepted_formats):
             continue
         atlas = enumerate_orbits(s)
         oracle = table_orbits(s)
-        assert atlas.keys.size == slice_subspaces(dims), dims
+        assert atlas.assignment.size == slice_subspaces(dims), dims
         assert atlas.canonicals.tolist() == oracle.canonicals.tolist(), dims
         assert atlas.sizes.tolist() == oracle.sizes.tolist(), dims
         assert (atlas.orbit_id(np.arange(s.code_bound)) == oracle.assignment).all(), dims
@@ -382,41 +400,61 @@ def test_memory_cap_refusal():
 
 
 def test_required_bytes_and_strategy(accepted_formats):
-    """required_bytes on every accepted format, without enumerating: per
-    subspace a uint32 key, a uint16 id, a uint32 queue cell and one
-    uint32 permutation per composite; m + k + 2 tables of 2^M uint32 (the
-    slice maps, the lead table and the ranking tables); 20 + 8 k bytes
-    per item of one chunk of at most 2^14 items, k = min(d1, M); and a
-    spin batch's link mask of at most min(S, 256)^2 bools plus one
-    temporary of its size.  S comes from the q-Pascal rule."""
+    """required_bytes on every accepted format, without enumerating: the
+    larger of the permutation build and the spin, plus a fixed 16 KiB.
+    The build holds per subspace a uint32 key and one uint32 permutation
+    per composite; m + k + 2 tables of 2^M uint32 (the slice maps, the
+    lead table and the ranking tables); and 20 + 8 k bytes per item of
+    one chunk of at most 2^14 items, k = min(d1, M).  The spin holds per
+    subspace the permutations, a uint16 id and a uint32 queue cell, 24
+    bytes per item of one chunk, and a batch's link mask of at most
+    min(S, 256)^2 bools plus one temporary of its size.  S comes from the
+    q-Pascal rule."""
     for dims in accepted_formats:
         s = Shape(dims)
         m, S = len(generator_set(s)), slice_subspaces(dims)
         slice_bits = s.entry_count // dims[0]
-        k = min(dims[0], slice_bits)
-        assert required_bytes(s) == ((10 + 4 * m) * S
-                                     + 4 * (m + k + 2) * (1 << slice_bits)
-                                     + (20 + 8 * k) * min(S, 1 << 14)
-                                     + 2 * min(S, 256) ** 2), dims
+        k, chunk = min(dims[0], slice_bits), min(S, 1 << 14)
+        build = ((4 + 4 * m) * S + 4 * (m + k + 2) * (1 << slice_bits)
+                 + (20 + 8 * k) * chunk)
+        spinning = (6 + 4 * m) * S + 24 * chunk + 2 * min(S, 256) ** 2
+        assert required_bytes(s) == max(build, spinning) + (16 << 10), dims
+    assert FIXED_BYTES == 16 << 10
     assert len(accepted_formats) == 70
     # the paper's largest formats need a small part of the old 2^N table
-    assert required_bytes(Shape((3, 3, 3))) < 0.07 * 2 * (1 << 27)
-    assert required_bytes(Shape((3, 2, 2, 2))) < 0.11 * 2 * (1 << 24)
+    assert required_bytes(Shape((3, 3, 3))) < 0.05 * 2 * (1 << 27)
+    assert required_bytes(Shape((3, 2, 2, 2))) < 0.08 * 2 * (1 << 24)
     assert DEFAULT_MEM_CAP == 2 * 1024 ** 3
 
 
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_enumeration_peak_within_required_bytes():
-    # tracemalloc's peak over a cold enumeration stays under required_bytes
-    # plus a fixed slack for Python objects
-    for dims in ((3, 3, 3), (3, 2, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
+    # tracemalloc's peak over a cold enumeration stays under required_bytes,
+    # whose fixed term covers the Python objects: on the largest paper
+    # formats and on formats of a handful of subspaces (13x2 has 5)
+    for dims in ((3, 3, 3), (3, 2, 2, 2), (2, 2, 2, 2), (3, 3, 2),
+                 (13, 2), (2, 2, 2), (9, 3)):
         s = Shape(dims)
-        tracemalloc.start()
-        try:
-            enumerate_orbits(s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= required_bytes(s) + (64 << 10), dims
+        assert traced_peak(lambda: enumerate_orbits(s)) <= required_bytes(s), dims
+
+
+def test_load_builds_no_keys(tmp_path, engine):
+    # a 3x3x3 load holds the S ids, their running maximum and one step
+    # mask, 5 bytes per subspace, and unranks only the 116 canonicals; a
+    # uint32 key per subspace would take it to 9
+    path = tmp_path / "orbits.snap"
+    save_atlas(engine.atlas("3x3x3"), str(path))
+    s = Shape((3, 3, 3))
+    load_atlas(str(path), s)
+    assert traced_peak(lambda: load_atlas(str(path), s)) < 6 * slice_subspaces(s.dims)
 
 
 # ---- large orbits ----
@@ -488,13 +526,20 @@ def test_snapshot_roundtrip(tmp_path, engine):
     path = tmp_path / "orbits.snap"
     save_atlas(atlas, str(path))
     back = load_atlas(str(path))
+    # the atlas is the ids and what they give: no per-subspace keys
+    assert [f.name for f in dataclasses.fields(OrbitAtlas)] == \
+        ["shape", "assignment", "canonicals", "sizes"]
     assert back.shape == atlas.shape
-    assert (back.keys == atlas.keys).all()
     assert (back.assignment == atlas.assignment).all()
     assert (back.canonicals == atlas.canonicals).all()
     assert (back.sizes == atlas.sizes).all()
-    assert (back.keys.dtype, back.assignment.dtype) == (np.uint32, np.uint16)
+    assert back.assignment.dtype == np.uint16
     assert (back.canonicals.dtype, back.sizes.dtype) == (np.uint32, np.int64)
+    # the members, unranked from the loaded ids, are every orbit's codes
+    for oid in range(atlas.orbit_count + 1):
+        assert np.array_equal(back.members(oid), atlas.members(oid)), oid
+    codes = np.concatenate([back.members(oid) for oid in range(back.orbit_count + 1)])
+    assert np.array_equal(np.sort(codes), np.arange(atlas.shape.code_bound))
 
 
 def test_snapshot_rejects_corruption(tmp_path, engine):

@@ -1,14 +1,19 @@
 """Rank propagation, the brute-force oracle, and distributions."""
 
+from decimal import ROUND_HALF_UP, Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from table_oracle import table_orbits
 
 from f2orbits.group import Composite, compile_generators, identity_matrix
 from f2orbits.orbits import LargeOrbitAtlas
 from f2orbits.ranks import (DistributionRow, _orbit_adjacency, brute_force_rank,
-                            large_orbit_ranks, percent_string, seed_rank_one)
+                            decimal_string, large_orbit_ranks, percent_string,
+                            seed_rank_one)
 from f2orbits.tensor import Shape, enumerate_simple_tensors
 
 
@@ -183,3 +188,22 @@ def test_percent_rendering():
     assert percent_string(83670048, 1 << 27) == "62.3390"
     assert percent_string(0, 256) == "0.0000"
     assert percent_string(256, 256) == "100.0000"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(denominator=st.integers(1, 1 << 40), data=st.data())
+@example(denominator=256, data=None)
+@example(denominator=20000, data=None)
+def test_decimal_string_matches_decimal_quantize(denominator, data):
+    # integer half-up rounding against Decimal's ROUND_HALF_UP, at exact
+    # halves (n / d = x.xxxx5) and on arbitrary numerators up to 100 d
+    if data is None:
+        numerators = range(0, 100 * denominator + 1, denominator // 256 or 1)
+    else:
+        numerators = [data.draw(st.integers(0, 100 * denominator), label="n")]
+    for numerator in numerators:
+        with localcontext() as ctx:
+            ctx.prec = 80
+            q = Decimal(numerator) / Decimal(denominator)
+            expected = str(q.quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+        assert decimal_string(numerator, denominator) == expected, (numerator, denominator)

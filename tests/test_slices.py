@@ -7,7 +7,8 @@ most 2^17 subspaces is checked to be a bijection that sends each key to
 the span of its mapped rows.  span_index numbers spans by arithmetic;
 the sorted probe, pack plus np.searchsorted into the keys, is its
 reference: every key's own basis must get its own index, and random
-slice rows the probe's index.
+slice rows the probe's index.  unrank inverts it: every index must give
+back the key subspace_keys lists there.
 """
 
 import functools
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from f2orbits.group import Composite, generator_set, identity_matrix
 from f2orbits.slices import (CHUNK, KEY, index_tables, level_bounds, max_dim,
                              permutation, reduce_rows, slice_bits, slice_maps, span_index,
-                             subspace_count, subspace_keys, unpack)
+                             subspace_count, subspace_keys, unpack, unrank)
 from f2orbits.tensor import Shape, parse_shape
 
 
@@ -137,6 +138,23 @@ def test_every_key_gets_its_own_index(accepted_formats):
                 rows = unpack(keys[chunk], slice_bits(s), max_dim(s))
                 assert np.array_equal(span_index(rows, tables), chunk), (dims, lo)
     assert len(accepted_formats) == 70
+
+
+def test_unrank_lists_the_keys(accepted_formats):
+    # unrank(arange(S)) is subspace_keys on every accepted format, a level
+    # of more than 2^20 keys at a stride, with the indices also unranked
+    # in reverse, so that chunks mix levels
+    for dims in accepted_formats:
+        s = Shape(dims)
+        keys, bounds = subspace_keys(s), level_bounds(s)
+        at = np.concatenate([np.arange(lo, hi, -(-(hi - lo) >> 20))
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+        got = unrank(s, at)
+        assert got.dtype == KEY, dims
+        assert np.array_equal(got, keys[at]), dims
+        assert np.array_equal(unrank(s, at[::-1]), keys[at[::-1]]), dims
+    assert len(accepted_formats) == 70
+    assert unrank(Shape((3, 3, 3)), np.array([], np.intp)).size == 0
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 """Repository checks: the orbit table stays behind orbits.py, only
 group.py builds N-bit maps, no module sorts or binary-searches for an
-index, classify does not import numpy.ma, the public names and the
+index, only enumeration builds the subspace keys, classify imports
+neither numpy.ma nor json nor decimal, the public names and the
 README's Library example match the package, the benchmark's layer pass
 still runs against the package, and the benchmark's self-check passes.
 
@@ -65,13 +66,31 @@ def test_one_span_lookup():
         assert "searchsorted" not in text and "argsort" not in text, path.name
 
 
+def calls(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_enumeration_builds_the_keys():
+    # the keys of every subspace are built once, for the permutations of
+    # an enumeration; everything else unranks the subspaces it reads
+    trees = modules()
+    found = {name: len(calls(tree, "subspace_keys")) for name, tree in trees.items()}
+    assert {name: n for name, n in found.items() if n} == {"orbits.py": 1}
+    (enumeration,) = [node for node in ast.walk(trees["orbits.py"])
+                      if isinstance(node, ast.FunctionDef) and node.name == "enumerate_orbits"]
+    assert len(calls(enumeration, "subspace_keys")) == 1
+
+
 def test_classify_does_not_import_numpy_ma():
     # a plain np.unique calls np.ma.is_masked, and importing numpy.ma
-    # costs every run tens of milliseconds and most of a megabyte
+    # costs every run tens of milliseconds and most of a megabyte; json
+    # (only --emit json needs it) and decimal stay off the path as well
     code = ("import sys\n"
             "from f2orbits.cli import main\n"
             "assert main(['classify', '--format', '3x2x2x2', '--flavor', 'large']) == 0\n"
-            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+            "for name in ('numpy.ma', 'json', 'decimal'):\n"
+            "    assert name not in sys.modules, name + ' was imported'\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
