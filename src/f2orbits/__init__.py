@@ -5,33 +5,31 @@ whose binary digits are the entries in lexicographic subscript order.
 Invertible linear substitutions in each direction (optionally combined
 with permutations of equal-dimension directions) partition the tensors
 into orbits; every orbit gets a canonical form (its smallest code) and a
-tensor rank, computed by breadth-first search over rank-1 perturbations.
+tensor rank, its breadth-first distance from the zero orbit when each
+step adds one simple tensor.
 """
 
 from .group import (Composite, GLMatrix, generator_set, large_group_order,
                     small_group_order)
 from .orbits import (LargeOrbitAtlas, MemoryCapError, OrbitAtlas, enumerate_orbits,
                      load_atlas, merge_large_orbits, save_atlas)
-from .ranks import (RankAtlas, brute_force_rank, propagate_ranks,
-                    rank_distribution, seed_rank_one)
+from .ranks import RankAtlas, propagate_ranks, rank_distribution
 from .report import (ClassificationRow, ConjectureReport, DiffReport,
                      NoReferenceError, check_conjecture_p22, emit, load_reference,
                      summarize, verify_reference)
-from .tensor import (MAX_ENTRIES, Shape, enumerate_simple_tensors, parse_shape,
-                     transpose)
+from .tensor import MAX_ENTRIES, Shape, enumerate_simple_tensors, parse_shape
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MAX_ENTRIES", "Shape", "parse_shape",
-    "enumerate_simple_tensors", "transpose",
+    "enumerate_simple_tensors",
     "GLMatrix", "Composite", "generator_set",
     "small_group_order", "large_group_order",
     "OrbitAtlas", "LargeOrbitAtlas", "MemoryCapError",
     "enumerate_orbits", "merge_large_orbits",
     "save_atlas", "load_atlas",
-    "RankAtlas", "seed_rank_one", "propagate_ranks", "brute_force_rank",
-    "rank_distribution",
+    "RankAtlas", "propagate_ranks", "rank_distribution",
     "ClassificationRow", "DiffReport", "ConjectureReport", "NoReferenceError",
     "summarize", "load_reference", "verify_reference", "check_conjecture_p22",
     "emit",

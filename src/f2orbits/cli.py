@@ -69,7 +69,7 @@ def _build_parser():
 
 
 def _resolve_cap(args):
-    if getattr(args, "mem_cap", None) is not None:
+    if args.mem_cap is not None:
         name, value = "--mem-cap", str(args.mem_cap)
     elif (value := os.environ.get("F2TO_MEM_CAP")) is not None:
         name = "F2TO_MEM_CAP"

@@ -80,10 +80,6 @@ class GLMatrix:
         if not _invertible(self.rows, self.d):
             raise ValueError("matrix is singular over GF(2)")
 
-    def entry(self, r: int, c: int) -> int:
-        """1-based entry access."""
-        return (self.rows[r - 1] >> (c - 1)) & 1
-
     def __matmul__(self, other: "GLMatrix") -> "GLMatrix":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
@@ -95,21 +91,6 @@ class GLMatrix:
                     acc ^= other.rows[k]
             rows.append(acc)
         return GLMatrix(self.d, tuple(rows))
-
-    def inverse(self) -> "GLMatrix":
-        d = self.d
-        rows = list(self.rows)
-        inv = [1 << r for r in range(d)]
-        for col in range(d):
-            bit = 1 << col
-            pivot = next(r for r in range(col, d) if rows[r] & bit)
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            for r in range(d):
-                if r != col and rows[r] & bit:
-                    rows[r] ^= rows[col]
-                    inv[r] ^= inv[col]
-        return GLMatrix(d, tuple(inv))
 
 
 def identity_matrix(d: int) -> GLMatrix:
@@ -171,7 +152,8 @@ def block_permutations(shape: Shape) -> list[tuple[int, ...]]:
 
 
 def transpose_codes(shape: Shape, codes: np.ndarray, perms) -> np.ndarray:
-    """out[..., j] = tensor.transpose(shape, codes, perms[j]) for an
+    """out[..., j] = the code whose entry at (i1, ..., in) is the entry of
+    codes at (i_perm[1], ..., i_perm[n]) for perm = perms[j], for an
     integer array of codes and dimension-preserving mode permutations,
     as uint32, by one gather of the codes' bits: source[p] is the
     position whose entry moves to position p."""

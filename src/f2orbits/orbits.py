@@ -187,15 +187,25 @@ class OrbitAtlas:
         return out
 
     def member_bytes(self, orbit_id: int) -> int:
-        """Peak bytes members(orbit_id) allocates: the result, the id
-        mask, the indices, keys and bases of the orbit's subspaces, the
-        coefficients, one block and one chunk of unrank."""
+        """Peak bytes members(orbit_id) allocates: FIXED_BYTES plus the
+        largest of its phases over the orbit's n k-spaces, t = t(k).  They
+        hold the id mask and the n int64 indices; the indices, keys and
+        unrank's bytes; or, beside the keys, their rows and the (k, t)
+        coefficients, a chunk of candidates being filtered (12 k + 16
+        bytes each) or the result and a block of products, counted three
+        times for numpy's temporaries."""
         k = self._dimension(orbit_id)
+        if k == 0:
+            return KEY.itemsize + FIXED_BYTES
         size = int(self.sizes[orbit_id])
         t = tuple_counts(self.shape)[k]
-        return (4 * size + self.assignment.size + (12 + 4 * k) * (size // t) + 4 * k * t
-                + 4 * max(CHUNK, t) + (16 + 20 * k) * CHUNK
-                + unrank_bytes(k, size // t))
+        n = size // t
+        held = 4 * (1 + k) * n + 4 * k * t
+        candidates = min(CHUNK, 1 << (self.shape.dims[0] * k))
+        return FIXED_BYTES + max(self.assignment.size + 8 * n,
+                                 12 * n + unrank_bytes(k, n),
+                                 held + (12 * k + 16) * candidates,
+                                 held + 4 * size + 12 * min(n, max(1, CHUNK // t)) * t)
 
     def _dimension(self, orbit_id: int) -> int:
         """The dimension k of the subspaces of an orbit: its canonical is a
@@ -335,7 +345,11 @@ def load_atlas(path: str, shape: Shape | None = None, *,
     of its format is checked against mem_cap (MemoryCapError), and that
     check comes before any allocation.  Malformed files raise ValueError:
     a bad magic, version or header, a length other than the format's,
-    a failed CRC, and ids that _atlas refuses."""
+    a failed CRC, and ids that _atlas refuses.  A snapshot is trusted
+    input: the CRC guards against corruption only, and the checks do not
+    prove the ids right (ids that move subspaces between orbits, resealed
+    with a fresh CRC, load whenever every size divides the group
+    order)."""
     with open(path, "rb") as f:
         head = f.read(6)
         if head[:4] != _SNAPSHOT_MAGIC:

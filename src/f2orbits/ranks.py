@@ -1,23 +1,22 @@
-"""Tensor rank per orbit via rank-1 perturbation breadth-first search.
+"""Tensor rank per orbit, as the breadth-first distance from the zero orbit.
 
-Adding a simple tensor changes rank by at most one, and every tensor of
-rank r >= 1 is a simple tensor away from one of rank r - 1.  So rank =
-1 + BFS distance from the rank-1 orbit in the graph that joins orbits O1
-and O2 when x XOR s lies in O2 for some x in O1 and simple s, a symmetric
-relation.  The group is transitive on simple tensors, which seed_rank_one
-checks: given such x and s, take g with g x = c1, the canonical of O1;
-then c1 XOR g s lies in O2, and g s is simple.  So O1 and O2 are adjacent
-exactly when c1 XOR S lies in O2 for some simple S, and one orbit_id
-lookup of every canonical XOR every simple tensor fills a dense K x K
-boolean mask, K = orbit count + 1 (at most 697, for 3x2x2x2, over every
-format up to 27 entries).  The BFS advances a whole frontier per step as
+The rank of a tensor is the least number of simple tensors that sum to
+it, so it is the BFS distance from 0 in the graph that joins x and x XOR
+s for every simple tensor s.  The group maps simple tensors to simple
+tensors, so rank is constant on orbits, and it is the distance from the
+zero orbit in the graph that joins orbits O1 and O2 when x XOR s lies in
+O2 for some x in O1 and simple s, a symmetric relation.  Given such x
+and s, take g with g x = c1, the canonical of O1; then c1 XOR g s lies
+in O2, and g s is simple.  So O1 and O2 are adjacent exactly when c1
+XOR S lies in O2 for some simple S, and one orbit_id lookup of every
+canonical XOR every simple tensor fills a dense K x K boolean mask, K =
+orbit count + 1 (at most 697, for 3x2x2x2, over every format up to 27
+entries).  Row 0 of the mask holds the orbits of the simple tensors
+themselves, and the group is transitive on simple tensors, which
+propagate_ranks checks.  The BFS advances a whole frontier per step as
 a reduction over rows of that mask.
-
-The brute-force oracle is independent of all of the above: plain BFS over
-XOR-with-a-simple-tensor moves, usable for small formats and small ranks.
 """
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -37,73 +36,40 @@ class RankAtlas:
         return int(self.by_orbit.max())
 
 
-def seed_rank_one(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
-    """Mark the single orbit holding all simple tensors with rank 1."""
-    simples = np.array(enumerate_simple_tensors(shape), dtype=np.uint32)
-    ids = atlas.orbit_id(simples)
-    if ids.min() != ids.max():
-        raise RuntimeError(f"simple tensors fall into {len(set(ids.tolist()))} orbits; "
-                           "the group action is broken")
-    by_orbit = np.zeros(atlas.orbit_count + 1, dtype=np.uint8)
-    by_orbit[int(ids[0])] = 1
-    return RankAtlas(by_orbit)
-
-
 def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:
     """Symmetric K x K boolean mask, K = orbit count + 1, joining orbit i
-    to the orbit of canonical_i XOR S for every simple tensor S.  Row and
-    column 0 are clear: the zero orbit is rank 0 by definition, not a BFS
-    vertex."""
+    to the orbit of canonical_i XOR S for every simple tensor S; row 0,
+    the zero orbit's, holds the orbits of the simple tensors."""
     simples = np.array(enumerate_simple_tensors(atlas.shape), dtype=np.intp)
     adj = np.zeros((atlas.orbit_count + 1,) * 2, dtype=bool)
-    adj[np.arange(1, atlas.orbit_count + 1)[:, None],
-        atlas.orbit_id(atlas.canonicals[1:, None] ^ simples)] = True
-    adj[:, 0] = False
+    adj[np.arange(atlas.orbit_count + 1)[:, None],
+        atlas.orbit_id(atlas.canonicals[:, None] ^ simples)] = True
     return adj
 
 
 def propagate_ranks(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
-    """Assign every orbit its rank by BFS from the rank-1 orbit over
-    _orbit_adjacency; see the module docstring."""
-    by_orbit = seed_rank_one(shape, atlas).by_orbit
+    """Assign every orbit of atlas, of format shape, its rank: its BFS
+    distance from the zero orbit over _orbit_adjacency (module
+    docstring).  RuntimeError if the simple tensors fall into more than
+    one orbit or an orbit is unreachable."""
     adj = _orbit_adjacency(atlas)
-    frontier = by_orbit == 1
-    rank = 1
+    simple_orbits = np.flatnonzero(adj[0])
+    if simple_orbits.size != 1:
+        raise RuntimeError(f"simple tensors fall into {simple_orbits.size} orbits; "
+                           "the group action is broken")
+    by_orbit = np.zeros(atlas.orbit_count + 1, dtype=np.uint8)
+    reached = np.zeros(atlas.orbit_count + 1, dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    rank = 0
     while frontier.any():
         rank += 1
-        frontier = adj[frontier].any(axis=0) & (by_orbit == 0)
+        frontier = adj[frontier].any(axis=0) & ~reached
+        reached |= frontier
         by_orbit[frontier] = rank
-    if by_orbit[1:].min(initial=255) == 0:
+    if not reached.all():
         raise RuntimeError("unreachable orbit after rank propagation")
     return RankAtlas(by_orbit)
-
-
-# ---- independent oracle ----
-
-@functools.lru_cache(maxsize=None)
-def _rank_levels(shape: Shape, max_r: int):
-    simples = enumerate_simple_tensors(shape)
-    known = {0: 0}
-    frontier = [0]
-    for r in range(1, max_r + 1):
-        grown = []
-        for c in frontier:
-            for s in simples:
-                t = c ^ s
-                if t not in known:
-                    known[t] = r
-                    grown.append(t)
-        frontier = grown
-    return known
-
-
-def brute_force_rank(shape: Shape, code: int, max_r: int = 3) -> int | None:
-    """Smallest r <= max_r with code a XOR of r simple tensors, else None.
-    Definition-level search, independent of the orbit machinery; cost grows
-    with (number of simple tensors)^max_r."""
-    if not 0 <= code < shape.code_bound:
-        raise ValueError(f"code {code} out of range for {shape}")
-    return _rank_levels(shape, max_r).get(code)
 
 
 # ---- distributions ----

@@ -1,4 +1,4 @@
-"""Tensor formats over GF(2) and the flattening/encoding bijection.
+"""Tensor formats over GF(2), their codes, and simple tensors.
 
 A tensor of format d1 x ... x dn with entries in {0, 1} is identified with
 an N-bit integer, its code, where N = d1*...*dn.  Entries are read off in
@@ -7,9 +7,13 @@ significant bit, so integer order on codes coincides with lex order on
 flattenings.  That makes "minimal element of an orbit" the same thing as
 "smallest code", which everything downstream relies on.
 
-Entrywise addition over GF(2) is XOR of codes.  All functions here are
-pure; codes are plain Python ints (N <= 27 keeps them inside one 32-bit
-word for the array-based modules).
+Entrywise addition over GF(2) is XOR of codes.  simple_code builds the
+code of an outer product of one vector per mode, the one construction
+that group.basis_images and enumerate_simple_tensors rest on.  No
+classify path reads a code entry by entry: the entry-level oracles
+(positions, entries, the mode transpose) live in tests/entry_oracle.py.
+All functions here are pure; codes are plain Python ints (N <= 27 keeps
+them inside one 32-bit word for the array-based modules).
 """
 
 import re
@@ -45,12 +49,6 @@ class Shape:
                 f"{'x'.join(map(str, dims))} has {n} entries, "
                 f"limit is {MAX_ENTRIES}")
         object.__setattr__(self, "_entry_count", n)
-        strides = []
-        acc = 1
-        for d in reversed(dims):
-            strides.append(acc)
-            acc *= d
-        object.__setattr__(self, "_strides", tuple(reversed(strides)))
 
     @property
     def n(self) -> int:
@@ -67,11 +65,6 @@ class Shape:
         """2^N; codes live in [0, code_bound)."""
         return 1 << self._entry_count
 
-    @property
-    def strides(self) -> tuple[int, ...]:
-        """Mixed-radix strides: position steps per unit of each subscript."""
-        return self._strides
-
     def __str__(self):
         return "x".join(str(d) for d in self.dims)
 
@@ -81,36 +74,6 @@ def parse_shape(text: str) -> Shape:
     if not _FORMAT_RE.match(text):
         raise ValueError(f"bad format string {text!r}, expected like '3x3x3'")
     return Shape(tuple(int(d) for d in text.split("x")))
-
-
-# ---- positions and entries ----
-
-def position_of(shape: Shape, idx) -> int:
-    """Flattening position in [0, N) of a 1-based multi-index."""
-    if len(idx) != shape.n:
-        raise ValueError(f"index {idx} has wrong length for {shape}")
-    p = 0
-    for i, d, s in zip(idx, shape.dims, shape.strides):
-        if not 1 <= i <= d:
-            raise ValueError(f"coordinate {i} out of range 1..{d} in {idx}")
-        p += (i - 1) * s
-    return p
-
-
-def index_of(shape: Shape, p: int) -> tuple[int, ...]:
-    """Inverse of position_of."""
-    if not 0 <= p < shape.entry_count:
-        raise ValueError(f"position {p} out of range for {shape}")
-    out = []
-    for s in shape.strides:
-        out.append(p // s + 1)
-        p %= s
-    return tuple(out)
-
-
-def get_entry(shape: Shape, code: int, idx) -> int:
-    """Entry of the tensor encoded by code at a 1-based multi-index."""
-    return (code >> (shape.entry_count - 1 - position_of(shape, idx))) & 1
 
 
 # ---- simple tensors ----
@@ -145,30 +108,3 @@ def enumerate_simple_tensors(shape: Shape) -> list[int]:
     assert len(codes) == expected
     return sorted(codes)
 
-
-# ---- mode permutations ----
-
-def _check_perm(shape, perm):
-    if sorted(perm) != list(range(1, shape.n + 1)):
-        raise ValueError(f"{perm} is not a permutation of modes 1..{shape.n}")
-    for k, src in enumerate(perm, start=1):
-        if shape.dims[src - 1] != shape.dims[k - 1]:
-            raise ValueError(
-                f"permutation {perm} mixes unequal dimensions in {shape}")
-
-
-def transpose(shape: Shape, code: int, perm) -> int:
-    """Permute modes: result entry at (i1, ..., in) is the input entry at
-    (i_perm[1], ..., i_perm[n]).  This is a left action: composing
-    transpose by sigma after transpose by tau equals transpose by
-    sigma o tau."""
-    perm = tuple(perm)
-    _check_perm(shape, perm)
-    n_bits = shape.entry_count
-    out = 0
-    for p in range(n_bits):
-        idx = index_of(shape, p)
-        src = tuple(idx[s - 1] for s in perm)
-        if (code >> (n_bits - 1 - position_of(shape, src))) & 1:
-            out |= 1 << (n_bits - 1 - p)
-    return out

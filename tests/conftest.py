@@ -19,12 +19,13 @@ with group.py or slices.py.
 """
 
 import pytest
+from entry_oracle import index_of
 
 from f2orbits.group import Composite, gl_generators, identity_matrix
 from f2orbits.orbits import enumerate_orbits, merge_large_orbits
 from f2orbits.ranks import large_orbit_ranks, propagate_ranks, rank_distribution
 from f2orbits.report import summarize
-from f2orbits.tensor import MAX_ENTRIES, index_of, parse_shape
+from f2orbits.tensor import MAX_ENTRIES, parse_shape
 
 
 class Engine:
@@ -72,13 +73,14 @@ def engine():
 def reference_apply(shape, composite, code):
     """The image of code under composite, mode by mode: acting on mode k,
     the entry at subscripts idx becomes the sum over j of M[j][idx_k]
-    times the entry at idx with subscript j in mode k."""
+    times the entry at idx with subscript j in mode k, M[j][i] being bit
+    i - 1 of row j of the matrix."""
     n = shape.entry_count
     indices = [index_of(shape, p) for p in range(n)]
     entry = {idx: (code >> (n - 1 - p)) & 1 for p, idx in enumerate(indices)}
     for k, mat in enumerate(composite.matrices):
-        entry = {idx: sum(mat.entry(j, idx[k]) & entry[idx[:k] + (j,) + idx[k + 1:]]
-                          for j in range(1, mat.d + 1)) & 1
+        entry = {idx: sum((mat.rows[j] >> (idx[k] - 1)) & entry[idx[:k] + (j + 1,) + idx[k + 1:]]
+                          for j in range(mat.d)) & 1
                  for idx in indices}
     return sum(entry[idx] << (n - 1 - p) for p, idx in enumerate(indices))
 

@@ -12,9 +12,10 @@ only, which takes in 3x3x2.
 from dataclasses import dataclass
 
 import numpy as np
+from entry_oracle import transpose
 
 from f2orbits.group import CodeMap, compile_generators, generator_set
-from f2orbits.tensor import Shape, transpose
+from f2orbits.tensor import Shape
 
 MAX_CODES = 1 << 18
 _SENTINEL = 0xFFFF
@@ -43,8 +44,8 @@ class TableAtlas:
 
 
 def transpose_map(shape: Shape, perm) -> CodeMap:
-    """The CodeMap of a mode permutation, from tensor.transpose of the N
-    basis codes."""
+    """The CodeMap of a mode permutation, from entry_oracle.transpose of
+    the N basis codes."""
     n = shape.entry_count
     return CodeMap.from_images(n, [transpose(shape, 1 << b, perm) for b in range(n)])
 

@@ -156,18 +156,36 @@ def test_members_are_the_orbit(engine):
         assert (atlas.orbit_id(members) == oid).all()
 
 
+# the most member_bytes may exceed the traced peak of members: unrank's
+# 128 KiB allowance for casting buffers plus FIXED_BYTES on small orbits,
+# and the product blocks counted three times on orbits of many codes
+# (175 KB measured on 4x3x2)
+MEMBER_SLACK = 192 << 10
+
+
 def test_member_bytes_bound_the_listing_peak(engine):
     # members unranks the orbit's subspaces from their indices; its
-    # tracemalloc peak stays under member_bytes, on the orbit of most
-    # subspaces among those of at most 2^20 codes, and on the zero orbit
-    for fmt in ("2x2x2", "3x2x2x2", "3x3x3", "4x3x2"):
+    # tracemalloc peak stays under member_bytes, and member_bytes, the
+    # largest of the listing's phases, stays within MEMBER_SLACK of it:
+    # on every orbit of at most 2^20 codes of three formats, and on the
+    # zero orbit, orbit 1 and the orbit of most such subspaces of two
+    # more.  Each phase is the peak somewhere: the id mask on orbit 1 of
+    # 3x3x3 (49 subspaces of 831,982), unrank on the larger orbits of
+    # 2x2x2x2, the coefficient filter on the 3- and 4-space orbits of
+    # 4x3x2 with few subspaces, and the products on the rest, so dropping
+    # any phase from the figure fails here.
+    for fmt in ("2x2x2", "2x2x2x2", "3x2x2x2", "3x3x3", "4x3x2"):
         atlas = engine.atlas(fmt)
         counts = np.bincount(atlas.assignment)
         counts[atlas.sizes > 1 << 20] = 0
-        for oid in (0, int(counts.argmax())):
+        if fmt in ("3x2x2x2", "3x3x3"):
+            oids = (0, 1, int(counts.argmax()))
+        else:
+            oids = np.flatnonzero(atlas.sizes <= 1 << 20).tolist()
+        for oid in oids:
             atlas.members(oid)
             peak = traced_peak(lambda: atlas.members(oid))
-            assert peak <= atlas.member_bytes(oid), (fmt, oid)
+            assert peak <= atlas.member_bytes(oid) <= peak + MEMBER_SLACK, (fmt, oid)
 
 
 def test_orbit_partition_sums(engine):

@@ -1,9 +1,11 @@
 """Rank propagation, the brute-force oracle, and distributions."""
 
+from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
 import pytest
+from entry_oracle import brute_force_rank
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,30 +13,44 @@ from table_oracle import table_orbits
 
 from f2orbits.group import Composite, compile_generators, identity_matrix
 from f2orbits.orbits import LargeOrbitAtlas
-from f2orbits.ranks import (DistributionRow, _orbit_adjacency, brute_force_rank,
-                            decimal_string, large_orbit_ranks, percent_string,
-                            seed_rank_one)
+from f2orbits.ranks import (DistributionRow, _orbit_adjacency, decimal_string,
+                            large_orbit_ranks, percent_string, propagate_ranks)
 from f2orbits.tensor import Shape, enumerate_simple_tensors
 
 
 def test_seed_marks_single_orbit(engine):
+    # the BFS from the zero orbit gives rank 1 to one orbit, that of every
+    # simple tensor, and that orbit holds the simple tensors only
     for fmt, nsimples in (("2x2x2", 27), ("3x2x2", 63), ("3x3x2", 147)):
-        atlas = engine.atlas(fmt)
-        seeded = seed_rank_one(engine.shape(fmt), atlas)
-        (oid,) = np.flatnonzero(seeded.by_orbit == 1)
+        shape, atlas = engine.shape(fmt), engine.atlas(fmt)
+        ranks = propagate_ranks(shape, atlas)
+        (oid,) = np.flatnonzero(ranks.by_orbit == 1)
         assert atlas.sizes[oid] == nsimples
         assert atlas.canonicals[oid] == 1
-        assert len(enumerate_simple_tensors(engine.shape(fmt))) == nsimples
+        simples = enumerate_simple_tensors(shape)
+        assert len(simples) == nsimples
+        assert (atlas.orbit_id(np.array(simples)) == oid).all()
+        assert np.flatnonzero(_orbit_adjacency(atlas)[0]).tolist() == [oid]
 
 
 def test_seed_rejects_split_simples():
     # under identity-only generators the simple tensors do not form one
-    # orbit, which the seeding step must notice
+    # orbit, which propagate_ranks must notice before it ranks anything
     s = Shape((2, 2, 2))
     identity = Composite((identity_matrix(2),) * 3)
     atlas = table_orbits(s, compile_generators(s, (identity,)))
-    with pytest.raises(RuntimeError):
-        seed_rank_one(s, atlas)
+    with pytest.raises(RuntimeError, match="simple tensors fall into 27 orbits"):
+        propagate_ranks(s, atlas)
+
+
+def test_propagate_rejects_unreachable_orbit(engine):
+    # an extra orbit that no canonical XOR simple tensor lands in is never
+    # reached from the zero orbit
+    atlas = engine.atlas("2x2x2")
+    extra = replace(atlas, canonicals=np.append(atlas.canonicals, atlas.canonicals[-1]),
+                    sizes=np.append(atlas.sizes, 0))
+    with pytest.raises(RuntimeError, match="unreachable orbit"):
+        propagate_ranks(extra.shape, extra)
 
 
 def test_known_ranks_by_canonical(engine):
@@ -46,28 +62,30 @@ def test_known_ranks_by_canonical(engine):
 
 
 def reference_adjacency(atlas):
-    # orbit adjacency sets of the nonzero orbits, built one code pair
-    # (2k, 2k+1) at a time
+    # orbit adjacency sets of every orbit, the zero orbit included, built
+    # one code pair (2k, 2k+1) at a time: code 1 is simple, so pair (0, 1)
+    # joins the zero orbit to the rank-1 orbit
     a = atlas.orbit_id(np.arange(atlas.shape.code_bound)).tolist()
     adj = [set() for _ in range(atlas.orbit_count + 1)]
-    for code in range(2, len(a), 2):
+    for code in range(0, len(a), 2):
         adj[a[code]].add(a[code + 1])
         adj[a[code + 1]].add(a[code])
     return adj
 
 
-def reference_orbit_ranks(adj, rank_one):
-    # plain Python BFS over the adjacency sets
-    by_orbit = [0] * len(adj)
-    by_orbit[rank_one] = 1
-    frontier = [rank_one]
-    rank = 1
+def reference_orbit_ranks(adj):
+    # plain Python BFS over the adjacency sets from the zero orbit; an
+    # unreached orbit keeps None
+    by_orbit = [None] * len(adj)
+    by_orbit[0] = 0
+    frontier = [0]
+    rank = 0
     while frontier:
         rank += 1
         grown = []
         for oid in frontier:
             for other in adj[oid]:
-                if by_orbit[other] == 0:
+                if by_orbit[other] is None:
                     by_orbit[other] = rank
                     grown.append(other)
         frontier = grown
@@ -81,9 +99,8 @@ def test_propagated_ranks_match_set_bfs(engine):
         mask = _orbit_adjacency(atlas)
         assert {tuple(e) for e in np.argwhere(mask).tolist()} == \
             {(i, j) for i, row in enumerate(adj) for j in row}
-        rank_one = atlas.orbit_id(1)
-        assert engine.ranks(fmt).by_orbit.tolist() == \
-            reference_orbit_ranks(adj, rank_one)
+        assert adj[0] == {atlas.orbit_id(1)}
+        assert engine.ranks(fmt).by_orbit.tolist() == reference_orbit_ranks(adj)
 
 
 def test_brute_force_matches_propagated_everywhere(engine):

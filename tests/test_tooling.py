@@ -1,6 +1,7 @@
 """Repository checks: the orbit table stays behind orbits.py, only
 group.py builds N-bit maps, no module sorts or binary-searches for an
-index, only enumeration builds the subspace keys, classify imports
+index, only enumeration builds the subspace keys, every definition in
+src/ is read by other code in src/ or by benchmark/, classify imports
 neither numpy.ma nor json nor decimal, the public names and the
 README's Library example match the package, the benchmark's layer pass
 still runs against the package, and the benchmark's self-check passes.
@@ -95,6 +96,53 @@ def test_classify_does_not_import_numpy_ma():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def definitions(tree):
+    """(name, node, reads that name it) for every top-level function and
+    class of a module and every method of its classes but the dunders: a
+    method is read only as an attribute, a top-level name either way."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node, (node.name, "." + node.name)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name, item, ("." + item.name,)
+
+
+def reads(node, enclosing=()):
+    """(name, definitions around it) for every name a tree reads, and
+    (.attribute, definitions around it) for every attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        enclosing += (node,)
+    if isinstance(node, ast.Name):
+        yield node.id, enclosing
+    elif isinstance(node, ast.Attribute):
+        yield "." + node.attr, enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from reads(child, enclosing)
+
+
+def test_every_definition_has_a_consumer():
+    # src/ keeps only what a command or the benchmark runs: every
+    # definition is read from outside itself, by src/ or by benchmark/;
+    # the test oracles live in tests/, and imports and __all__ do not
+    # count as reads
+    trees = modules()
+    readers = {}
+    for tree in trees.values():
+        for name, enclosing in reads(tree):
+            readers.setdefault(name, []).append(enclosing)
+    benchmark = {name for path in sorted((ROOT / "benchmark").glob("*.py"))
+                 for name, _ in reads(ast.parse(path.read_text()))}
+    unused = [f"{module}:{name}" for module, tree in trees.items()
+              for name, node, keys in definitions(tree)
+              if not benchmark.intersection(keys)
+              and all(node in enclosing for key in keys for enclosing in readers.get(key, []))]
+    assert unused == []
+    import f2orbits
+    assert {"transpose", "brute_force_rank", "seed_rank_one"} & set(f2orbits.__all__) == set()
 
 
 def test_public_names_resolve():
