@@ -14,7 +14,7 @@ import time
 from .group import large_group_order, small_group_order
 from .orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits, load_atlas,
                      merge_large_orbits, required_bytes, save_atlas)
-from .ranks import propagate_ranks, rank_distribution
+from .ranks import propagate_ranks, rank_bytes, rank_distribution
 from .report import (NoReferenceError, check_conjecture_p22, emit, load_reference,
                      summarize, verify_reference)
 from .tensor import parse_shape
@@ -97,7 +97,9 @@ class _Phases:
 def _compute(shape, cap, flavor="small", snapshot=None):
     """The one classification pipeline: load the snapshot or enumerate
     (saving the snapshot if asked), rank, merge under mode swaps for the
-    large flavor, and summarize.  Returns (atlas, ranks, rows, dist)."""
+    large flavor, and summarize.  The cap is checked against
+    required_bytes before the enumeration or load and against rank_bytes
+    before ranking.  Returns (atlas, ranks, rows, dist)."""
     est = required_bytes(shape)
     print(f"estimated table bytes: {est}", file=sys.stderr)
     phases = _Phases()
@@ -112,6 +114,10 @@ def _compute(shape, cap, flavor="small", snapshot=None):
             save_atlas(atlas, snapshot)
             phases.mark("snapshot save")
 
+    need = rank_bytes(atlas)
+    print(f"estimated rank bytes: {need}", file=sys.stderr)
+    if need > cap:
+        raise MemoryCapError(need, cap)
     ranks = propagate_ranks(shape, atlas)
     phases.mark("ranks")
     large = None

@@ -33,29 +33,29 @@ b_(j+1) is least, the key of U is its least spanning code, and the
 canonical form of an orbit, its least code, is the least key among its
 subspaces.
 
-Enumeration.  slices.py builds the keys of every subspace in ascending
-order, pivot by pivot with no sorting or dedupe: each (k+1)-space is a
-k-space plus a row whose pivot lies below every earlier pivot and is
-clear in every earlier row, with its lower bits free.  For each
-composite of group.generator_set, its slice map (the composite with the
-identity on mode 1, applied to the 2^M codes of the last slice) gives
-one uint32 permutation of the subspaces: map the rows of every key and
-number their span with slices.span_index, which reduces the rows and
-ranks the basis by arithmetic on its pivots and free bits, with no
-search.  The projections of generators of G generate G'.  The keys are
-dropped once the permutations are built.  spin.py then marks one uint16
-orbit id per subspace, many orbits per pass: a batch takes the
-next unassigned keys of one dimension in ascending order as its starts,
-spreads them all breadth first, and makes each class of starts that meet
-one orbit.  Its least start is its canonical key: every key below the
-last start was either assigned before the batch or is a start, and every
-orbit the batch meets was wholly unassigned, as each batch spins its
-orbits whole.  So numbering the classes by least start keeps the ids 1,
-2, ... ascending with the canonical form, with no renumbering pass.
-Id 0 is the zero tensor, the zero subspace at index 0.  Two bytes
-always suffice: no format up to MAX_ENTRIES entries has more than 696
-nonzero orbits (tests/test_orbits.py::test_orbit_counts_fit_the_cell
-sweeps them all).
+Enumeration.  slices.permutations builds the keys of every subspace in
+ascending order, pivot by pivot with no sorting or dedupe: each
+(k+1)-space is a k-space plus a row whose pivot lies below every earlier
+pivot and is clear in every earlier row, with its lower bits free.  For
+each composite of group.generator_set, its slice map (the composite with
+the identity on mode 1, applied to the 2^M codes of the last slice)
+gives one uint32 permutation of the subspaces: map the rows of every key
+and number their span with slices.span_index, which reduces the rows
+and ranks the basis by arithmetic on its pivots and free bits, with no
+search.  The projections of generators of G generate G'.  The keys go
+when the permutations are built.  spin.py then marks one uint16 orbit
+id per subspace, many orbits per pass: a batch takes the next
+unassigned keys in ascending order as its starts, of one dimension or
+several, spreads them all breadth first, and makes each class of starts
+that meet one orbit.  Its least start is its canonical key: every key
+below the last start was either assigned before the batch or is a
+start, and every orbit the batch meets was wholly unassigned, as each
+batch spins its orbits whole.  So numbering the classes by least start
+keeps the ids 1, 2, ... ascending with the canonical form, with no
+renumbering pass.  Id 0 is the zero tensor, the zero subspace at index
+0.  Two bytes always suffice: no format up to MAX_ENTRIES entries has
+more than 696 nonzero orbits
+(tests/test_orbits.py::test_orbit_counts_fit_the_cell sweeps them all).
 
 The ids are the atlas, the one array of S cells it keeps, S the
 subspace count: orbit_id(code) numbers the span of the code's slices
@@ -71,9 +71,10 @@ the running maximum of the ids steps to i, at the index of orbit i's
 canonical key, which unrank turns into the canonical.  So a snapshot
 (format version 3) is a small header naming the format, the S ids and a
 CRC-32 of both, and enumeration and loading derive the canonicals and
-sizes the same way, in _atlas, with no key array.  Saving writes
-a temporary file that replaces the target only once complete; loading
-checks the memory cap before it allocates, then the length and the CRC.
+sizes the same way, in _atlas, in one pass over chunks of the ids with
+no key array.  Saving writes a temporary file that replaces the target
+only once complete; loading checks the memory cap before it allocates,
+then the length and the CRC.
 """
 
 import os
@@ -83,9 +84,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import block_permutations, generator_set, small_group_order, transpose_codes
-from .slices import (CHUNK, KEY, index_tables, level_bounds, max_dim, permutation,
-                     slice_bits, slice_maps, span_index, spanning_codes, subspace_count,
-                     subspace_keys, tuple_counts, unpack, unrank, unrank_bytes)
+from .slices import (CHUNK, KEY, index_tables, level_bounds, max_dim, permutations,
+                     slice_bits, span_index, spanning_codes, subspace_count, tuple_counts,
+                     unpack, unrank, unrank_bytes)
 from .spin import BATCH_MAX, CELL, spin
 from .tensor import Shape
 
@@ -110,17 +111,18 @@ class MemoryCapError(RuntimeError):
 def required_bytes(shape: Shape) -> int:
     """Peak bytes enumerate_orbits allocates, from the Gaussian binomials:
     the larger of its two phases, plus FIXED_BYTES of small arrays and
-    Python objects.  The permutations are built from a key per subspace,
-    the m slice maps and the k + 2 tables of span_index, 2^M uint32
-    each, and one chunk of at most 20 + 8 k bytes per item: the rows,
-    later the pivots, and the basis, 4 k each, an int64 pivot set, the
-    index and two temporaries (mapping the rows takes 12 k, and k <= 5).
-    The keys are dropped before the spin, which holds an id and a queue
+    Python objects.  slices.permutations holds a key per subspace, the m
+    permutations, the m slice maps and the k + 2 tables of span_index,
+    2^M uint32 each, and one chunk of at most 20 + 8 k bytes per item:
+    the rows, later the pivots, and the basis, 4 k each, an int64 pivot
+    set, the index and two temporaries (mapping the rows takes 12 k, and
+    k <= 5).  The keys go before the spin, which holds an id and a queue
     cell per subspace beside the m permutations, one chunk of at most 24
     bytes per item, and the link mask between the at most min(S, 256)
-    starts of a batch, with one temporary of its size
-    (tests/test_orbits.py checks the peak with tracemalloc).  load_atlas
-    checks the same figure."""
+    starts of a batch, with one temporary of its size; _atlas then holds
+    the ids and a chunk (tests/test_orbits.py checks the peak with
+    tracemalloc).  load_atlas checks the same figure, and cli._compute
+    checks ranks.rank_bytes before ranking."""
     s, chunk = subspace_count(shape), min(subspace_count(shape), CHUNK)
     m, k = len(generator_set(shape)), max_dim(shape)
     perm_phase = ((4 + 4 * m) * s + 4 * (m + k + 2) * (1 << slice_bits(shape))
@@ -159,20 +161,29 @@ class OrbitAtlas:
     def orbit_id(self, codes):
         """The orbit id of an int code, or an array of ids for an integer
         array of codes.  ValueError if any code is out of range."""
-        codes = np.asarray(codes)
-        bad = (codes < 0) | (codes >= self.shape.code_bound)
-        if bad.any():
-            raise ValueError(f"code {codes[bad].flat[0]} out of range for {self.shape}")
+        codes, bound = np.asarray(codes), self.shape.code_bound
+        # min and max allocate nothing; the mask is built only to report
+        if codes.size and (codes.min() < 0 or codes.max() >= bound):
+            bad = codes[(codes < 0) | (codes >= bound)]
+            raise ValueError(f"code {bad.flat[0]} out of range for {self.shape}")
         flat = codes.reshape(-1)
         d1, m = self.shape.dims[0], slice_bits(self.shape)
         tables = index_tables(self.shape)
         ids = np.empty(flat.size, CELL)
         for lo in range(0, flat.size, CHUNK):
-            rows = unpack(flat[lo:lo + CHUNK].astype(KEY), m, d1)
-            index = span_index(rows, tables)
-            ids[lo:lo + CHUNK] = self.assignment[index]
+            chunk = flat[lo:lo + CHUNK].astype(KEY, copy=False)
+            ids[lo:lo + CHUNK] = self.assignment[span_index(unpack(chunk, m, d1), tables)]
         ids = ids.reshape(codes.shape)
         return int(ids) if codes.ndim == 0 else ids
+
+    def orbit_id_bytes(self, n: int) -> int:
+        """Peak bytes orbit_id allocates for n uint32 codes besides its
+        result: the k + 2 tables of span_index, 2^M uint32 each, and one
+        chunk of 4 d1 + 4 k + 20 bytes per code, the slices and the basis
+        of each code, its int64 pivot set, index and two temporaries."""
+        d1, k = self.shape.dims[0], max_dim(self.shape)
+        tables = 4 * (k + 2) * (1 << slice_bits(self.shape))
+        return tables + (4 * d1 + 4 * k + 20) * min(n, CHUNK)
 
     def members(self, orbit_id: int) -> np.ndarray:
         """The codes of orbit orbit_id in ascending order, as uint32: the
@@ -181,7 +192,8 @@ class OrbitAtlas:
         k = self._dimension(orbit_id)
         if k == 0:
             return np.zeros(1, KEY)
-        keys = unrank(self.shape, np.flatnonzero(self.assignment == orbit_id))
+        lo, hi = level_bounds(self.shape)[k:k + 2]
+        keys = unrank(self.shape, np.flatnonzero(self.assignment[lo:hi] == orbit_id) + lo)
         out = spanning_codes(self.shape, keys, k)
         out.sort()
         return out
@@ -189,21 +201,23 @@ class OrbitAtlas:
     def member_bytes(self, orbit_id: int) -> int:
         """Peak bytes members(orbit_id) allocates: FIXED_BYTES plus the
         largest of its phases over the orbit's n k-spaces, t = t(k).  They
-        hold the id mask and the n int64 indices; the indices, keys and
-        unrank's bytes; or, beside the keys, their rows and the (k, t)
-        coefficients, a chunk of candidates being filtered (12 k + 16
-        bytes each) or the result and a block of products, counted three
-        times for numpy's temporaries."""
+        hold the id mask over the level of k-spaces and the n int64
+        indices; the indices, keys and unrank's bytes; or, beside the
+        keys, their rows and the (k, t) coefficients, a chunk of
+        candidates being filtered (12 k + 16 bytes each) or the result
+        and a block of products, counted three times for numpy's
+        temporaries."""
         k = self._dimension(orbit_id)
         if k == 0:
             return KEY.itemsize + FIXED_BYTES
         size = int(self.sizes[orbit_id])
         t = tuple_counts(self.shape)[k]
         n = size // t
+        lo, hi = level_bounds(self.shape)[k:k + 2]
         held = 4 * (1 + k) * n + 4 * k * t
         candidates = min(CHUNK, 1 << (self.shape.dims[0] * k))
-        return FIXED_BYTES + max(self.assignment.size + 8 * n,
-                                 12 * n + unrank_bytes(k, n),
+        return FIXED_BYTES + max(hi - lo + 8 * n,
+                                 12 * n + unrank_bytes(slice_bits(self.shape), k, n),
                                  held + (12 * k + 16) * candidates,
                                  held + 4 * size + 12 * min(n, max(1, CHUNK // t)) * t)
 
@@ -216,34 +230,33 @@ class OrbitAtlas:
 
 # ---- enumeration ----
 
-def _orbit_sizes(shape: Shape, assignment: np.ndarray, count: int) -> np.ndarray:
-    """sizes[id] = the sum of t(dim U) over the subspaces U of orbit id;
-    the k-spaces are counted by chunk so that the ids are not cast
-    whole."""
-    bounds = level_bounds(shape)
-    sizes = np.zeros(count, np.int64)
-    for t, lo, hi in zip(tuple_counts(shape), bounds[:-1], bounds[1:]):
-        for at in range(lo, hi, CHUNK):
-            sizes += t * np.bincount(assignment[at:min(at + CHUNK, hi)], minlength=count)
-    return sizes
-
-
 def _atlas(shape: Shape, assignment: np.ndarray) -> OrbitAtlas:
     """The atlas of the ids of every subspace, with the canonicals and
-    sizes derived from them: orbit i's canonical is the key of the
-    subspace where the running maximum of the ids steps to i.  ValueError
-    for ids that put a nonzero id at the zero subspace, skip a number, are
-    out of order, where an id first occurs before a lower one, or give an
-    orbit whose size does not divide the group order, as every orbit's
-    size does."""
+    sizes derived from them in one pass over chunks of the ids: orbit i's
+    canonical is the key of the subspace where the running maximum of the
+    ids steps to i, and its size the sum of t(dim U) over its subspaces
+    U.  ValueError for ids that put a nonzero id at the zero subspace,
+    skip a number, are out of order, where an id first occurs before a
+    lower one, or give an orbit whose size does not divide the group
+    order, as every orbit's size does."""
     if assignment[0] != 0:
         raise ValueError(f"orbit id {assignment[0]} at the zero subspace")
-    peak = np.maximum.accumulate(assignment)
-    firsts = np.flatnonzero(peak[1:] != peak[:-1]) + 1
-    sizes = _orbit_sizes(shape, assignment, int(peak[-1]) + 1)
+    sizes, firsts, peak = np.ones(1, np.int64), [np.zeros(1, np.intp)], 0
+    bounds = level_bounds(shape)
+    for t, start, stop in zip(tuple_counts(shape)[1:], bounds[1:], bounds[2:]):
+        for lo in range(start, stop, CHUNK):
+            hi = min(lo + CHUNK, stop)
+            # the chunk's running maximum, from the last one's at lo - 1
+            run = np.maximum.accumulate(assignment[lo - 1:hi])
+            np.maximum(run, peak, out=run)
+            firsts.append(np.flatnonzero(run[1:] != run[:-1]) + lo)
+            peak = int(run[-1])
+            sizes = np.concatenate((sizes, np.zeros(peak + 1 - sizes.size, np.int64)))
+            sizes += t * np.bincount(assignment[lo:hi], minlength=sizes.size)
+    firsts = np.concatenate(firsts)
     if not sizes.all():
         raise ValueError(f"orbit ids skip {sizes.argmin()}")
-    if firsts.size != sizes.size - 1:
+    if firsts.size != sizes.size:
         raise ValueError("orbit ids do not ascend with their least keys")
     order = small_group_order(shape)
     for i, size in enumerate(sizes.tolist()):
@@ -251,7 +264,7 @@ def _atlas(shape: Shape, assignment: np.ndarray) -> OrbitAtlas:
             raise ValueError(f"orbit {i} has {size} tensors, which does not "
                              f"divide the group order {order}")
     assert sizes.sum() == shape.code_bound, "orbit sizes do not cover the space"
-    return OrbitAtlas(shape, assignment, unrank(shape, np.concatenate(([0], firsts))), sizes)
+    return OrbitAtlas(shape, assignment, unrank(shape, firsts), sizes)
 
 
 def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
@@ -265,12 +278,7 @@ def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
     if cell_width != 2:
         raise ValueError(f"cell_width must be 2, got {cell_width}")
     _check_cap(shape, mem_cap)
-    keys = subspace_keys(shape)
-    perms = [permutation(shape, keys, table) for table in slice_maps(shape)]
-    del keys
-    assignment = spin(perms, level_bounds(shape))
-    del perms
-    return _atlas(shape, assignment)
+    return _atlas(shape, spin(permutations(shape)))
 
 
 # ---- large orbits ----

@@ -9,19 +9,22 @@ O2 for some x in O1 and simple s, a symmetric relation.  Given such x
 and s, take g with g x = c1, the canonical of O1; then c1 XOR g s lies
 in O2, and g s is simple.  So O1 and O2 are adjacent exactly when c1
 XOR S lies in O2 for some simple S, and one orbit_id lookup of every
-canonical XOR every simple tensor fills a dense K x K boolean mask, K =
-orbit count + 1 (at most 697, for 3x2x2x2, over every format up to 27
-entries).  Row 0 of the mask holds the orbits of the simple tensors
-themselves, and the group is transitive on simple tensors, which
-propagate_ranks checks.  The BFS advances a whole frontier per step as
-a reduction over rows of that mask.
+canonical XOR every simple tensor gives a (K, number of simple tensors)
+uint16 table of adjacent orbits, K = orbit count + 1 (at most 697, for
+3x2x2x2, over every format up to 27 entries).  Row 0 of the table holds
+the orbits of the simple tensors themselves, and the group is
+transitive on simple tensors, which propagate_ranks checks.  The BFS
+advances a whole frontier per step, marking the ids in the frontier's
+rows.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .orbits import LargeOrbitAtlas, OrbitAtlas
+from .orbits import FIXED_BYTES, LargeOrbitAtlas, OrbitAtlas
+from .slices import subspace_count
 from .tensor import Shape, enumerate_simple_tensors
 
 
@@ -36,15 +39,28 @@ class RankAtlas:
         return int(self.by_orbit.max())
 
 
+def rank_bytes(atlas: OrbitAtlas) -> int:
+    """Peak bytes propagate_ranks allocates, with the atlas it reads, for K
+    = orbit count + 1 and n simple tensors: FIXED_BYTES, the atlas's ids,
+    canonicals and sizes, 16 bytes per orbit for the BFS, and the larger
+    of two phases.  Building the simple tensors takes at most 64 bytes
+    each as Python ints in lists, and 4 as uint32; looking them up holds
+    those, the K n codes (uint32) and their uint16 id table, and one
+    orbit_id chunk.  A BFS step's gather of id rows and its cast buffer
+    take less than the codes and the chunk."""
+    k, n = atlas.orbit_count + 1, math.prod((1 << d) - 1 for d in atlas.shape.dims)
+    lookup = 4 * n + 6 * k * n + atlas.orbit_id_bytes(k * n)
+    return (FIXED_BYTES + 2 * subspace_count(atlas.shape) + 28 * k
+            + max(68 * n, lookup))
+
+
 def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:
-    """Symmetric K x K boolean mask, K = orbit count + 1, joining orbit i
-    to the orbit of canonical_i XOR S for every simple tensor S; row 0,
-    the zero orbit's, holds the orbits of the simple tensors."""
-    simples = np.array(enumerate_simple_tensors(atlas.shape), dtype=np.intp)
-    adj = np.zeros((atlas.orbit_count + 1,) * 2, dtype=bool)
-    adj[np.arange(atlas.orbit_count + 1)[:, None],
-        atlas.orbit_id(atlas.canonicals[:, None] ^ simples)] = True
-    return adj
+    """The (K, number of simple tensors) uint16 table of the orbit ids of
+    canonical_i XOR S for every simple tensor S, K = orbit count + 1: row
+    i lists the orbits adjacent to orbit i, and row 0, the zero orbit's,
+    the orbits of the simple tensors."""
+    simples = np.array(enumerate_simple_tensors(atlas.shape), dtype=np.uint32)
+    return atlas.orbit_id(atlas.canonicals[:, None] ^ simples)
 
 
 def propagate_ranks(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
@@ -52,21 +68,23 @@ def propagate_ranks(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:
     distance from the zero orbit over _orbit_adjacency (module
     docstring).  RuntimeError if the simple tensors fall into more than
     one orbit or an orbit is unreachable."""
-    adj = _orbit_adjacency(atlas)
-    simple_orbits = np.flatnonzero(adj[0])
-    if simple_orbits.size != 1:
-        raise RuntimeError(f"simple tensors fall into {simple_orbits.size} orbits; "
-                           "the group action is broken")
+    ids = _orbit_adjacency(atlas)
+    if (ids[0] != ids[0, 0]).any():
+        raise RuntimeError(f"simple tensors fall into {np.count_nonzero(np.bincount(ids[0]))} "
+                           "orbits; the group action is broken")
     by_orbit = np.zeros(atlas.orbit_count + 1, dtype=np.uint8)
     reached = np.zeros(atlas.orbit_count + 1, dtype=bool)
     reached[0] = True
-    frontier = reached.copy()
+    frontier = np.zeros(1, dtype=np.intp)
     rank = 0
-    while frontier.any():
+    while frontier.size:
         rank += 1
-        frontier = adj[frontier].any(axis=0) & ~reached
-        reached |= frontier
-        by_orbit[frontier] = rank
+        hit = np.zeros(atlas.orbit_count + 1, dtype=bool)
+        hit[ids[frontier]] = True
+        hit &= ~reached
+        reached |= hit
+        by_orbit[hit] = rank
+        frontier = np.flatnonzero(hit)
     if not reached.all():
         raise RuntimeError("unreachable orbit after rank propagation")
     return RankAtlas(by_orbit)

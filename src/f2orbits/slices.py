@@ -111,8 +111,11 @@ def reduce_rows(rows: np.ndarray, steps: int) -> np.ndarray:
 
 def unpack(keys: np.ndarray, m: int, k: int) -> np.ndarray:
     """The lowest k slots of each key, as a (k, n) array."""
-    shifts = np.arange(k, dtype=KEY)[:, None] * np.uint32(m)
-    return (keys >> shifts) & np.uint32((1 << m) - 1)
+    slots = np.empty((k, keys.size), KEY)
+    for j, slot in enumerate(slots):
+        np.right_shift(keys, np.uint32(j * m), out=slot)
+    slots &= np.uint32((1 << m) - 1)
+    return slots
 
 
 def subspace_keys(shape: Shape) -> np.ndarray:
@@ -226,12 +229,15 @@ def unrank(shape: Shape, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def unrank_bytes(k: int, n: int) -> int:
-    """Peak bytes unrank allocates for n indices of k-spaces besides its
-    result: one chunk of at most 80 + 16 k bytes per item, the positions
-    and temporaries in int64 and the rows and pivots, k each, and 128 KiB
-    for numpy's casting buffers and small tables."""
-    return (80 + 16 * k) * min(n, CHUNK) + (128 << 10)
+def unrank_bytes(m: int, k: int, n: int) -> int:
+    """Peak bytes unrank allocates for n indices of k-spaces of F2^m
+    besides its result, over one chunk of at most 80 + 16 k + m - 1
+    bytes per item: the positions and temporaries in int64, the rows and
+    pivots, k each, and the m - 1 comparisons that find a pivot, whose
+    sum goes through numpy's int64 casting buffer of at most 8192
+    elements."""
+    chunk = min(n, CHUNK)
+    return (80 + 16 * k + m - 1) * chunk + 8 * min((m - 1) * chunk, 8192)
 
 
 def _unrank_level(m: int, k: int, after: np.ndarray) -> np.ndarray:
@@ -261,16 +267,18 @@ def _unrank_level(m: int, k: int, after: np.ndarray) -> np.ndarray:
     return key
 
 
-def permutation(shape: Shape, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """perm[i] = the index in keys of the image of subspace i under the
-    slice map table."""
+def permutations(shape: Shape) -> list[np.ndarray]:
+    """perms[c][i] = the index of the image of subspace i under the slice
+    map of composite c of generator_set, for every composite: the keys,
+    index tables and slice maps are built once, and the permutations are
+    filled chunk by chunk of keys, unpacked once per map."""
     m, k = slice_bits(shape), max_dim(shape)
-    tables = index_tables(shape)
-    perm = np.empty(keys.size, KEY)
+    keys, tables, maps = subspace_keys(shape), index_tables(shape), slice_maps(shape)
+    perms = [np.empty(keys.size, KEY) for _ in maps]
     for lo in range(0, keys.size, CHUNK):
-        rows = table[unpack(keys[lo:lo + CHUNK], m, k)]
-        perm[lo:lo + CHUNK] = span_index(rows, tables)
-    return perm
+        for perm, table in zip(perms, maps):
+            perm[lo:lo + CHUNK] = span_index(table[unpack(keys[lo:lo + CHUNK], m, k)], tables)
+    return perms
 
 
 def spanning_codes(shape: Shape, keys: np.ndarray, k: int) -> np.ndarray:

@@ -2,19 +2,19 @@
 generators induce on the subspaces (orbits.py gives the setting and why
 the ids ascend with the canonical form).
 
-The spin works one dimension at a time and many orbits per pass.  A
-batch takes the next nb unassigned subspaces in ascending order as its
-starts and spreads them all breadth first, start j writing the label
-first + j, so each cell is visited once.  An image that already holds
-another label of the batch links the two starts in an nb x nb bool mask,
-and each class of linked starts is one orbit, whose id goes to its
-least start.  Each dimension starts with nb = 1, then aims at
-_BATCH_CELLS cells per batch from the last batch's count, nb between 1
-and BATCH_MAX: few large orbits spin one at a time, with no labels
-gathered and no links tested, and many small ones a few hundred at
-once.  Besides the ids and the work queue, one cell each per subspace,
-every buffer is one chunk long except the mask, at most BATCH_MAX^2
-bytes.
+The spin sweeps the subspaces once in ascending order, many orbits per
+pass.  A batch takes the next nb unassigned subspaces as its starts,
+from one dimension or several, and spreads them all breadth first, start j
+writing the label first + j, so each cell is visited once.  An image
+that already holds another label of the batch links the two starts in
+an nb x nb bool mask, and each class of linked starts is one orbit,
+whose id goes to its least start.  The first batch has nb = 1, and each
+next one aims at _BATCH_CELLS cells from the last batch's count, nb
+between 1 and BATCH_MAX: few large orbits spin one at a time, with no
+labels gathered and no links tested, and many small ones a few hundred
+at once.  Besides the ids and the work queue, one cell each per
+subspace, every buffer is one chunk long except the mask, at most
+BATCH_MAX^2 bytes.
 """
 
 import numpy as np
@@ -27,30 +27,28 @@ BATCH_MAX = 256
 _BATCH_CELLS = 4096
 
 
-def spin(perms, bounds):
+def spin(perms):
     """The orbit id of every subspace (uint16, the zero subspace at index 0
-    in orbit 0), for permutations of subspaces whose k-spaces are
-    bounds[k]:bounds[k+1].  Id i first occurs at orbit i's least
-    subspace, so the ids alone give each orbit's canonical."""
-    assignment = np.full(bounds[-1], SENTINEL, CELL)
+    in orbit 0), for permutations of the subspaces.  Id i first occurs at
+    orbit i's least subspace, so the ids alone give each orbit's
+    canonical."""
+    assignment = np.full(perms[0].size, SENTINEL, CELL)
     assignment[0] = 0
-    queue = np.empty(bounds[-1], KEY)
-    count = 1
-    for pos, stop in zip(bounds[1:-1], bounds[2:]):
-        nb = 1
-        while (starts := _next_unassigned(assignment, pos, stop, nb)).size:
-            cells, roots = _spin_batch(assignment, count, starts, perms, queue)
-            count += int(roots.sum())
-            pos = int(starts[-1]) + 1
-            nb = min(max(nb * _BATCH_CELLS // cells, 1), BATCH_MAX)
+    queue = np.empty(assignment.size, KEY)
+    count, pos, nb = 1, 1, 1
+    while (starts := _next_unassigned(assignment, pos, nb)).size:
+        cells, roots = _spin_batch(assignment, count, starts, perms, queue)
+        count += int(roots.sum())
+        pos = int(starts[-1]) + 1
+        nb = min(max(nb * _BATCH_CELLS // cells, 1), BATCH_MAX)
     return assignment
 
 
-def _next_unassigned(assignment, pos, stop, count):
-    """Up to count indices of unassigned cells in [pos, stop), ascending."""
+def _next_unassigned(assignment, pos, count):
+    """Up to count indices of unassigned cells from pos on, ascending."""
     found = [np.empty(0, np.intp)]
-    for lo in range(pos, stop, CHUNK):
-        hits = np.flatnonzero(assignment[lo:min(lo + CHUNK, stop)] == SENTINEL)
+    for lo in range(pos, assignment.size, CHUNK):
+        hits = np.flatnonzero(assignment[lo:lo + CHUNK] == SENTINEL)
         found.append(hits[:count] + lo)
         count -= found[-1].size
         if not count:

@@ -16,6 +16,7 @@ All functions here are pure; codes are plain Python ints (N <= 27 keeps
 them inside one 32-bit word for the array-based modules).
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -99,12 +100,10 @@ def enumerate_simple_tensors(shape: Shape) -> list[int]:
     ones = [(1 << d) - 1 for d in shape.dims]
     per_mode = [[simple_code(shape.dims, ones[:k] + [v] + ones[k + 1:])
                  for v in range(1, 1 << d)] for k, d in enumerate(shape.dims)]
-    codes = set(per_mode[0])
+    codes = per_mode[0]
     for mode in per_mode[1:]:
-        codes = {c & m for c in codes for m in mode}
-    expected = 1
-    for d in shape.dims:
-        expected *= (1 << d) - 1
-    assert len(codes) == expected
-    return sorted(codes)
+        codes = [c & m for c in codes for m in mode]
+    codes.sort()
+    assert all(a < b for a, b in itertools.pairwise(codes)), "simple tensors repeat"
+    return codes
 

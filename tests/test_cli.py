@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, snapshots, caps."""
 
+import io
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ import zlib
 import numpy as np
 import pytest
 
-from f2orbits.cli import _PRINT_BLOCK_BYTES, main
-from f2orbits.orbits import required_bytes
-from f2orbits.tensor import Shape
+from f2orbits.cli import _PRINT_BLOCK_BYTES, _compute, main
+from f2orbits.orbits import DEFAULT_MEM_CAP, required_bytes, save_atlas
+from f2orbits.ranks import rank_bytes
+from f2orbits.tensor import Shape, parse_shape
 
 
 def run(capsys, *argv):
@@ -137,10 +139,14 @@ def test_snapshot_reuse(capsys, tmp_path):
     assert first == second
 
 
-def test_snapshot_load_mem_cap(capsys, tmp_path, monkeypatch):
+def test_snapshot_load_mem_cap(capsys, tmp_path, monkeypatch, engine):
     # a snapshot load is refused by the same cap as an enumeration, from
-    # the flag or from the environment
+    # the flag or from the environment; on 2x2x2 ranking asks more, so a
+    # cap of exactly the load's bytes passes the load and is refused
+    # before ranking
     need = required_bytes(Shape((2, 2, 2)))
+    ranking = rank_bytes(engine.atlas("2x2x2"))
+    assert ranking > need
     snap = tmp_path / "a.snap"
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
     code, out, err = run(capsys, "classify", "--format", "2x2x2",
@@ -150,7 +156,42 @@ def test_snapshot_load_mem_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("F2TO_MEM_CAP", str(need - 1))
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 2
     monkeypatch.setenv("F2TO_MEM_CAP", str(need))
+    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
+    assert code == 2 and out == ""
+    assert "snapshot load" in err and f"{ranking} bytes" in err
+    monkeypatch.setenv("F2TO_MEM_CAP", str(ranking))
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
+
+
+def test_rank_phase_is_capped(capsys):
+    # 6x2x2 enumerates within 27,908 bytes but ranking needs more, so
+    # that cap is refused before ranking, with nothing on stdout
+    assert required_bytes(Shape((6, 2, 2))) == 27908
+    code, out, err = run(capsys, "classify", "--format", "6x2x2", "--mem-cap", "27908")
+    assert code == 2 and out == ""
+    assert "enumeration" in err and "cap is 27908 bytes" in err
+
+
+def test_compute_peak_within_checked_figures(tmp_path, monkeypatch, engine):
+    # tracemalloc's peak over the whole pipeline (enumeration or snapshot
+    # load, ranks, merge and summary) stays within the largest figure
+    # _compute checks against the cap: required_bytes, or rank_bytes on
+    # the formats where ranking needs more, as on 6x2x2, 13x2 and 4x3x2
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    for fmt, flavor in (("2x2x2", "small"), ("6x2x2", "small"), ("13x2", "small"),
+                        ("4x3x2", "small"), ("3x2x2x2", "large"), ("3x3x3", "large")):
+        shape, atlas = parse_shape(fmt), engine.atlas(fmt)
+        figure = max(required_bytes(shape), rank_bytes(atlas))
+        snap = str(tmp_path / f"{fmt}.snap")
+        save_atlas(atlas, snap)
+        for snapshot in (None, snap):
+            tracemalloc.start()
+            try:
+                _compute(shape, DEFAULT_MEM_CAP, flavor, snapshot)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= figure, (fmt, snapshot, peak, figure)
 
 
 def test_snapshot_format_mismatch(capsys, tmp_path):

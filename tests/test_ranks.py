@@ -1,5 +1,6 @@
 """Rank propagation, the brute-force oracle, and distributions."""
 
+import tracemalloc
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
@@ -30,7 +31,24 @@ def test_seed_marks_single_orbit(engine):
         simples = enumerate_simple_tensors(shape)
         assert len(simples) == nsimples
         assert (atlas.orbit_id(np.array(simples)) == oid).all()
-        assert np.flatnonzero(_orbit_adjacency(atlas)[0]).tolist() == [oid]
+        # row 0 of the id table, the zero orbit's neighbours, holds that one id
+        assert set(_orbit_adjacency(atlas)[0].tolist()) == {oid}
+
+
+def test_simple_tensors_fit_their_rank_allowance():
+    # rank_bytes allows 68 bytes per simple tensor for building them as
+    # Python ints and casting them to uint32, the larger phase on formats
+    # of many simple tensors and a 2-slice first mode such as 2x13
+    for dims in ((13, 2), (2, 13), (3, 9), (6, 2, 2), (3, 3, 3)):
+        s = Shape(dims)
+        count = len(enumerate_simple_tensors(s))
+        tracemalloc.start()
+        try:
+            np.array(enumerate_simple_tensors(s), dtype=np.uint32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 68 * count, dims
 
 
 def test_seed_rejects_split_simples():
@@ -96,8 +114,9 @@ def test_propagated_ranks_match_set_bfs(engine):
     for fmt in ("2x2x2", "3x2x2", "4x2x2", "2x2x2x2", "3x3x2"):
         atlas = engine.atlas(fmt)
         adj = reference_adjacency(atlas)
-        mask = _orbit_adjacency(atlas)
-        assert {tuple(e) for e in np.argwhere(mask).tolist()} == \
+        ids = _orbit_adjacency(atlas)
+        assert ids.dtype == np.uint16
+        assert {(i, j) for i, row in enumerate(ids.tolist()) for j in row} == \
             {(i, j) for i, row in enumerate(adj) for j in row}
         assert adj[0] == {atlas.orbit_id(1)}
         assert engine.ranks(fmt).by_orbit.tolist() == reference_orbit_ranks(adj)

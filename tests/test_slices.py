@@ -8,10 +8,12 @@ the span of its mapped rows.  span_index numbers spans by arithmetic;
 the sorted probe, pack plus np.searchsorted into the keys, is its
 reference: every key's own basis must get its own index, and random
 slice rows the probe's index.  unrank inverts it: every index must give
-back the key subspace_keys lists there.
+back the key subspace_keys lists there, within the bytes unrank_bytes
+counts.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 from conftest import reference_apply
@@ -19,9 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2orbits.group import Composite, generator_set, identity_matrix
+from f2orbits.orbits import FIXED_BYTES
 from f2orbits.slices import (CHUNK, KEY, index_tables, level_bounds, max_dim,
-                             permutation, reduce_rows, slice_bits, slice_maps, span_index,
-                             subspace_count, subspace_keys, unpack, unrank)
+                             permutations, reduce_rows, slice_bits, slice_maps, span_index,
+                             subspace_count, subspace_keys, unpack, unrank, unrank_bytes)
 from f2orbits.tensor import Shape, parse_shape
 
 
@@ -94,8 +97,7 @@ def test_permutations_are_bijections_onto_the_mapped_spans(accepted_formats):
         m, d1 = slice_bits(s), dims[0]
         slots = np.array([(keys >> np.uint32(j * m)) & np.uint32((1 << m) - 1)
                           for j in range(d1)])
-        for table in slice_maps(s):
-            perm = permutation(s, keys, table)
+        for table, perm in zip(slice_maps(s), permutations(s), strict=True):
             assert np.array_equal(np.sort(perm), np.arange(keys.size)), dims
             image = pack(reduce_rows(table[slots], max_dim(s)), m)
             assert np.array_equal(keys[perm], image), dims
@@ -138,6 +140,28 @@ def test_every_key_gets_its_own_index(accepted_formats):
                 rows = unpack(keys[chunk], slice_bits(s), max_dim(s))
                 assert np.array_equal(span_index(rows, tables), chunk), (dims, lo)
     assert len(accepted_formats) == 70
+
+
+def test_unrank_bytes_bound_the_peak():
+    # tracemalloc's peak over unrank, its uint32 result aside, stays
+    # within unrank_bytes plus FIXED_BYTES for Python objects, from a
+    # handful of indices, where numpy's casting buffers follow n, to
+    # several chunks
+    for fmt in ("3x3x3", "2x2x2x2", "4x3x2"):
+        s = parse_shape(fmt)
+        bounds = level_bounds(s)
+        for k in range(1, max_dim(s) + 1):
+            for n in (5, 50, 500, 2000, 8192, 40000):
+                index = np.arange(bounds[k], min(bounds[k] + n, bounds[k + 1]))
+                unrank(s, index)
+                tracemalloc.start()
+                try:
+                    unrank(s, index)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak - 4 * index.size <= \
+                    unrank_bytes(slice_bits(s), k, index.size) + FIXED_BYTES, (fmt, k, n)
 
 
 def test_unrank_lists_the_keys(accepted_formats):

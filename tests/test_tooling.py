@@ -1,10 +1,11 @@
 """Repository checks: the orbit table stays behind orbits.py, only
 group.py builds N-bit maps, no module sorts or binary-searches for an
-index, only enumeration builds the subspace keys, every definition in
-src/ is read by other code in src/ or by benchmark/, classify imports
-neither numpy.ma nor json nor decimal, the public names and the
-README's Library example match the package, the benchmark's layer pass
-still runs against the package, and the benchmark's self-check passes.
+index, only slices.permutations builds the subspace keys and only
+enumeration asks for the permutations, every definition in src/ is read
+by other code in src/ or by benchmark/, classify imports neither
+numpy.ma nor json nor decimal, the public names and the README's Library
+example match the package, the benchmark's layer pass still runs against
+the package, and the benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -73,14 +74,27 @@ def calls(tree, name):
 
 
 def test_only_enumeration_builds_the_keys():
-    # the keys of every subspace are built once, for the permutations of
-    # an enumeration; everything else unranks the subspaces it reads
+    # the keys of every subspace are built once, by slices.permutations,
+    # and only an enumeration asks for the permutations; everything else
+    # unranks the subspaces it reads (itertools.permutations, which
+    # lists mode permutations in group.py, is not the slices function)
     trees = modules()
-    found = {name: len(calls(tree, "subspace_keys")) for name, tree in trees.items()}
-    assert {name: n for name, n in found.items() if n} == {"orbits.py": 1}
-    (enumeration,) = [node for node in ast.walk(trees["orbits.py"])
-                      if isinstance(node, ast.FunctionDef) and node.name == "enumerate_orbits"]
-    assert len(calls(enumeration, "subspace_keys")) == 1
+
+    def function(module, name):
+        (node,) = [node for node in ast.walk(trees[module])
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+        return node
+
+    def count(tree, name):
+        return len([call for call in calls(tree, name)
+                    if getattr(call.func, "value", None) is None
+                    or getattr(call.func.value, "id", None) != "itertools"])
+
+    for name, (module, caller) in (("subspace_keys", ("slices.py", "permutations")),
+                                   ("permutations", ("orbits.py", "enumerate_orbits"))):
+        found = {module: count(tree, name) for module, tree in trees.items()}
+        assert {module: n for module, n in found.items() if n} == {module: 1}, name
+        assert count(function(module, caller), name) == 1, name
 
 
 def test_classify_does_not_import_numpy_ma():
