@@ -12,8 +12,8 @@ import sys
 import time
 
 from .group import large_group_order, small_group_order
-from .orbits import (DEFAULT_MEM_CAP, MemoryCapError, enumerate_orbits, load_atlas,
-                     merge_large_orbits, required_bytes, save_atlas)
+from .orbits import (DEFAULT_MEM_CAP, MemoryCapError, _check_cap, enumerate_orbits,
+                     load_atlas, merge_large_orbits, required_bytes, save_atlas)
 from .ranks import propagate_ranks, rank_bytes, rank_distribution
 from .report import (NoReferenceError, check_conjecture_p22, emit, load_reference,
                      summarize, verify_reference)
@@ -21,9 +21,9 @@ from .tensor import parse_shape
 
 _GROUP_ORDER = {"small": small_group_order, "large": large_group_order}
 # show-orbit prints members this many at a time; a block's ints, strings
-# and joined line take under 160 bytes per member
+# and joined line take under _PRINT_BYTES per member
 _PRINT_BLOCK = 1 << 12
-_PRINT_BLOCK_BYTES = 160 * _PRINT_BLOCK
+_PRINT_BYTES = 160
 
 
 def _build_parser():
@@ -97,17 +97,15 @@ class _Phases:
 def _compute(shape, cap, flavor="small", snapshot=None):
     """The one classification pipeline: load the snapshot or enumerate
     (saving the snapshot if asked), rank, merge under mode swaps for the
-    large flavor, and summarize.  The cap is checked against
-    required_bytes before the enumeration or load and against rank_bytes
-    before ranking.  Returns (atlas, ranks, rows, dist)."""
-    est = required_bytes(shape)
-    print(f"estimated table bytes: {est}", file=sys.stderr)
+    large flavor, and summarize.  Each phase checks its own figure against
+    the cap before it allocates: required_bytes, atlas_bytes for a load,
+    and rank_bytes, atlas included.  Returns (atlas, ranks, rows, dist)."""
     phases = _Phases()
-
     if snapshot and os.path.exists(snapshot):
         atlas = load_atlas(snapshot, shape, mem_cap=cap)
         phases.mark("snapshot load")
     else:
+        print(f"estimated table bytes: {required_bytes(shape)}", file=sys.stderr)
         atlas = enumerate_orbits(shape, mem_cap=cap)
         phases.mark("enumeration")
         if snapshot:
@@ -116,8 +114,7 @@ def _compute(shape, cap, flavor="small", snapshot=None):
 
     need = rank_bytes(atlas)
     print(f"estimated rank bytes: {need}", file=sys.stderr)
-    if need > cap:
-        raise MemoryCapError(need, cap)
+    _check_cap(need, cap)
     ranks = propagate_ranks(shape, atlas)
     phases.mark("ranks")
     large = None
@@ -197,15 +194,14 @@ def cmd_show_orbit(args):
     cap = _resolve_cap(args)
     atlas, _, rows, _ = _compute(shape, cap)
     orbit_id = atlas.orbit_id(code)
-    canonical = int(atlas.canonicals[orbit_id])
-    row = next(r for r in rows if r.canonical_code == canonical)
+    row = next(r for r in rows if r.canonical_code == atlas.canonicals[orbit_id])
+    del rows    # a listing holds the atlas and this one row
     print(f"code {code} in {shape}: orbit #{row.ordinal}, rank {row.rank}, "
           f"size {row.size}, canonical {row.canonical_bits} "
           f"(code {row.canonical_code})")
     if row.size <= args.members_limit:
-        need = required_bytes(shape) + atlas.member_bytes(orbit_id) + _PRINT_BLOCK_BYTES
-        if need > cap:
-            raise MemoryCapError(need, cap)
+        _check_cap(atlas.nbytes + atlas.member_bytes(orbit_id)
+                   + _PRINT_BYTES * min(row.size, _PRINT_BLOCK), cap)
         members = atlas.members(orbit_id)
         sys.stdout.write("members:")
         for lo in range(0, members.size, _PRINT_BLOCK):

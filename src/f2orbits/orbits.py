@@ -85,8 +85,8 @@ import numpy as np
 
 from .group import block_permutations, generator_set, small_group_order, transpose_codes
 from .slices import (CHUNK, KEY, index_tables, level_bounds, max_dim, permutations,
-                     slice_bits, span_index, spanning_codes, subspace_count, tuple_counts,
-                     unpack, unrank, unrank_bytes)
+                     slice_bits, span_index, span_index_bytes, spanning_codes, subspace_count,
+                     tuple_counts, unpack, unrank, unrank_bytes)
 from .spin import BATCH_MAX, CELL, spin
 from .tensor import Shape
 
@@ -110,29 +110,32 @@ class MemoryCapError(RuntimeError):
 
 def required_bytes(shape: Shape) -> int:
     """Peak bytes enumerate_orbits allocates, from the Gaussian binomials:
-    the larger of its two phases, plus FIXED_BYTES of small arrays and
-    Python objects.  slices.permutations holds a key per subspace, the m
-    permutations, the m slice maps and the k + 2 tables of span_index,
-    2^M uint32 each, and one chunk of at most 20 + 8 k bytes per item:
-    the rows, later the pivots, and the basis, 4 k each, an int64 pivot
-    set, the index and two temporaries (mapping the rows takes 12 k, and
-    k <= 5).  The keys go before the spin, which holds an id and a queue
-    cell per subspace beside the m permutations, one chunk of at most 24
-    bytes per item, and the link mask between the at most min(S, 256)
-    starts of a batch, with one temporary of its size; _atlas then holds
-    the ids and a chunk (tests/test_orbits.py checks the peak with
-    tracemalloc).  load_atlas checks the same figure, and cli._compute
-    checks ranks.rank_bytes before ranking."""
-    s, chunk = subspace_count(shape), min(subspace_count(shape), CHUNK)
-    m, k = len(generator_set(shape)), max_dim(shape)
-    perm_phase = ((4 + 4 * m) * s + 4 * (m + k + 2) * (1 << slice_bits(shape))
-                  + (20 + 8 * k) * chunk)
-    spin_phase = (6 + 4 * m) * s + 24 * chunk + 2 * min(s, BATCH_MAX) ** 2
-    return max(perm_phase, spin_phase) + FIXED_BYTES
+    the largest of its phases, each the arrays it holds and its own
+    transients, with FIXED_BYTES of small arrays and Python objects.
+    slices.permutations holds a key per subspace, the m permutations, the
+    m slice maps of 2^M uint32 and span_index over a chunk of k slots
+    (mapping the rows takes 12 k bytes per item, and k <= 5); the spin
+    the permutations, an id and a queue cell per subspace, 24 bytes per
+    chunk item and the link mask between the at most min(S, 256) starts
+    of a batch with a temporary of its size; then _atlas, atlas_bytes."""
+    s, m, k = subspace_count(shape), len(generator_set(shape)), max_dim(shape)
+    perm_phase = ((4 + 4 * m) * s + 4 * m * (1 << slice_bits(shape))
+                  + span_index_bytes(shape, k, s))
+    spin_phase = (6 + 4 * m) * s + 24 * min(s, CHUNK) + 2 * min(s, BATCH_MAX) ** 2
+    return max(perm_phase + FIXED_BYTES, spin_phase + FIXED_BYTES, atlas_bytes(shape))
 
 
-def _check_cap(shape: Shape, mem_cap: int) -> None:
-    need = required_bytes(shape)
+def atlas_bytes(shape: Shape) -> int:
+    """Peak bytes _atlas allocates, with the S ids it reads: 2 per
+    subspace, 11 per item of one chunk of its pass (the running maximum,
+    a step mask and bincount's intp copy of the ids), and FIXED_BYTES,
+    which also covers the per-orbit arrays of at most 697 orbits."""
+    s = subspace_count(shape)
+    return 2 * s + 11 * min(s, CHUNK) + FIXED_BYTES
+
+
+def _check_cap(need: int, mem_cap: int) -> None:
+    """The one raise of MemoryCapError: need bytes against mem_cap."""
     if need > mem_cap:
         raise MemoryCapError(need, mem_cap)
 
@@ -158,6 +161,11 @@ class OrbitAtlas:
         """Number of nonzero orbits."""
         return self.canonicals.size - 1
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the ids, canonicals and sizes."""
+        return self.assignment.nbytes + self.canonicals.nbytes + self.sizes.nbytes
+
     def orbit_id(self, codes):
         """The orbit id of an int code, or an array of ids for an integer
         array of codes.  ValueError if any code is out of range."""
@@ -175,15 +183,6 @@ class OrbitAtlas:
             ids[lo:lo + CHUNK] = self.assignment[span_index(unpack(chunk, m, d1), tables)]
         ids = ids.reshape(codes.shape)
         return int(ids) if codes.ndim == 0 else ids
-
-    def orbit_id_bytes(self, n: int) -> int:
-        """Peak bytes orbit_id allocates for n uint32 codes besides its
-        result: the k + 2 tables of span_index, 2^M uint32 each, and one
-        chunk of 4 d1 + 4 k + 20 bytes per code, the slices and the basis
-        of each code, its int64 pivot set, index and two temporaries."""
-        d1, k = self.shape.dims[0], max_dim(self.shape)
-        tables = 4 * (k + 2) * (1 << slice_bits(self.shape))
-        return tables + (4 * d1 + 4 * k + 20) * min(n, CHUNK)
 
     def members(self, orbit_id: int) -> np.ndarray:
         """The codes of orbit orbit_id in ascending order, as uint32: the
@@ -204,9 +203,9 @@ class OrbitAtlas:
         hold the id mask over the level of k-spaces and the n int64
         indices; the indices, keys and unrank's bytes; or, beside the
         keys, their rows and the (k, t) coefficients, a chunk of
-        candidates being filtered (12 k + 16 bytes each) or the result
-        and a block of products, counted three times for numpy's
-        temporaries."""
+        candidates being filtered (12 k + 16 bytes each) or the result, a
+        block of b products and numpy's buffers for its two broadcast
+        operands (up to 8192 items each)."""
         k = self._dimension(orbit_id)
         if k == 0:
             return KEY.itemsize + FIXED_BYTES
@@ -216,10 +215,11 @@ class OrbitAtlas:
         lo, hi = level_bounds(self.shape)[k:k + 2]
         held = 4 * (1 + k) * n + 4 * k * t
         candidates = min(CHUNK, 1 << (self.shape.dims[0] * k))
+        b = min(n, max(1, CHUNK // t)) * t
         return FIXED_BYTES + max(hi - lo + 8 * n,
                                  12 * n + unrank_bytes(slice_bits(self.shape), k, n),
                                  held + (12 * k + 16) * candidates,
-                                 held + 4 * size + 12 * min(n, max(1, CHUNK // t)) * t)
+                                 held + 4 * size + 4 * b + 8 * min(b, 8192))
 
     def _dimension(self, orbit_id: int) -> int:
         """The dimension k of the subspaces of an orbit: its canonical is a
@@ -277,7 +277,7 @@ def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
     go once that script stops doing so."""
     if cell_width != 2:
         raise ValueError(f"cell_width must be 2, got {cell_width}")
-    _check_cap(shape, mem_cap)
+    _check_cap(required_bytes(shape), mem_cap)
     return _atlas(shape, spin(permutations(shape)))
 
 
@@ -348,16 +348,15 @@ def save_atlas(atlas: OrbitAtlas, path: str) -> None:
 def load_atlas(path: str, shape: Shape | None = None, *,
                mem_cap: int = DEFAULT_MEM_CAP) -> OrbitAtlas:
     """Read a snapshot written by save_atlas and derive the canonicals
-    and sizes from its format and ids.  A snapshot of another
-    format than shape, if given, raises ValueError before required_bytes
-    of its format is checked against mem_cap (MemoryCapError), and that
-    check comes before any allocation.  Malformed files raise ValueError:
-    a bad magic, version or header, a length other than the format's,
-    a failed CRC, and ids that _atlas refuses.  A snapshot is trusted
-    input: the CRC guards against corruption only, and the checks do not
-    prove the ids right (ids that move subspaces between orbits, resealed
-    with a fresh CRC, load whenever every size divides the group
-    order)."""
+    and sizes from its format and ids.  A snapshot of another format than
+    shape, if given, raises ValueError before atlas_bytes of its format
+    is checked against mem_cap (MemoryCapError), and that check comes
+    before any allocation.  Malformed files raise ValueError: a bad
+    magic, version or header, a length other than the format's, a failed
+    CRC, and ids that _atlas refuses.  A snapshot is trusted input: the
+    CRC guards against corruption only, and the checks do not prove the
+    ids right (ids that move subspaces between orbits, resealed with a
+    fresh CRC, load whenever every size divides the group order)."""
     with open(path, "rb") as f:
         head = f.read(6)
         if head[:4] != _SNAPSHOT_MAGIC:
@@ -372,7 +371,7 @@ def load_atlas(path: str, shape: Shape | None = None, *,
         found = Shape(tuple(dims))
         if shape is not None and shape != found:
             raise ValueError(f"{path} holds {found}, expected {shape}")
-        _check_cap(found, mem_cap)
+        _check_cap(atlas_bytes(found), mem_cap)
         s = subspace_count(found)
         size, expected = os.fstat(f.fileno()).st_size, 6 + len(dims) + 2 * s + 4
         if size != expected:

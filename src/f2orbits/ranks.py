@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .orbits import FIXED_BYTES, LargeOrbitAtlas, OrbitAtlas
-from .slices import subspace_count
+from .slices import span_index_bytes
 from .tensor import Shape, enumerate_simple_tensors
 
 
@@ -41,17 +41,15 @@ class RankAtlas:
 
 def rank_bytes(atlas: OrbitAtlas) -> int:
     """Peak bytes propagate_ranks allocates, with the atlas it reads, for K
-    = orbit count + 1 and n simple tensors: FIXED_BYTES, the atlas's ids,
-    canonicals and sizes, 16 bytes per orbit for the BFS, and the larger
+    = orbit count + 1 and n simple tensors: FIXED_BYTES, the atlas's
+    arrays by their size, 16 bytes per orbit for the BFS, and the larger
     of two phases.  Building the simple tensors takes at most 64 bytes
     each as Python ints in lists, and 4 as uint32; looking them up holds
-    those, the K n codes (uint32) and their uint16 id table, and one
-    orbit_id chunk.  A BFS step's gather of id rows and its cast buffer
-    take less than the codes and the chunk."""
+    those, the K n uint32 codes and their uint16 ids, and span_index over
+    the codes' d1 slots.  A BFS step takes less than the lookup."""
     k, n = atlas.orbit_count + 1, math.prod((1 << d) - 1 for d in atlas.shape.dims)
-    lookup = 4 * n + 6 * k * n + atlas.orbit_id_bytes(k * n)
-    return (FIXED_BYTES + 2 * subspace_count(atlas.shape) + 28 * k
-            + max(68 * n, lookup))
+    lookup = 4 * n + 6 * k * n + span_index_bytes(atlas.shape, atlas.shape.dims[0], k * n)
+    return FIXED_BYTES + atlas.nbytes + 16 * k + max(68 * n, lookup)
 
 
 def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:

@@ -210,6 +210,14 @@ def span_index(rows: np.ndarray, tables) -> np.ndarray:
     return index
 
 
+def span_index_bytes(shape: Shape, w: int, n: int) -> int:
+    """Peak bytes span_index allocates over n items of w slots, with its
+    k + 2 tables of 2^M uint32, k = min(d1, M): 4 w + 4 k + 20 per chunk
+    item, the slots, basis, int64 pivot set, index and two temporaries."""
+    k = max_dim(shape)
+    return 4 * (k + 2) * (1 << slice_bits(shape)) + (4 * w + 4 * k + 20) * min(n, CHUNK)
+
+
 def unrank(shape: Shape, index: np.ndarray) -> np.ndarray:
     """The keys of the subspaces at index, an integer array, as uint32: the
     inverse of span_index, by chunks (module docstring)."""
@@ -231,13 +239,12 @@ def unrank(shape: Shape, index: np.ndarray) -> np.ndarray:
 
 def unrank_bytes(m: int, k: int, n: int) -> int:
     """Peak bytes unrank allocates for n indices of k-spaces of F2^m
-    besides its result, over one chunk of at most 80 + 16 k + m - 1
-    bytes per item: the positions and temporaries in int64, the rows and
-    pivots, k each, and the m - 1 comparisons that find a pivot, whose
-    sum goes through numpy's int64 casting buffer of at most 8192
-    elements."""
+    besides its result, over one chunk: 70 + 16 k bytes per item, the
+    int64 positions, temporaries, and k rows and pivots, and 9 bytes for
+    each of up to 8192 of the m - 1 comparisons per item that find a
+    pivot, a bool and its slot in numpy's int64 casting buffer."""
     chunk = min(n, CHUNK)
-    return (80 + 16 * k + m - 1) * chunk + 8 * min((m - 1) * chunk, 8192)
+    return (70 + 16 * k) * chunk + 9 * min((m - 1) * chunk, 8192)
 
 
 def _unrank_level(m: int, k: int, after: np.ndarray) -> np.ndarray:

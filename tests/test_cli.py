@@ -11,8 +11,8 @@ import zlib
 import numpy as np
 import pytest
 
-from f2orbits.cli import _PRINT_BLOCK_BYTES, _compute, main
-from f2orbits.orbits import DEFAULT_MEM_CAP, required_bytes, save_atlas
+from f2orbits.cli import _PRINT_BLOCK, _PRINT_BYTES, _compute, main
+from f2orbits.orbits import DEFAULT_MEM_CAP, atlas_bytes, required_bytes, save_atlas
 from f2orbits.ranks import rank_bytes
 from f2orbits.tensor import Shape, parse_shape
 
@@ -140,11 +140,11 @@ def test_snapshot_reuse(capsys, tmp_path):
 
 
 def test_snapshot_load_mem_cap(capsys, tmp_path, monkeypatch, engine):
-    # a snapshot load is refused by the same cap as an enumeration, from
+    # a snapshot load is checked against its own figure, atlas_bytes, from
     # the flag or from the environment; on 2x2x2 ranking asks more, so a
     # cap of exactly the load's bytes passes the load and is refused
     # before ranking
-    need = required_bytes(Shape((2, 2, 2)))
+    need = atlas_bytes(Shape((2, 2, 2)))
     ranking = rank_bytes(engine.atlas("2x2x2"))
     assert ranking > need
     snap = tmp_path / "a.snap"
@@ -163,6 +163,20 @@ def test_snapshot_load_mem_cap(capsys, tmp_path, monkeypatch, engine):
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
 
 
+def test_snapshot_load_fits_below_the_enumeration(capsys, tmp_path):
+    # a 3x3x3 load and its ranking fit in 8 MB, which an enumeration
+    # (12.2 MB) does not, and print what the default cap prints
+    snap = str(tmp_path / "a.snap")
+    argv = ("classify", "--format", "3x3x3", "--flavor", "large", "--snapshot", snap)
+    assert required_bytes(Shape((3, 3, 3))) > 8_000_000
+    assert run(capsys, *argv, "--mem-cap", "8000000")[0] == 2
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0
+    code, loaded, err = run(capsys, *argv, "--mem-cap", "8000000")
+    assert code == 0 and "snapshot load" in err
+    assert loaded == cold
+
+
 def test_rank_phase_is_capped(capsys):
     # 6x2x2 enumerates within 27,908 bytes but ranking needs more, so
     # that cap is refused before ranking, with nothing on stdout
@@ -175,16 +189,17 @@ def test_rank_phase_is_capped(capsys):
 def test_compute_peak_within_checked_figures(tmp_path, monkeypatch, engine):
     # tracemalloc's peak over the whole pipeline (enumeration or snapshot
     # load, ranks, merge and summary) stays within the largest figure
-    # _compute checks against the cap: required_bytes, or rank_bytes on
-    # the formats where ranking needs more, as on 6x2x2, 13x2 and 4x3x2
+    # _compute checks against the cap: required_bytes for an enumeration
+    # or atlas_bytes for a load, or rank_bytes where ranking needs more,
+    # as on 6x2x2, 13x2 and 4x3x2 and after every load
     monkeypatch.setattr(sys, "stderr", io.StringIO())
     for fmt, flavor in (("2x2x2", "small"), ("6x2x2", "small"), ("13x2", "small"),
                         ("4x3x2", "small"), ("3x2x2x2", "large"), ("3x3x3", "large")):
         shape, atlas = parse_shape(fmt), engine.atlas(fmt)
-        figure = max(required_bytes(shape), rank_bytes(atlas))
         snap = str(tmp_path / f"{fmt}.snap")
         save_atlas(atlas, snap)
-        for snapshot in (None, snap):
+        for snapshot, first in ((None, required_bytes), (snap, atlas_bytes)):
+            figure = max(first(shape), rank_bytes(atlas))
             tracemalloc.start()
             try:
                 _compute(shape, DEFAULT_MEM_CAP, flavor, snapshot)
@@ -289,6 +304,22 @@ def test_show_orbit(capsys):
     assert "107 109 121" in out
 
 
+def test_show_orbit_lists_under_a_small_cap(capsys):
+    # a listing is charged the atlas, the listing's peak and the printed
+    # block of its own 12 members, not the enumeration's bytes and not a
+    # block of 4096 members
+    code, out, _ = run(capsys, "show-orbit", "--format", "2x2x2", "--code", "107",
+                       "--mem-cap", "100000")
+    assert code == 0
+    assert len(out.splitlines()[1].split()) == 1 + 12
+
+
+def listing_bytes(atlas, oid):
+    # what show-orbit checks before it lists orbit oid
+    return (atlas.nbytes + atlas.member_bytes(oid)
+            + _PRINT_BYTES * min(int(atlas.sizes[oid]), _PRINT_BLOCK))
+
+
 def test_show_orbit_members_match_table(capsys, engine):
     # the member list against a whole-table scan, from each orbit's
     # largest member rather than its canonical
@@ -307,11 +338,12 @@ def test_show_orbit_members_match_table(capsys, engine):
 
 
 def test_show_orbit_members_honour_cap(capsys, engine):
-    # listing the 108 members of code 24's orbit needs the enumeration's
-    # bytes, the listing's and one printed block
+    # listing the 108 members of code 24's orbit needs the atlas, the
+    # listing's bytes and a printed block of 108 members, more than the
+    # enumeration or ranking of 2x2x2 needs
     atlas = engine.atlas("2x2x2")
-    need = (required_bytes(atlas.shape) + atlas.member_bytes(atlas.orbit_id(24))
-            + _PRINT_BLOCK_BYTES)
+    need = listing_bytes(atlas, atlas.orbit_id(24))
+    assert need > max(required_bytes(atlas.shape), rank_bytes(atlas))
     argv = ("show-orbit", "--format", "2x2x2", "--code", "24", "--members-limit", "200")
     code, out, err = run(capsys, *argv, "--mem-cap", str(need - 1))
     assert code == 2
@@ -323,11 +355,13 @@ def test_show_orbit_members_honour_cap(capsys, engine):
 
 def test_show_orbit_listing_peak_is_counted(tmp_path, monkeypatch, engine):
     # the 423,360 members of a 4x3x2 orbit, printed to a file in blocks:
-    # tracemalloc's peak over the whole command stays under the bytes the
-    # cap check counts, plus a fixed slack for Python objects
+    # tracemalloc's peak over the whole command stays under the largest
+    # figure the command checks, the listing's here, plus a fixed slack
+    # for the Python objects of the command (its parser, first calls)
     atlas = engine.atlas("4x3x2")
     oid = atlas.orbit_id(4384)
-    counted = required_bytes(atlas.shape) + atlas.member_bytes(oid) + _PRINT_BLOCK_BYTES
+    counted = max(required_bytes(atlas.shape), rank_bytes(atlas), listing_bytes(atlas, oid))
+    assert counted == listing_bytes(atlas, oid)
     listing = tmp_path / "members.txt"
     with open(listing, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)

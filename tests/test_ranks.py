@@ -15,7 +15,7 @@ from table_oracle import table_orbits
 from f2orbits.group import Composite, compile_generators, identity_matrix
 from f2orbits.orbits import LargeOrbitAtlas
 from f2orbits.ranks import (DistributionRow, _orbit_adjacency, decimal_string,
-                            large_orbit_ranks, percent_string, propagate_ranks)
+                            large_orbit_ranks, percent_string, propagate_ranks, rank_bytes)
 from f2orbits.tensor import Shape, enumerate_simple_tensors
 
 
@@ -49,6 +49,28 @@ def test_simple_tensors_fit_their_rank_allowance():
         finally:
             tracemalloc.stop()
         assert peak <= 68 * count, dims
+
+
+# the most rank_bytes may exceed the traced peak of propagate_ranks, atlas
+# included: 25 KB on 3x2x2x2, and about FIXED_BYTES elsewhere
+RANK_SLACK = 32 << 10
+
+
+def test_rank_bytes_bound_the_peak(engine):
+    # rank_bytes counts the atlas by the size of its arrays, which exist
+    # before ranking, so propagate_ranks' traced peak plus those bytes
+    # stays under it, and within RANK_SLACK of it: on formats where the
+    # lookup of many orbits or many simple tensors is the larger phase
+    for fmt in ("2x2x2", "6x2x2", "13x2", "4x3x2", "3x3x2", "2x2x2x2", "3x2x2x2", "3x3x3"):
+        shape, atlas = engine.shape(fmt), engine.atlas(fmt)
+        propagate_ranks(shape, atlas)
+        tracemalloc.start()
+        try:
+            propagate_ranks(shape, atlas)
+            peak = tracemalloc.get_traced_memory()[1] + atlas.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak <= rank_bytes(atlas) <= peak + RANK_SLACK, (fmt, peak)
 
 
 def test_seed_rejects_split_simples():

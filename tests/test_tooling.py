@@ -1,11 +1,13 @@
 """Repository checks: the orbit table stays behind orbits.py, only
 group.py builds N-bit maps, no module sorts or binary-searches for an
 index, only slices.permutations builds the subspace keys and only
-enumeration asks for the permutations, every definition in src/ is read
-by other code in src/ or by benchmark/, classify imports neither
-numpy.ma nor json nor decimal, the public names and the README's Library
-example match the package, the benchmark's layer pass still runs against
-the package, and the benchmark's self-check passes.
+enumeration asks for the permutations, only orbits._check_cap raises
+MemoryCapError and the span_index figure is written once, in slices.py,
+for the enumeration's and the ranking's figures, every definition in
+src/ is read by other code in src/ or by benchmark/, classify imports
+neither numpy.ma nor json nor decimal, the public names and the README's
+Library example match the package, the benchmark's layer pass still
+runs against the package, and the benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -73,17 +75,18 @@ def calls(tree, name):
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
+def function(tree, name):
+    (node,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
 def test_only_enumeration_builds_the_keys():
     # the keys of every subspace are built once, by slices.permutations,
     # and only an enumeration asks for the permutations; everything else
     # unranks the subspaces it reads (itertools.permutations, which
     # lists mode permutations in group.py, is not the slices function)
     trees = modules()
-
-    def function(module, name):
-        (node,) = [node for node in ast.walk(trees[module])
-                   if isinstance(node, ast.FunctionDef) and node.name == name]
-        return node
 
     def count(tree, name):
         return len([call for call in calls(tree, name)
@@ -94,7 +97,23 @@ def test_only_enumeration_builds_the_keys():
                                    ("permutations", ("orbits.py", "enumerate_orbits"))):
         found = {module: count(tree, name) for module, tree in trees.items()}
         assert {module: n for module, n in found.items() if n} == {module: 1}, name
-        assert count(function(module, caller), name) == 1, name
+        assert count(function(trees[module], caller), name) == 1, name
+
+
+def test_one_memory_rule():
+    # every cap check hands its figure to orbits._check_cap, the only code
+    # that constructs MemoryCapError; the bytes of span_index are written
+    # once, in slices.span_index_bytes, which the enumeration's and the
+    # ranking's figures call, and OrbitAtlas.orbit_id_bytes, a second copy
+    # of them, is gone
+    trees = modules()
+    found = {module: len(calls(tree, "MemoryCapError")) for module, tree in trees.items()}
+    assert {module: n for module, n in found.items() if n} == {"orbits.py": 1}
+    assert len(calls(function(trees["orbits.py"], "_check_cap"), "MemoryCapError")) == 1
+    for module, caller in (("orbits.py", "required_bytes"), ("ranks.py", "rank_bytes")):
+        assert len(calls(function(trees[module], caller), "span_index_bytes")) == 1, caller
+    for path in sorted((ROOT / "src" / "f2orbits").glob("*.py")):
+        assert "orbit_id_bytes" not in path.read_text(), path.name
 
 
 def test_classify_does_not_import_numpy_ma():
