@@ -203,9 +203,8 @@ class OrbitAtlas:
         hold the id mask over the level of k-spaces and the n int64
         indices; the indices, keys and unrank's bytes; or, beside the
         keys, their rows and the (k, t) coefficients, a chunk of
-        candidates being filtered (12 k + 16 bytes each) or the result, a
-        block of b products and numpy's buffers for its two broadcast
-        operands (up to 8192 items each)."""
+        candidates being filtered (12 k + 8 bytes each) or the result
+        and one product line of the longer of n and t, at most a chunk."""
         k = self._dimension(orbit_id)
         if k == 0:
             return KEY.itemsize + FIXED_BYTES
@@ -215,11 +214,10 @@ class OrbitAtlas:
         lo, hi = level_bounds(self.shape)[k:k + 2]
         held = 4 * (1 + k) * n + 4 * k * t
         candidates = min(CHUNK, 1 << (self.shape.dims[0] * k))
-        b = min(n, max(1, CHUNK // t)) * t
         return FIXED_BYTES + max(hi - lo + 8 * n,
-                                 12 * n + unrank_bytes(slice_bits(self.shape), k, n),
-                                 held + (12 * k + 16) * candidates,
-                                 held + 4 * size + 4 * b + 8 * min(b, 8192))
+                                 12 * n + unrank_bytes(k, n),
+                                 held + (12 * k + 8) * candidates,
+                                 held + 4 * size + 4 * min(max(n, t), CHUNK))
 
     def _dimension(self, orbit_id: int) -> int:
         """The dimension k of the subspaces of an orbit: its canonical is a

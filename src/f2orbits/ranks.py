@@ -56,9 +56,13 @@ def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:
     """The (K, number of simple tensors) uint16 table of the orbit ids of
     canonical_i XOR S for every simple tensor S, K = orbit count + 1: row
     i lists the orbits adjacent to orbit i, and row 0, the zero orbit's,
-    the orbits of the simple tensors."""
+    the orbits of the simple tensors.  The codes are XORed a row per
+    canonical, as a broadcast XOR makes numpy buffer both operands."""
     simples = np.array(enumerate_simple_tensors(atlas.shape), dtype=np.uint32)
-    return atlas.orbit_id(atlas.canonicals[:, None] ^ simples)
+    codes = np.empty((atlas.canonicals.size, simples.size), np.uint32)
+    for row, canonical in zip(codes, atlas.canonicals):
+        np.bitwise_xor(simples, canonical, out=row)
+    return atlas.orbit_id(codes)
 
 
 def propagate_ranks(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:

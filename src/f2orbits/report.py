@@ -76,12 +76,16 @@ def _refdata(name: str) -> str:
     return resources.files("f2orbits").joinpath("refdata").joinpath(name).read_text()
 
 
+def _records(name: str) -> list[list[str]]:
+    """The fields of every record of a refdata file: each line that is
+    neither blank nor a # comment, split on whitespace."""
+    return [line.split() for line in _refdata(name).splitlines()
+            if line.strip() and not line.startswith("#")]
+
+
 def load_reference(format_str: str, flavor: str = "small") -> ReferenceTable:
     summary = None
-    for line in _refdata("summary.txt").splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        fmt, flav, tensors, order, count, mx = line.split()
+    for fmt, flav, tensors, order, count, mx in _records("summary.txt"):
         if fmt == format_str and flav == flavor:
             summary = (int(tensors), int(order), int(count), int(mx))
     if summary is None:
@@ -96,13 +100,9 @@ def load_reference(format_str: str, flavor: str = "small") -> ReferenceTable:
         body = [ln.split() for ln in text.splitlines()[1:] if ln.strip()]
         rows = tuple((int(r), int(s), b) for r, s, b in body)
 
-    dist = []
-    for line in _refdata("distributions.txt").splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        fmt, flav, rank, orbits, tensors, pct = line.split()
-        if fmt == format_str and flav == flavor:
-            dist.append((int(rank), int(orbits), int(tensors), pct))
+    dist = [(int(rank), int(orbits), int(tensors), pct)
+            for fmt, flav, rank, orbits, tensors, pct in _records("distributions.txt")
+            if fmt == format_str and flav == flavor]
     return ReferenceTable(format_str, flavor, *summary, rows,
                           tuple(dist) if dist else None)
 
@@ -190,13 +190,8 @@ class ConjectureReport:
 def expected_stable_forms(p: int) -> list[tuple[int, str]]:
     """The ten (rank, bits) patterns, padded with leading zero entries to
     width 4p.  For p >= 4 the classification reuses the p=4 forms."""
-    out = []
-    for line in _refdata("conjecture_p22.txt").splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        _, rank, bits = line.split()
-        out.append((int(rank), "." * (4 * p - 16) + bits))
-    return out
+    return [(int(rank), "." * (4 * p - 16) + bits)
+            for _, rank, bits in _records("conjecture_p22.txt")]
 
 
 def check_conjecture_p22(p: int, shape: Shape,

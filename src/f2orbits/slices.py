@@ -226,47 +226,45 @@ def unrank(shape: Shape, index: np.ndarray) -> np.ndarray:
     out = np.zeros(index.size, KEY)    # the zero space keeps key 0
     for lo in range(0, index.size, CHUNK):
         chunk = index[lo:lo + CHUNK]
-        level = np.zeros(chunk.size, np.int8)
-        for bound in bounds[1:-1]:
-            level += chunk >= bound
         for k in range(1, len(bounds) - 1):
-            at = np.flatnonzero(level == k)
+            at = np.flatnonzero((chunk >= bounds[k]) & (chunk < bounds[k + 1]))
             if at.size:
-                after = bounds[k + 1] - 1 - chunk[at]
-                out[lo + at] = _unrank_level(m, k, after)
+                out[lo + at] = _unrank_level(m, k, bounds[k + 1] - 1 - chunk[at])
     return out
 
 
-def unrank_bytes(m: int, k: int, n: int) -> int:
-    """Peak bytes unrank allocates for n indices of k-spaces of F2^m
-    besides its result, over one chunk: 70 + 16 k bytes per item, the
-    int64 positions, temporaries, and k rows and pivots, and 9 bytes for
-    each of up to 8192 of the m - 1 comparisons per item that find a
-    pivot, a bool and its slot in numpy's int64 casting buffer."""
-    chunk = min(n, CHUNK)
-    return (70 + 16 * k) * chunk + 9 * min((m - 1) * chunk, 8192)
+def unrank_bytes(k: int, n: int) -> int:
+    """Peak bytes unrank allocates for n indices of k-spaces besides its
+    result, over one chunk: 64 + 16 k bytes per item, eight int64 arrays
+    (the positions, the after counts, the comparison buffer, the last
+    row's x, c and j and two temporaries) and the k rows and k pivots,
+    one temporary less for k = 1, which puts no pivot back."""
+    return (64 + 16 * k - 8 * (k == 1)) * min(n, CHUNK)
 
 
 def _unrank_level(m: int, k: int, after: np.ndarray) -> np.ndarray:
     """The keys of the k-spaces of F2^m with after (int64) k-spaces after
-    them in their level, as int64."""
+    them in their level, as int64; overwrites after."""
     rows, pivots = [], []
+    below = np.empty_like(after)
     for i in range(k):
         mm, rank = m - i, k - i
         counts = np.array([_cnt(mm, rank, p) for p in range(mm)], np.int64)
         tails = np.array([_cnt(mm - 1, rank - 1, p) for p in range(mm)], np.int64)
-        p = (after < counts[1:, None]).sum(axis=0)
+        # p counts the bounds above after: (after - bound) >> 63 is -1 just when after < bound
+        p = np.zeros_like(after)
+        for bound in counts[1:]:
+            p -= np.right_shift(np.subtract(after, bound, out=below), 63, out=below)
         x = counts[p] - after
         c = tails[p]
         j = (x + c - 1) // c
         rows.append((1 << p) + j - 1)
         pivots.append(p)
-        after = j * c - x
-    # from the deepest row up, put each deleted pivot bit back as 0
+        np.subtract(j * c, x, out=after)
+    # from the deepest row up, put each deleted pivot bit back as 0 (-2^p: bits p and up)
     for i in range(k - 2, -1, -1):
-        low = (1 << pivots[i]) - 1
         for row in rows[i + 1:]:
-            row += row & ~low
+            row += row & -(1 << pivots[i])
     key = rows[0]
     for row in rows[1:]:
         key <<= m
@@ -290,14 +288,19 @@ def permutations(shape: Shape) -> list[np.ndarray]:
 
 def spanning_codes(shape: Shape, keys: np.ndarray, k: int) -> np.ndarray:
     """The codes A B, unsorted, for the reduced basis B of each k-space
-    in keys and every d1 x k coefficient matrix A of rank k."""
+    in keys and every d1 x k coefficient matrix A of rank k: code [i, a] is
+    the XOR over c of bases[c, i] spread[c, a], a line of the shorter axis
+    at a time, by chunks of the longer, with no broadcast operand."""
     bases = unpack(keys, slice_bits(shape), k)
     spread = _spread_coefficients(shape, k)
     out = np.zeros((bases.shape[1], spread.shape[1]), KEY)
-    per = max(1, CHUNK // spread.shape[1])
-    for lo in range(0, bases.shape[1], per):
-        for c in range(k):
-            out[lo:lo + per] ^= bases[c, lo:lo + per, None] * spread[c]
+    short, long, lines = ((bases, spread, out) if bases.shape[1] <= spread.shape[1]
+                          else (spread, bases, out.T))
+    product = np.empty(min(long.shape[1], CHUNK), KEY)
+    for lo in range(0, long.shape[1], CHUNK):
+        for line, factors in zip(lines[:, lo:lo + CHUNK], short.T):
+            for row, factor in zip(long[:, lo:lo + CHUNK], factors):
+                line ^= np.multiply(row, factor, out=product[:line.size])
     return out.reshape(-1)
 
 
@@ -307,14 +310,13 @@ def _spread_coefficients(shape: Shape, k: int) -> np.ndarray:
     bit (d1-1-j) M set when A[j, c] = 1, so that the XOR over c of B_c
     times entry [c, a] is the code of the tuple A B."""
     d1, m = shape.dims[0], slice_bits(shape)
-    out = np.empty((k, tuple_counts(shape)[k]), KEY)
+    out = np.zeros((k, tuple_counts(shape)[k]), KEY)
     pos = 0
     for lo in range(0, 1 << (d1 * k), CHUNK):
         cols = unpack(np.arange(lo, min(lo + CHUNK, 1 << (d1 * k)), dtype=KEY), d1, k)
         cols = cols[:, reduce_rows(cols.copy(), k)[k - 1] != 0]
-        spread = np.zeros_like(cols)
-        for j in range(d1):
-            spread |= ((cols >> np.uint32(j)) & 1) << np.uint32((d1 - 1 - j) * m)
-        out[:, pos:pos + cols.shape[1]] = spread
+        for c, spread in enumerate(out[:, pos:pos + cols.shape[1]]):
+            for j in range(d1):
+                spread |= ((cols[c] >> np.uint32(j)) & 1) << np.uint32((d1 - 1 - j) * m)
         pos += cols.shape[1]
     return out

@@ -62,7 +62,7 @@ def _least_linked(link):
     overwritten: each round takes the least label over every link, then
     jumps pointers.  The labels take the narrowest dtype, so a round
     allocates about n^2 bytes."""
-    link |= link.T
+    link |= link.T.copy()    # numpy would buffer the transposed view, by np.setbufsize
     least = np.arange(len(link), dtype=np.min_scalar_type(len(link) - 1))
     while True:
         step = np.where(link, least, least[:, None]).min(axis=1)

@@ -16,8 +16,15 @@ order.
 reference_apply is the one reference for the group action: it applies a
 composite from the definition, one entry at a time, and shares no code
 with group.py or slices.py.
+
+traced_peaks traces a call for the two-sided memory figure tests, at
+numpy's default buffer size and at 1 MiB, so that a figure fitted to
+numpy's hidden ufunc buffers fails at one of them.
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from entry_oracle import index_of
 
@@ -112,3 +119,22 @@ def _accepted_formats(prefix=(), entries=1):
 @pytest.fixture(scope="session")
 def accepted_formats():
     return list(_accepted_formats())
+
+
+def traced_peaks(call):
+    """tracemalloc's peak over call() at numpy's buffer size and at 1 MiB,
+    in that order; numpy's size is restored in finally."""
+    old = np.getbufsize()
+    peaks = []
+    try:
+        for size in (old, 1 << 20):
+            np.setbufsize(size)
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        np.setbufsize(old)
+    return peaks

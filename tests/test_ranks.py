@@ -6,6 +6,7 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
 import pytest
+from conftest import traced_peaks
 from entry_oracle import brute_force_rank
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -52,8 +53,9 @@ def test_simple_tensors_fit_their_rank_allowance():
 
 
 # the most rank_bytes may exceed the traced peak of propagate_ranks, atlas
-# included: 25 KB on 3x2x2x2, and about FIXED_BYTES elsewhere
-RANK_SLACK = 32 << 10
+# included: 25 KB on 3x2x2x2, whose 697 orbits' 16 BFS bytes are counted
+# beside the lookup, and about FIXED_BYTES elsewhere
+RANK_SLACK = 26 << 10
 
 
 def test_rank_bytes_bound_the_peak(engine):
@@ -64,13 +66,9 @@ def test_rank_bytes_bound_the_peak(engine):
     for fmt in ("2x2x2", "6x2x2", "13x2", "4x3x2", "3x3x2", "2x2x2x2", "3x2x2x2", "3x3x3"):
         shape, atlas = engine.shape(fmt), engine.atlas(fmt)
         propagate_ranks(shape, atlas)
-        tracemalloc.start()
-        try:
-            propagate_ranks(shape, atlas)
-            peak = tracemalloc.get_traced_memory()[1] + atlas.nbytes
-        finally:
-            tracemalloc.stop()
-        assert peak <= rank_bytes(atlas) <= peak + RANK_SLACK, (fmt, peak)
+        for peak in traced_peaks(lambda: propagate_ranks(shape, atlas)):
+            peak += atlas.nbytes
+            assert peak <= rank_bytes(atlas) <= peak + RANK_SLACK, (fmt, peak)
 
 
 def test_seed_rejects_split_simples():

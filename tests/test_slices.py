@@ -13,10 +13,9 @@ counts.
 """
 
 import functools
-import tracemalloc
 
 import numpy as np
-from conftest import reference_apply
+from conftest import reference_apply, traced_peaks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -143,17 +142,15 @@ def test_every_key_gets_its_own_index(accepted_formats):
 
 
 # the most unrank_bytes plus FIXED_BYTES may exceed unrank's traced peak:
-# the casting buffer, counted in full from n = 1024 on 3x3x3 but live at
-# the peak only below about 2000 (78.4 KB at n = 3000); 38 KB at full
-# chunks and about FIXED_BYTES on a handful of indices
-UNRANK_SLACK = 80 << 10
+# what its Python objects leave of FIXED_BYTES, 12.7 to 14.2 KB
+UNRANK_SLACK = 16 << 10
 
 
 def test_unrank_bytes_bound_the_peak():
     # tracemalloc's peak over unrank, its uint32 result aside, stays
     # within unrank_bytes plus FIXED_BYTES for Python objects, and that
-    # figure within UNRANK_SLACK of the peak, from a handful of indices,
-    # where numpy's casting buffers follow n, to several chunks
+    # figure within UNRANK_SLACK of the peak, from a handful of indices
+    # to several chunks
     for fmt in ("3x3x3", "2x2x2x2", "4x3x2"):
         s = parse_shape(fmt)
         bounds = level_bounds(s)
@@ -161,14 +158,10 @@ def test_unrank_bytes_bound_the_peak():
             for n in (5, 50, 500, 1000, 2000, 3000, 8192, 40000):
                 index = np.arange(bounds[k], min(bounds[k] + n, bounds[k + 1]))
                 unrank(s, index)
-                tracemalloc.start()
-                try:
-                    unrank(s, index)
-                    peak = tracemalloc.get_traced_memory()[1] - 4 * index.size
-                finally:
-                    tracemalloc.stop()
-                figure = unrank_bytes(slice_bits(s), k, index.size) + FIXED_BYTES
-                assert peak <= figure <= peak + UNRANK_SLACK, (fmt, k, n, peak)
+                figure = unrank_bytes(k, index.size) + FIXED_BYTES
+                for peak in traced_peaks(lambda: unrank(s, index)):
+                    peak -= 4 * index.size
+                    assert peak <= figure <= peak + UNRANK_SLACK, (fmt, k, n, peak)
 
 
 def test_unrank_lists_the_keys(accepted_formats):

@@ -3,11 +3,13 @@ group.py builds N-bit maps, no module sorts or binary-searches for an
 index, only slices.permutations builds the subspace keys and only
 enumeration asks for the permutations, only orbits._check_cap raises
 MemoryCapError and the span_index figure is written once, in slices.py,
-for the enumeration's and the ranking's figures, every definition in
-src/ is read by other code in src/ or by benchmark/, classify imports
-neither numpy.ma nor json nor decimal, the public names and the README's
-Library example match the package, the benchmark's layer pass still
-runs against the package, and the benchmark's self-check passes.
+for the enumeration's and the ranking's figures, no module names 8192,
+numpy's default ufunc buffer size, so that no figure is fitted to it,
+every definition in src/ is read by other code in src/ or by
+benchmark/, classify imports neither numpy.ma nor json nor decimal, the
+public names and the README's Library example match the package, the
+benchmark's layer pass still runs against the package, and the
+benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -114,6 +116,14 @@ def test_one_memory_rule():
         assert len(calls(function(trees[module], caller), "span_index_bytes")) == 1, caller
     for path in sorted((ROOT / "src" / "f2orbits").glob("*.py")):
         assert "orbit_id_bytes" not in path.read_text(), path.name
+
+
+def test_no_figure_counts_numpy_buffers():
+    # a figure counts the arrays a kernel asks for; numpy's ufunc buffers,
+    # 8192 items by default, follow np.setbufsize, so no module names
+    # that size
+    for path in sorted((ROOT / "src" / "f2orbits").glob("*.py")):
+        assert "8192" not in path.read_text(), path.name
 
 
 def test_classify_does_not_import_numpy_ma():
