@@ -9,8 +9,7 @@ tensor rank, its breadth-first distance from the zero orbit when each
 step adds one simple tensor.
 """
 
-from .group import (Composite, GLMatrix, generator_set, large_group_order,
-                    small_group_order)
+from .group import GLMatrix, generator_set, large_group_order, small_group_order
 from .orbits import (LargeOrbitAtlas, MemoryCapError, OrbitAtlas, enumerate_orbits,
                      load_atlas, merge_large_orbits, save_atlas)
 from .ranks import RankAtlas, propagate_ranks, rank_distribution
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_ENTRIES", "Shape", "parse_shape",
     "enumerate_simple_tensors",
-    "GLMatrix", "Composite", "generator_set",
+    "GLMatrix", "generator_set",
     "small_group_order", "large_group_order",
     "OrbitAtlas", "LargeOrbitAtlas", "MemoryCapError",
     "enumerate_orbits", "merge_large_orbits",

@@ -6,17 +6,17 @@ one mode applies the stored linear map to that mode's coordinate vectors:
 x'[i] = sum_j x[j] * rows[j][i] over GF(2), a row vector times the matrix.
 Under this convention apply(a @ b, c) == apply(b, apply(a, c)).
 
-Every group action is built one way, from the images of basis tensors:
-(g1, ..., gn) sends the tensor with one 1 at subscripts (j1, ..., jn) to
-the outer product of row j1 of g1, ..., row jn of gn (basis_images,
-through tensor.simple_code), and linearity gives the rest.
-slices.slice_maps takes the images of the M bits of one slice only.  A
-mode permutation moves entries to entries, so transpose_codes applies
-it to an array of codes as one gather of their bits.
+Every action on codes is built one way, from the images of basis tensors
+(through tensor.simple_code) and linearity.  An element (g1, ..., gn), a
+tuple of matrices, sends the tensor with one 1 at subscripts (j1, ...,
+jn) to the outer product of rows j1 of g1, ..., jn of gn (basis_images),
+and linear_table fills a table from such images; slices.slice_maps takes
+the images of the M bits of one slice only.  A mode permutation sends
+each basis tensor to one basis tensor, so transpose_codes moves bits.
 
 compile_composite turns the N images into a CodeMap of (shift, mask)
 terms: new_code = XOR over terms of a masked, shifted copy of the old
-code, and a mode action is the composite with the identity elsewhere.
+code, and a mode action is the element with the identity elsewhere.
 No classify path compiles a CodeMap; benchmark/layers.py and the table
 oracle in tests/ do.  A compiled map is linear, so the array path needs
 no terms: two lookup tables hold the images of every low half
@@ -27,7 +27,7 @@ map.
 Enumeration stores one permutation of the slice-space subspaces per
 generator (slices.py) and does one gather per subspace per generator
 (spin.py), so the default generator set is as small as the group
-allows: m = max(2, number of modes of dimension 2) composites, not the
+allows: m = max(2, number of modes of dimension 2) elements, not the
 2n per-mode generators.  For d >= 3, GL(d, 2) is simple and nonabelian, and a
 direct product of such groups is generated by two elements that carry
 one generating pair per factor, as long as no automorphism carries one
@@ -153,36 +153,31 @@ def block_permutations(shape: Shape) -> list[tuple[int, ...]]:
 
 def transpose_codes(shape: Shape, codes: np.ndarray, perms) -> np.ndarray:
     """out[..., j] = the code whose entry at (i1, ..., in) is the entry of
-    codes at (i_perm[1], ..., i_perm[n]) for perm = perms[j], for an
-    integer array of codes and dimension-preserving mode permutations,
-    as uint32, by one gather of the codes' bits: source[p] is the
-    position whose entry moves to position p."""
-    n = shape.entry_count
-    positions = np.arange(n).reshape(shape.dims)
-    inverses = [[perm.index(j + 1) for j in range(shape.n)] for perm in perms]
-    sources = np.array([positions.transpose(inverse).ravel() for inverse in inverses])
-    weights = np.uint32(1) << np.arange(n - 1, -1, -1, dtype=np.uint32)
-    bits = (np.asarray(codes)[..., None] & weights) != 0
-    return (bits[..., sources] * weights).sum(axis=-1, dtype=np.uint32)
+    codes at (i_perm[1], ..., i_perm[n]) for perm = perms[j], for a uint32
+    array of codes and dimension-preserving mode permutations, as uint32:
+    perm sends the basis tensor with e_jk on mode k to the one with e_jk
+    on mode perm[k], so each bit moves to one bit by a shift and an OR."""
+    out = np.zeros(codes.shape + (len(perms),), np.uint32)
+    inverses = [[perm.index(k + 1) for k in range(shape.n)] for perm in perms]
+    for b, idx in enumerate(reversed(list(itertools.product(*map(range, shape.dims))))):
+        bit = (codes >> b) & 1
+        for column, inverse in zip(np.moveaxis(out, -1, 0), inverses):
+            image = simple_code(shape.dims, [1 << idx[i] for i in inverse])
+            column |= bit << (image.bit_length() - 1)
+    return out
 
 
 # ---- actions ----
 
-@dataclass(frozen=True)
-class Composite:
-    """One element of the small group: matrices[k - 1] acts on mode k."""
-
-    matrices: tuple[GLMatrix, ...]
-
-
-def generator_set(shape: Shape) -> tuple[Composite, ...]:
-    """m = max(2, number of dimension-2 modes) composites that generate
-    GL(d1,2) x ... x GL(dn,2), from c, t = gl_generators(d) per mode.
+def generator_set(shape: Shape) -> tuple[tuple[GLMatrix, ...], ...]:
+    """m = max(2, number of dimension-2 modes) elements that generate
+    GL(d1,2) x ... x GL(dn,2), from c, t = gl_generators(d) per mode; an
+    element is a tuple of matrices, the (k - 1)-th acting on mode k.
 
     The j-th mode of dimension d >= 3 (j = 0, 1, 2; no supported format has
-    more) takes the pair (c, t), (t, c) or (c, t @ c) into composites 0
+    more) takes the pair (c, t), (t, c) or (c, t @ c) into elements 0
     and 1 and the identity elsewhere.  The j-th mode of dimension 2 takes
-    t, an involution, in composite j and c @ t, of order 3, in the others."""
+    t, an involution, in element j and c @ t, of order 3, in the others."""
     count = max(2, shape.dims.count(2))
     columns = []
     seen = {}
@@ -196,7 +191,7 @@ def generator_set(shape: Shape) -> tuple[Composite, ...]:
             column = list(((c, t), (t, c), (c, t @ c))[j])
             column += [identity_matrix(d)] * (count - 2)
         columns.append(column)
-    return tuple(Composite(tuple(row)) for row in zip(*columns))
+    return tuple(zip(*columns))
 
 
 class CodeMap:
@@ -225,20 +220,12 @@ class CodeMap:
             acc ^= (part << shift) if shift >= 0 else (part >> -shift)
         return acc
 
-    def _span_table(self, first: int, count: int) -> np.ndarray:
-        """Images of the codes whose set bits lie in [first, first + count),
-        indexed by code >> first; filled by linearity, one bit at a time."""
-        table = np.zeros(1 << count, dtype=np.intp)
-        for b in range(count):
-            table[1 << b:2 << b] = table[:1 << b] ^ self(1 << (first + b))
-        return table
-
     @functools.cached_property
     def _tables(self):
         lo_bits = (self.n_bits + 1) // 2
+        images = [self(1 << b) for b in range(self.n_bits)]
         return (lo_bits, (1 << lo_bits) - 1,
-                self._span_table(0, lo_bits),
-                self._span_table(lo_bits, self.n_bits - lo_bits))
+                linear_table(images[:lo_bits], np.intp), linear_table(images[lo_bits:], np.intp))
 
     def apply_array(self, codes: np.ndarray) -> np.ndarray:
         """Images of an integer array of codes, as intp: the tables hold
@@ -246,6 +233,15 @@ class CodeMap:
         Each table has at most 2^14 entries (128 KiB)."""
         lo_bits, lo_mask, lo, hi = self._tables
         return lo[codes & lo_mask] ^ hi[codes >> lo_bits]
+
+
+def linear_table(images, dtype) -> np.ndarray:
+    """table[x] = the image of x under the linear map sending bit b to
+    images[b], for every x < 2^len(images), filled one bit at a time."""
+    table = np.zeros(1 << len(images), dtype)
+    for b, image in enumerate(images):
+        table[1 << b:2 << b] = table[:1 << b] ^ image
+    return table
 
 
 def basis_images(dims, matrices) -> list[int]:
@@ -260,24 +256,24 @@ def basis_images(dims, matrices) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def compile_mode_action(shape: Shape, k: int, matrix: GLMatrix) -> CodeMap:
-    """Compile matrix acting on mode k (1-based): the composite with the
+    """Compile matrix acting on mode k (1-based): the element with the
     identity on every other mode."""
     if not 1 <= k <= shape.n:
         raise ValueError(f"mode {k} out of range for {shape}")
     matrices = [identity_matrix(d) for d in shape.dims]
     matrices[k - 1] = matrix
-    return compile_composite(shape, Composite(tuple(matrices)))
+    return compile_composite(shape, tuple(matrices))
 
 
-def compile_composite(shape: Shape, element: Composite) -> CodeMap:
-    """Compile a composite from the images of the N basis tensors."""
-    dims = tuple(m.d for m in element.matrices)
+def compile_composite(shape: Shape, element) -> CodeMap:
+    """Compile a group element from the images of the N basis tensors."""
+    dims = tuple(m.d for m in element)
     if dims != shape.dims:
-        raise ValueError(f"composite of {'x'.join(map(str, dims))} matrices "
+        raise ValueError(f"element of {'x'.join(map(str, dims))} matrices "
                          f"does not match {shape}")
-    return CodeMap.from_images(shape.entry_count, basis_images(dims, element.matrices))
+    return CodeMap.from_images(shape.entry_count, basis_images(dims, element))
 
 
-def compile_generators(shape: Shape, composites) -> tuple[CodeMap, ...]:
-    """One fused CodeMap per composite, in order."""
-    return tuple(compile_composite(shape, c) for c in composites)
+def compile_generators(shape: Shape, elements) -> tuple[CodeMap, ...]:
+    """One fused CodeMap per element, in order."""
+    return tuple(compile_composite(shape, e) for e in elements)

@@ -37,7 +37,7 @@ Enumeration.  slices.permutations builds the keys of every subspace in
 ascending order, pivot by pivot with no sorting or dedupe: each
 (k+1)-space is a k-space plus a row whose pivot lies below every earlier
 pivot and is clear in every earlier row, with its lower bits free.  For
-each composite of group.generator_set, its slice map (the composite with
+each generator of group.generator_set, its slice map (the generator with
 the identity on mode 1, applied to the 2^M codes of the last slice)
 gives one uint32 permutation of the subspaces: map the rows of every key
 and number their span with slices.span_index, which reduces the rows
@@ -62,9 +62,10 @@ subspace count: orbit_id(code) numbers the span of the code's slices
 with the same span_index, and slices.unrank, its inverse, gives back the
 key of a subspace from its index, for the canonicals and for members.
 merge_large_orbits permutes the modes of every canonical with
-group.transpose_codes, one gather of their bits, and reads the images'
-ids through orbit_id.  required_bytes takes S from Gaussian binomials;
-no array of 2^N cells is built.
+group.transpose_codes, which moves each bit to the bit of its basis
+tensor's image, and reads the images' ids through orbit_id.
+required_bytes takes S from Gaussian binomials; no array of 2^N cells
+is built.
 
 Since the ids ascend with the canonical form, id i first occurs where
 the running maximum of the ids steps to i, at the index of orbit i's

@@ -46,7 +46,9 @@ def rank_bytes(atlas: OrbitAtlas) -> int:
     of two phases.  Building the simple tensors takes at most 64 bytes
     each as Python ints in lists, and 4 as uint32; looking them up holds
     those, the K n uint32 codes and their uint16 ids, and span_index over
-    the codes' d1 slots.  A BFS step takes less than the lookup."""
+    the codes' d1 slots.  A BFS step takes less than the lookup.  The
+    large flavor's merge, which follows unchecked, peaks below this figure
+    less the atlas: about 120 KB against 404 KB on 2x2x2x2."""
     k, n = atlas.orbit_count + 1, math.prod((1 << d) - 1 for d in atlas.shape.dims)
     lookup = 4 * n + 6 * k * n + span_index_bytes(atlas.shape, atlas.shape.dims[0], k * n)
     return FIXED_BYTES + atlas.nbytes + 16 * k + max(68 * n, lookup)

@@ -43,7 +43,7 @@ import itertools
 
 import numpy as np
 
-from .group import basis_images, generator_set
+from .group import basis_images, generator_set, linear_table
 from .tensor import Shape
 
 KEY = np.dtype(np.uint32)
@@ -137,9 +137,12 @@ def subspace_keys(shape: Shape) -> np.ndarray:
         for p in range(m):
             chosen = parents[(least >= (2 << p)) & ((occupied & np.uint32(1 << p)) == 0)]
             rows = np.arange(1 << p, 2 << p, dtype=KEY) << np.uint32(k * m)
-            block = keys[pos:pos + rows.size * chosen.size]
-            np.bitwise_or(rows[:, None], chosen[None, :],
-                          out=block.reshape(rows.size, chosen.size))
+            block = keys[pos:pos + rows.size * chosen.size].reshape(rows.size, chosen.size)
+            # a line of the shorter axis at a time: numpy buffers a broadcast operand
+            lines, short, long = ((block, rows, chosen) if rows.size <= chosen.size
+                                  else (block.T, chosen, rows))
+            for line, scalar in zip(lines, short):
+                np.bitwise_or(long, scalar, out=line)
             pos += block.size
         lo, hi = hi, pos
     assert hi == keys.size, "subspace count disagrees with the Gaussian binomials"
@@ -147,17 +150,11 @@ def subspace_keys(shape: Shape) -> np.ndarray:
 
 
 def slice_maps(shape: Shape) -> list[np.ndarray]:
-    """One uint32 table of 2^M entries per composite: its matrices on modes
+    """One uint32 table of 2^M entries per generator: its matrices on modes
     2..n applied to a slice, filled by linearity from the images of the M
     basis slices."""
-    tables = []
-    for c in generator_set(shape):
-        images = basis_images(shape.dims[1:], c.matrices[1:])
-        table = np.zeros(1 << len(images), KEY)
-        for b, image in enumerate(images):
-            table[1 << b:2 << b] = table[:1 << b] ^ image
-        tables.append(table)
-    return tables
+    return [linear_table(basis_images(shape.dims[1:], g[1:]), KEY)
+            for g in generator_set(shape)]
 
 
 def _cnt(m: int, rank: int, p: int) -> int:
@@ -274,7 +271,7 @@ def _unrank_level(m: int, k: int, after: np.ndarray) -> np.ndarray:
 
 def permutations(shape: Shape) -> list[np.ndarray]:
     """perms[c][i] = the index of the image of subspace i under the slice
-    map of composite c of generator_set, for every composite: the keys,
+    map of generator c of generator_set, for every generator: the keys,
     index tables and slice maps are built once, and the permutations are
     filled chunk by chunk of keys, unpacked once per map."""
     m, k = slice_bits(shape), max_dim(shape)

@@ -65,7 +65,7 @@ def _least_linked(link):
     link |= link.T.copy()    # numpy would buffer the transposed view, by np.setbufsize
     least = np.arange(len(link), dtype=np.min_scalar_type(len(link) - 1))
     while True:
-        step = np.where(link, least, least[:, None]).min(axis=1)
+        step = np.minimum(np.where(link, least, len(link) - 1).min(axis=1), least)
         step = step[step]
         if (step == least).all():
             return least

@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from table_oracle import transpose_map
 
-from f2orbits.group import (CodeMap, Composite, GLMatrix, block_permutations,
+from f2orbits.group import (CodeMap, GLMatrix, block_permutations,
                             compile_composite,
                             compile_generators, compile_mode_action,
                             equal_dim_blocks, generator_set, gl_generators,
@@ -147,9 +147,10 @@ def test_generator_set_layout():
     def layout(dims):
         s = Shape(dims)
         comps = generator_set(s)
-        assert all(isinstance(c, Composite) for c in comps)
-        assert all(len(c.matrices) == s.n for c in comps)
-        return [c.matrices for c in comps]
+        assert all(isinstance(c, tuple) and all(isinstance(m, GLMatrix) for m in c)
+                   for c in comps)
+        assert all(len(c) == s.n for c in comps)
+        return list(comps)
 
     c2, t2 = gl_generators(2)
     c3, t3 = gl_generators(3)
@@ -177,7 +178,7 @@ def test_generator_set_generates_small_group(accepted_formats):
         return out
 
     def layout(dims):
-        return [c.matrices for c in generator_set(Shape(dims))]
+        return list(generator_set(Shape(dims)))
 
     checked = set()
     for dims in accepted_formats:
@@ -311,10 +312,10 @@ def test_random_composite_matches_per_mode(dims, seed, data):
     # paths, equals its per-mode actions applied one after another
     s = Shape(dims)
     rng = random.Random(seed)
-    comp = Composite(tuple(random_gl(d, rng) for d in dims))
+    comp = tuple(random_gl(d, rng) for d in dims)
     prog = compile_composite(s, comp)
     per_mode = [compile_mode_action(s, k, m)
-                for k, m in enumerate(comp.matrices, start=1)]
+                for k, m in enumerate(comp, start=1)]
     codes = data.draw(st.lists(st.integers(0, s.code_bound - 1),
                                min_size=1, max_size=20))
     out = prog.apply_array(np.array(codes, dtype=np.uint32)).tolist()
@@ -342,9 +343,9 @@ def test_compile_rejects_mismatched_action():
         compile_mode_action(s, 4, identity_matrix(2))
     i2, i3 = identity_matrix(2), identity_matrix(3)
     with pytest.raises(ValueError):
-        compile_composite(s, Composite((i3, i2)))
+        compile_composite(s, (i3, i2))
     with pytest.raises(ValueError):
-        compile_composite(s, Composite((i2, i2, i3)))
+        compile_composite(s, (i2, i2, i3))
 
 
 def test_transpose_codes_matches_transpose(accepted_formats):

@@ -14,17 +14,18 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import reference_apply, traced_peaks
+from conftest import OBJECT_SLACK, reference_apply, traced_peaks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from table_oracle import table_orbits, transpose_map
 
 from f2orbits import spin as spin_module
-from f2orbits.group import (Composite, block_permutations, compile_generators,
-                            generator_set, identity_matrix, small_group_order)
+from f2orbits.group import (block_permutations, compile_generators, generator_set,
+                            identity_matrix, small_group_order)
 from f2orbits.orbits import (DEFAULT_MEM_CAP, FIXED_BYTES, MemoryCapError, OrbitAtlas,
                              atlas_bytes, enumerate_orbits, load_atlas, merge_large_orbits,
                              required_bytes, save_atlas)
+from f2orbits.ranks import rank_bytes
 from f2orbits.report import NoReferenceError, load_reference
 from f2orbits.slices import level_bounds, permutations, subspace_keys, tuple_counts, unrank
 from f2orbits.spin import SENTINEL, _least_linked, _spin_batch
@@ -248,7 +249,7 @@ def test_enumeration_accepts_custom_generators():
     # the table oracle takes any programs; under identity-only generators
     # every nonzero code is its own orbit
     s = Shape((2, 2, 2))
-    identity = Composite((identity_matrix(2),) * 3)
+    identity = (identity_matrix(2),) * 3
     atlas = table_orbits(s, compile_generators(s, (identity,)))
     assert atlas.orbit_count == 255
     assert (atlas.sizes == 1).all()
@@ -496,6 +497,18 @@ def test_load_peak_within_atlas_bytes(tmp_path, engine):
         for peak in traced_peaks(lambda: load_atlas(path, s)):
             assert peak <= atlas_bytes(s) <= peak + LOAD_SLACK, (dims, peak)
     assert required_bytes(Shape((3, 3, 3))) > 6 * atlas_bytes(Shape((3, 3, 3)))
+
+
+def test_merge_peak_within_rank_bytes(engine):
+    # the merge allocates no broadcast operand, so its traced peak does not
+    # follow numpy's buffer size, and it fits beside the atlas under
+    # rank_bytes, the cap check that comes last before it
+    for fmt in ("3x3x3", "3x2x2x2", "2x2x2x2", "3x3x2"):
+        s, atlas = engine.shape(fmt), engine.atlas(fmt)
+        merge_large_orbits(s, atlas)
+        first, second = traced_peaks(lambda: merge_large_orbits(s, atlas))
+        assert abs(first - second) <= OBJECT_SLACK, (fmt, first, second)
+        assert atlas.nbytes + first <= rank_bytes(atlas), (fmt, first)
 
 
 def test_load_builds_no_keys(tmp_path, engine):

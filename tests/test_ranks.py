@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from table_oracle import table_orbits
 
-from f2orbits.group import Composite, compile_generators, identity_matrix
+from f2orbits.group import compile_generators, identity_matrix
 from f2orbits.orbits import LargeOrbitAtlas
 from f2orbits.ranks import (DistributionRow, _orbit_adjacency, decimal_string,
                             large_orbit_ranks, percent_string, propagate_ranks, rank_bytes)
@@ -75,7 +75,7 @@ def test_seed_rejects_split_simples():
     # under identity-only generators the simple tensors do not form one
     # orbit, which propagate_ranks must notice before it ranks anything
     s = Shape((2, 2, 2))
-    identity = Composite((identity_matrix(2),) * 3)
+    identity = (identity_matrix(2),) * 3
     atlas = table_orbits(s, compile_generators(s, (identity,)))
     with pytest.raises(RuntimeError, match="simple tensors fall into 27 orbits"):
         propagate_ranks(s, atlas)

@@ -5,11 +5,12 @@ enumeration asks for the permutations, only orbits._check_cap raises
 MemoryCapError and the span_index figure is written once, in slices.py,
 for the enumeration's and the ranking's figures, no module names 8192,
 numpy's default ufunc buffer size, so that no figure is fitted to it,
-every definition in src/ is read by other code in src/ or by
-benchmark/, classify imports neither numpy.ma nor json nor decimal, the
-public names and the README's Library example match the package, the
-benchmark's layer pass still runs against the package, and the
-benchmark's self-check passes.
+no subscript adds an axis with None or np.newaxis, so that no kernel
+hands numpy a broadcast operand to buffer, every definition in src/ is
+read by other code in src/ or by benchmark/, classify imports neither
+numpy.ma nor json nor decimal, the public names and the README's
+Library example match the package, the benchmark's layer pass still
+runs against the package, and the benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -124,6 +125,18 @@ def test_no_figure_counts_numpy_buffers():
     # that size
     for path in sorted((ROOT / "src" / "f2orbits").glob("*.py")):
         assert "8192" not in path.read_text(), path.name
+
+
+def test_no_subscript_adds_an_axis():
+    # a broadcast operand makes numpy buffer it, in memory that follows
+    # np.setbufsize and that no figure counts, so every kernel works a
+    # line at a time with a scalar operand and no subscript adds an axis
+    found = [f"{module}:{node.lineno}" for module, tree in modules().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+             for part in ast.walk(node.slice)
+             if (isinstance(part, ast.Constant) and part.value is None)
+             or (isinstance(part, ast.Attribute) and part.attr == "newaxis")]
+    assert found == []
 
 
 def test_classify_does_not_import_numpy_ma():
