@@ -42,6 +42,7 @@ in its docstring.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,20 +108,19 @@ def gl_generators(d: int) -> tuple[GLMatrix, GLMatrix]:
     return cycle, trans
 
 
+def independent_tuples(d: int, k: int) -> int:
+    """prod_{i<k} (2^d - 2^i), the ordered independent k-tuples of F2^d."""
+    return math.prod((1 << d) - (1 << i) for i in range(k))
+
+
 def group_order(d: int) -> int:
-    """|GL(d, 2)| = prod_{j<d} (2^d - 2^j)."""
-    out = 1
-    for j in range(d):
-        out *= (1 << d) - (1 << j)
-    return out
+    """|GL(d, 2)|, the ordered bases of F2^d."""
+    return independent_tuples(d, d)
 
 
 def small_group_order(shape: Shape) -> int:
     """Order of GL(d1,2) x ... x GL(dn,2)."""
-    out = 1
-    for d in shape.dims:
-        out *= group_order(d)
-    return out
+    return math.prod(group_order(d) for d in shape.dims)
 
 
 def equal_dim_blocks(shape: Shape) -> tuple[tuple[int, ...], ...]:
@@ -153,11 +153,11 @@ def block_permutations(shape: Shape) -> list[tuple[int, ...]]:
 
 def transpose_codes(shape: Shape, codes: np.ndarray, perms) -> np.ndarray:
     """out[..., j] = the code whose entry at (i1, ..., in) is the entry of
-    codes at (i_perm[1], ..., i_perm[n]) for perm = perms[j], for a uint32
-    array of codes and dimension-preserving mode permutations, as uint32:
-    perm sends the basis tensor with e_jk on mode k to the one with e_jk
-    on mode perm[k], so each bit moves to one bit by a shift and an OR."""
-    out = np.zeros(codes.shape + (len(perms),), np.uint32)
+    codes at (i_perm[1], ..., i_perm[n]) for perm = perms[j], for codes
+    and dimension-preserving mode permutations, in the codes' dtype: perm
+    sends the basis tensor with e_jk on mode k to the one with e_jk on
+    mode perm[k], so each bit moves to one bit by a shift and an OR."""
+    out = np.zeros(codes.shape + (len(perms),), codes.dtype)
     inverses = [[perm.index(k + 1) for k in range(shape.n)] for perm in perms]
     for b, idx in enumerate(reversed(list(itertools.product(*map(range, shape.dims))))):
         bit = (codes >> b) & 1

@@ -39,12 +39,12 @@ ascending order, pivot by pivot with no sorting or dedupe: each
 pivot and is clear in every earlier row, with its lower bits free.  For
 each generator of group.generator_set, its slice map (the generator with
 the identity on mode 1, applied to the 2^M codes of the last slice)
-gives one uint32 permutation of the subspaces: map the rows of every key
-and number their span with slices.span_index, which reduces the rows
+gives one slices.INDEX permutation of the subspaces: map the rows of every
+key and number their span with slices.span_index, which reduces the rows
 and ranks the basis by arithmetic on its pivots and free bits, with no
 search.  The projections of generators of G generate G'.  The keys go
-when the permutations are built.  spin.py then marks one uint16 orbit
-id per subspace, many orbits per pass: a batch takes the next
+when the permutations are built.  spin.py then marks one orbit id, a
+spin.CELL, per subspace, many orbits per pass: a batch takes the next
 unassigned keys in ascending order as its starts, of one dimension or
 several, spreads them all breadth first, and makes each class of starts
 that meet one orbit.  Its least start is its canonical key: every key
@@ -53,7 +53,7 @@ start, and every orbit the batch meets was wholly unassigned, as each
 batch spins its orbits whole.  So numbering the classes by least start
 keeps the ids 1, 2, ... ascending with the canonical form, with no
 renumbering pass.  Id 0 is the zero tensor, the zero subspace at index
-0.  Two bytes always suffice: no format up to MAX_ENTRIES entries has
+0.  A two-byte CELL suffices: no format up to MAX_ENTRIES entries has
 more than 696 nonzero orbits
 (tests/test_orbits.py::test_orbit_counts_fit_the_cell sweeps them all).
 
@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import block_permutations, generator_set, small_group_order, transpose_codes
-from .slices import (CHUNK, KEY, index_tables, level_bounds, max_dim, permutations,
+from .slices import (CHUNK, CODE, INDEX, index_tables, level_bounds, max_dim, permutations,
                      slice_bits, span_index, span_index_bytes, spanning_codes, subspace_count,
                      tuple_counts, unpack, unrank, unrank_bytes)
 from .spin import BATCH_MAX, CELL, spin
@@ -113,26 +113,28 @@ def required_bytes(shape: Shape) -> int:
     """Peak bytes enumerate_orbits allocates, from the Gaussian binomials:
     the largest of its phases, each the arrays it holds and its own
     transients, with FIXED_BYTES of small arrays and Python objects.
-    slices.permutations holds a key per subspace, the m permutations, the
-    m slice maps of 2^M uint32 and span_index over a chunk of k slots
+    slices.permutations holds a CODE key and m INDEX cells per subspace,
+    m slice maps of 2^M CODE and span_index over a chunk of k slots
     (mapping the rows takes 12 k bytes per item, and k <= 5); the spin
-    the permutations, an id and a queue cell per subspace, 24 bytes per
-    chunk item and the link mask between the at most min(S, 256) starts
-    of a batch with a temporary of its size; then _atlas, atlas_bytes."""
+    the permutations, a CELL id and an INDEX queue cell per subspace, 2
+    CELL, 2 INDEX and 12 bytes per chunk item and the link mask of the at
+    most min(S, 256) starts of a batch with a temporary; then _atlas."""
     s, m, k = subspace_count(shape), len(generator_set(shape)), max_dim(shape)
-    perm_phase = ((4 + 4 * m) * s + 4 * m * (1 << slice_bits(shape))
+    code, index, cell = CODE.itemsize, INDEX.itemsize, CELL.itemsize
+    perm_phase = ((code + index * m) * s + code * m * (1 << slice_bits(shape))
                   + span_index_bytes(shape, k, s))
-    spin_phase = (6 + 4 * m) * s + 24 * min(s, CHUNK) + 2 * min(s, BATCH_MAX) ** 2
+    spin_phase = ((cell + index * (m + 1)) * s + (2 * cell + 2 * index + 12) * min(s, CHUNK)
+                  + 2 * min(s, BATCH_MAX) ** 2)
     return max(perm_phase + FIXED_BYTES, spin_phase + FIXED_BYTES, atlas_bytes(shape))
 
 
 def atlas_bytes(shape: Shape) -> int:
-    """Peak bytes _atlas allocates, with the S ids it reads: 2 per
-    subspace, 11 per item of one chunk of its pass (the running maximum,
-    a step mask and bincount's intp copy of the ids), and FIXED_BYTES,
-    which also covers the per-orbit arrays of at most 697 orbits."""
+    """Peak bytes _atlas allocates, with the S CELL ids it reads: per item
+    of one chunk of its pass, the running maximum in CELL, a step mask
+    and bincount's intp copy of the ids; and FIXED_BYTES, which also
+    covers the per-orbit arrays of at most 697 orbits."""
     s = subspace_count(shape)
-    return 2 * s + 11 * min(s, CHUNK) + FIXED_BYTES
+    return CELL.itemsize * s + (CELL.itemsize + 9) * min(s, CHUNK) + FIXED_BYTES
 
 
 def _check_cap(need: int, mem_cap: int) -> None:
@@ -145,9 +147,9 @@ def _check_cap(need: int, mem_cap: int) -> None:
 
 @dataclass(frozen=True)
 class OrbitAtlas:
-    """Complete orbit partition: assignment[i] (uint16) is the orbit id of
-    subspace i, the subspace whose key slices.unrank gives, and for each
-    orbit id canonicals[id] (uint32) is its least code and sizes[id]
+    """Complete orbit partition: assignment[i] (spin.CELL) is the orbit id
+    of subspace i, the subspace whose key slices.unrank gives, and for
+    each orbit id canonicals[id] (slices.CODE) is its least code, sizes[id]
     (int64) its tensor count; slot 0 is the zero orbit, canonical 0 and
     size 1.  Code outside this module reads orbits through orbit_id and
     members only."""
@@ -176,22 +178,21 @@ class OrbitAtlas:
             bad = codes[(codes < 0) | (codes >= bound)]
             raise ValueError(f"code {bad.flat[0]} out of range for {self.shape}")
         flat = codes.reshape(-1)
-        d1, m = self.shape.dims[0], slice_bits(self.shape)
-        tables = index_tables(self.shape)
+        d1, m, tables = self.shape.dims[0], slice_bits(self.shape), index_tables(self.shape)
         ids = np.empty(flat.size, CELL)
         for lo in range(0, flat.size, CHUNK):
-            chunk = flat[lo:lo + CHUNK].astype(KEY, copy=False)
+            chunk = flat[lo:lo + CHUNK].astype(CODE, copy=False)
             ids[lo:lo + CHUNK] = self.assignment[span_index(unpack(chunk, m, d1), tables)]
         ids = ids.reshape(codes.shape)
         return int(ids) if codes.ndim == 0 else ids
 
     def members(self, orbit_id: int) -> np.ndarray:
-        """The codes of orbit orbit_id in ascending order, as uint32: the
+        """The codes of orbit orbit_id in ascending order, as CODE: the
         tuples A B for the reduced basis B of every subspace of the orbit
         and every d1 x k coefficient matrix A of rank k."""
         k = self._dimension(orbit_id)
         if k == 0:
-            return np.zeros(1, KEY)
+            return np.zeros(1, CODE)
         lo, hi = level_bounds(self.shape)[k:k + 2]
         keys = unrank(self.shape, np.flatnonzero(self.assignment[lo:hi] == orbit_id) + lo)
         out = spanning_codes(self.shape, keys, k)
@@ -204,21 +205,21 @@ class OrbitAtlas:
         hold the id mask over the level of k-spaces and the n int64
         indices; the indices, keys and unrank's bytes; or, beside the
         keys, their rows and the (k, t) coefficients, a chunk of
-        candidates being filtered (12 k + 8 bytes each) or the result
-        and one product line of the longer of n and t, at most a chunk."""
-        k = self._dimension(orbit_id)
+        candidates being filtered (3 k + 2 CODE each) or the result and one
+        product line of the longer of n and t, at most a chunk, in CODE."""
+        k, code = self._dimension(orbit_id), CODE.itemsize
         if k == 0:
-            return KEY.itemsize + FIXED_BYTES
+            return code + FIXED_BYTES
         size = int(self.sizes[orbit_id])
         t = tuple_counts(self.shape)[k]
         n = size // t
         lo, hi = level_bounds(self.shape)[k:k + 2]
-        held = 4 * (1 + k) * n + 4 * k * t
+        held = code * ((1 + k) * n + k * t)
         candidates = min(CHUNK, 1 << (self.shape.dims[0] * k))
         return FIXED_BYTES + max(hi - lo + 8 * n,
-                                 12 * n + unrank_bytes(k, n),
-                                 held + (12 * k + 8) * candidates,
-                                 held + 4 * size + 4 * min(max(n, t), CHUNK))
+                                 (8 + code) * n + unrank_bytes(k, n),
+                                 held + code * (3 * k + 2) * candidates,
+                                 held + code * (size + min(max(n, t), CHUNK)))
 
     def _dimension(self, orbit_id: int) -> int:
         """The dimension k of the subspaces of an orbit: its canonical is a
@@ -266,16 +267,16 @@ def _atlas(shape: Shape, assignment: np.ndarray) -> OrbitAtlas:
     return OrbitAtlas(shape, assignment, unrank(shape, firsts), sizes)
 
 
-def enumerate_orbits(shape: Shape, *, cell_width: int = 2,
+def enumerate_orbits(shape: Shape, *, cell_width: int = CELL.itemsize,
                      mem_cap: int = DEFAULT_MEM_CAP) -> OrbitAtlas:
     """Partition the codes of shape into the orbits of GL(d1,2) x ... x
     GL(dn,2) through the subspaces of the slice space; refused with
     MemoryCapError before allocating if required_bytes exceeds mem_cap.
 
-    cell_width accepts only 2; benchmark/layers.py passes it, and it can
-    go once that script stops doing so."""
-    if cell_width != 2:
-        raise ValueError(f"cell_width must be 2, got {cell_width}")
+    cell_width accepts only CELL's itemsize; benchmark/layers.py passes
+    it, and it can go once that script stops doing so."""
+    if cell_width != CELL.itemsize:
+        raise ValueError(f"cell_width must be {CELL.itemsize}, got {cell_width}")
     _check_cap(required_bytes(shape), mem_cap)
     return _atlas(shape, spin(permutations(shape)))
 
@@ -323,14 +324,14 @@ def merge_large_orbits(shape: Shape, atlas: OrbitAtlas) -> LargeOrbitAtlas:
 # ---- snapshots ----
 
 def save_atlas(atlas: OrbitAtlas, path: str) -> None:
-    """Binary snapshot, 6 + n + 2 S + 4 bytes for n modes and S
-    subspaces: magic, version, mode count, dims, the orbit ids (<u2) and
-    the CRC-32 of everything before it.  The ids are written without a
-    copy on little-endian hosts, into a temporary file in the same
-    directory that is renamed over path."""
+    """Binary snapshot, 6 + n + c S + 4 bytes for n modes, S subspaces and
+    c-byte CELL ids: magic, version, mode count, dims, the little-endian
+    ids and the CRC-32 of everything before it.  The ids are written
+    without a copy on little-endian hosts, into a temporary file in the
+    same directory that is renamed over path."""
     header = (_SNAPSHOT_MAGIC + bytes([_SNAPSHOT_VERSION, atlas.shape.n])
               + bytes(atlas.shape.dims))
-    ids = memoryview(atlas.assignment.astype("<u2", copy=False)).cast("B")
+    ids = memoryview(atlas.assignment.astype(CELL.newbyteorder("<"), copy=False)).cast("B")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -372,10 +373,10 @@ def load_atlas(path: str, shape: Shape | None = None, *,
             raise ValueError(f"{path} holds {found}, expected {shape}")
         _check_cap(atlas_bytes(found), mem_cap)
         s = subspace_count(found)
-        size, expected = os.fstat(f.fileno()).st_size, 6 + len(dims) + 2 * s + 4
+        size, expected = os.fstat(f.fileno()).st_size, 6 + len(dims) + CELL.itemsize * s + 4
         if size != expected:
             raise ValueError(f"{path} has {size} bytes; a {found} snapshot has {expected}")
-        assignment = np.empty(s, "<u2")
+        assignment = np.empty(s, CELL.newbyteorder("<"))
         if f.readinto(memoryview(assignment).cast("B")) != assignment.nbytes:
             raise ValueError(f"{path} is truncated")
         crc = int.from_bytes(f.read(4), "little")

@@ -10,12 +10,11 @@ and s, take g with g x = c1, the canonical of O1; then c1 XOR g s lies
 in O2, and g s is simple.  So O1 and O2 are adjacent exactly when c1
 XOR S lies in O2 for some simple S, and one orbit_id lookup of every
 canonical XOR every simple tensor gives a (K, number of simple tensors)
-uint16 table of adjacent orbits, K = orbit count + 1 (at most 697, for
-3x2x2x2, over every format up to 27 entries).  Row 0 of the table holds
-the orbits of the simple tensors themselves, and the group is
-transitive on simple tensors, which propagate_ranks checks.  The BFS
-advances a whole frontier per step, marking the ids in the frontier's
-rows.
+table of adjacent orbit ids (spin.CELL), K = orbit count + 1 (at most
+697, for 3x2x2x2, over every format up to 27 entries).  Row 0 holds the
+orbits of the simple tensors themselves, and the group is transitive on
+simple tensors, which propagate_ranks checks.  The BFS advances a whole
+frontier per step, marking the ids in the frontier's rows.
 """
 
 import math
@@ -24,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .orbits import FIXED_BYTES, LargeOrbitAtlas, OrbitAtlas
-from .slices import span_index_bytes
+from .slices import CODE, span_index_bytes
+from .spin import CELL
 from .tensor import Shape, enumerate_simple_tensors
 
 
@@ -44,24 +44,25 @@ def rank_bytes(atlas: OrbitAtlas) -> int:
     = orbit count + 1 and n simple tensors: FIXED_BYTES, the atlas's
     arrays by their size, 16 bytes per orbit for the BFS, and the larger
     of two phases.  Building the simple tensors takes at most 64 bytes
-    each as Python ints in lists, and 4 as uint32; looking them up holds
-    those, the K n uint32 codes and their uint16 ids, and span_index over
+    each as Python ints in lists, and one CODE in an array; the lookup
+    holds those, the K n CODE codes, their CELL ids and span_index over
     the codes' d1 slots.  A BFS step takes less than the lookup.  The
     large flavor's merge, which follows unchecked, peaks below this figure
     less the atlas: about 120 KB against 404 KB on 2x2x2x2."""
     k, n = atlas.orbit_count + 1, math.prod((1 << d) - 1 for d in atlas.shape.dims)
-    lookup = 4 * n + 6 * k * n + span_index_bytes(atlas.shape, atlas.shape.dims[0], k * n)
-    return FIXED_BYTES + atlas.nbytes + 16 * k + max(68 * n, lookup)
+    lookup = (CODE.itemsize * (1 + k) * n + CELL.itemsize * k * n
+              + span_index_bytes(atlas.shape, atlas.shape.dims[0], k * n))
+    return FIXED_BYTES + atlas.nbytes + 16 * k + max((64 + CODE.itemsize) * n, lookup)
 
 
 def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:
-    """The (K, number of simple tensors) uint16 table of the orbit ids of
+    """The (K, number of simple tensors) table of the orbit ids of
     canonical_i XOR S for every simple tensor S, K = orbit count + 1: row
     i lists the orbits adjacent to orbit i, and row 0, the zero orbit's,
     the orbits of the simple tensors.  The codes are XORed a row per
     canonical, as a broadcast XOR makes numpy buffer both operands."""
-    simples = np.array(enumerate_simple_tensors(atlas.shape), dtype=np.uint32)
-    codes = np.empty((atlas.canonicals.size, simples.size), np.uint32)
+    simples = np.array(enumerate_simple_tensors(atlas.shape), atlas.canonicals.dtype)
+    codes = np.empty((atlas.canonicals.size, simples.size), simples.dtype)
     for row, canonical in zip(codes, atlas.canonicals):
         np.bitwise_xor(simples, canonical, out=row)
     return atlas.orbit_id(codes)

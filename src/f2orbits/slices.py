@@ -43,10 +43,11 @@ import itertools
 
 import numpy as np
 
-from .group import basis_images, generator_set, linear_table
+from .group import basis_images, generator_set, independent_tuples, linear_table
 from .tensor import Shape
 
-KEY = np.dtype(np.uint32)
+CODE = np.dtype(np.uint32)     # codes, keys, slices and slice maps
+INDEX = np.dtype(np.uint32)    # subspace indices, their tables and permutations
 CHUNK = 1 << 14
 
 
@@ -85,20 +86,16 @@ def subspace_count(shape: Shape) -> int:
 
 def tuple_counts(shape: Shape) -> list[int]:
     """t(k), the number of d1-tuples spanning a k-space, for k = 0..min(d1, M)."""
-    d1 = shape.dims[0]
-    out = [1]
-    for i in range(max_dim(shape)):
-        out.append(out[-1] * ((1 << d1) - (1 << i)))
-    return out
+    return [independent_tuples(shape.dims[0], k) for k in range(max_dim(shape) + 1)]
 
 
 def reduce_rows(rows: np.ndarray, steps: int) -> np.ndarray:
     """The reduced row echelon basis of the span of each column of rows, a
-    (w, n) uint32 array of w vectors per item, as a (steps, n) array with
+    (w, n) array of w vectors per item, as a (steps, n) array with
     the rows descending and zero rows last; steps must be at least the
     rank.  rows is overwritten, and left zero: pass a copy of what the
     caller reads."""
-    out = np.zeros((steps, rows.shape[1]), KEY)
+    out = np.zeros((steps, rows.shape[1]), rows.dtype)
     for i in range(steps):
         top = rows.max(axis=0)
         # top has no bit above its pivot, so adding it lowers a row exactly
@@ -111,10 +108,10 @@ def reduce_rows(rows: np.ndarray, steps: int) -> np.ndarray:
 
 def unpack(keys: np.ndarray, m: int, k: int) -> np.ndarray:
     """The lowest k slots of each key, as a (k, n) array."""
-    slots = np.empty((k, keys.size), KEY)
+    slots = np.empty((k, keys.size), keys.dtype)
     for j, slot in enumerate(slots):
-        np.right_shift(keys, np.uint32(j * m), out=slot)
-    slots &= np.uint32((1 << m) - 1)
+        np.right_shift(keys, j * m, out=slot)
+    slots &= (1 << m) - 1
     return slots
 
 
@@ -124,19 +121,19 @@ def subspace_keys(shape: Shape) -> np.ndarray:
     k-space as key | row << kM, grouped by the new row's pivot p, so each
     level comes out sorted."""
     m = slice_bits(shape)
-    keys = np.empty(subspace_count(shape), KEY)
+    keys = np.empty(subspace_count(shape), CODE)
     keys[0] = 0
     lo, hi = 0, 1
     for k in range(max_dim(shape)):
         parents = keys[lo:hi]
-        occupied = np.bitwise_or.reduce(unpack(parents, m, k), axis=0)
-        # the parent's least row sits in slot k - 1, and its pivot is above
-        # p exactly when the row is at least 2^(p+1); the zero space's is M
-        least = parents >> np.uint32((k - 1) * m) if k else np.array([1 << m])
         pos = hi
         for p in range(m):
-            chosen = parents[(least >= (2 << p)) & ((occupied & np.uint32(1 << p)) == 0)]
-            rows = np.arange(1 << p, 2 << p, dtype=KEY) << np.uint32(k * m)
+            # parents whose least row, in slot k - 1, has its pivot above p
+            # (is at least 2^(p+1)), and whose k rows all have bit p clear
+            floor = (2 << p) << (k - 1) * m if k else 0
+            column = sum(1 << (j * m + p) for j in range(k))
+            chosen = parents[(parents >= floor) & ((parents & column) == 0)]
+            rows = np.arange(1 << p, 2 << p, dtype=CODE) << k * m
             block = keys[pos:pos + rows.size * chosen.size].reshape(rows.size, chosen.size)
             # a line of the shorter axis at a time: numpy buffers a broadcast operand
             lines, short, long = ((block, rows, chosen) if rows.size <= chosen.size
@@ -150,10 +147,10 @@ def subspace_keys(shape: Shape) -> np.ndarray:
 
 
 def slice_maps(shape: Shape) -> list[np.ndarray]:
-    """One uint32 table of 2^M entries per generator: its matrices on modes
+    """One CODE table of 2^M entries per generator: its matrices on modes
     2..n applied to a slice, filled by linearity from the images of the M
     basis slices."""
-    return [linear_table(basis_images(shape.dims[1:], g[1:]), KEY)
+    return [linear_table(basis_images(shape.dims[1:], g[1:]), CODE)
             for g in generator_set(shape)]
 
 
@@ -165,12 +162,12 @@ def _cnt(m: int, rank: int, p: int) -> int:
 
 def index_tables(shape: Shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lead, base, mul) for span_index: lead[v] is the highest set bit of
-    v as a mask (0 for v = 0), and base[P] and mul[j, P], for the pivot
-    set P of a reduced basis as an M-bit mask and its row j from the top,
-    are as in the module docstring, 0 for a zero row."""
+    v as a mask (0 for v = 0), a CODE, and base[P] and mul[j, P], for the
+    pivot set P of a reduced basis as an M-bit mask and its row j from the
+    top, are as in the module docstring, 0 for a zero row, INDEX."""
     m, top, bounds = slice_bits(shape), max_dim(shape), level_bounds(shape)
-    lead, base = np.zeros(1 << m, KEY), np.zeros(1 << m, KEY)
-    mul = np.zeros((top, 1 << m), KEY)
+    lead, base = np.zeros(1 << m, CODE), np.zeros(1 << m, INDEX)
+    mul = np.zeros((top, 1 << m), INDEX)
     for b in range(m):
         lead[1 << b:2 << b] = 1 << b
     for k in range(1, top + 1):
@@ -185,7 +182,7 @@ def index_tables(shape: Shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def span_index(rows: np.ndarray, tables) -> np.ndarray:
     """The index among the subspace keys of the span of each column of
-    rows, a (w >= min(d1, M), n) uint32 array of slices, as uint32, from
+    rows, a (w >= min(d1, M), n) CODE array of slices, as INDEX, from
     its reduced basis and index_tables of the format; overwrites rows."""
     lead, base, mul = tables
     basis = reduce_rows(rows, mul.shape[0])
@@ -208,19 +205,20 @@ def span_index(rows: np.ndarray, tables) -> np.ndarray:
 
 
 def span_index_bytes(shape: Shape, w: int, n: int) -> int:
-    """Peak bytes span_index allocates over n items of w slots, with its
-    k + 2 tables of 2^M uint32, k = min(d1, M): 4 w + 4 k + 20 per chunk
-    item, the slots, basis, int64 pivot set, index and two temporaries."""
-    k = max_dim(shape)
-    return 4 * (k + 2) * (1 << slice_bits(shape)) + (4 * w + 4 * k + 20) * min(n, CHUNK)
+    """Peak bytes span_index allocates over n items of w slots, k = min(d1,
+    M): tables of 2^M CODE and (k + 1) 2^M INDEX, and per chunk item the
+    slots, basis and two temporaries in CODE, an INDEX and an int64."""
+    k, code = max_dim(shape), CODE.itemsize
+    return ((code + (k + 1) * INDEX.itemsize) * (1 << slice_bits(shape))
+            + ((w + k + 2) * code + INDEX.itemsize + 8) * min(n, CHUNK))
 
 
 def unrank(shape: Shape, index: np.ndarray) -> np.ndarray:
-    """The keys of the subspaces at index, an integer array, as uint32: the
+    """The keys of the subspaces at index, an integer array, as CODE: the
     inverse of span_index, by chunks (module docstring)."""
     m, bounds = slice_bits(shape), level_bounds(shape)
     index = np.asarray(index, np.int64).reshape(-1)
-    out = np.zeros(index.size, KEY)    # the zero space keeps key 0
+    out = np.zeros(index.size, CODE)    # the zero space keeps key 0
     for lo in range(0, index.size, CHUNK):
         chunk = index[lo:lo + CHUNK]
         for k in range(1, len(bounds) - 1):
@@ -276,7 +274,7 @@ def permutations(shape: Shape) -> list[np.ndarray]:
     filled chunk by chunk of keys, unpacked once per map."""
     m, k = slice_bits(shape), max_dim(shape)
     keys, tables, maps = subspace_keys(shape), index_tables(shape), slice_maps(shape)
-    perms = [np.empty(keys.size, KEY) for _ in maps]
+    perms = [np.empty(keys.size, INDEX) for _ in maps]
     for lo in range(0, keys.size, CHUNK):
         for perm, table in zip(perms, maps):
             perm[lo:lo + CHUNK] = span_index(table[unpack(keys[lo:lo + CHUNK], m, k)], tables)
@@ -290,10 +288,10 @@ def spanning_codes(shape: Shape, keys: np.ndarray, k: int) -> np.ndarray:
     at a time, by chunks of the longer, with no broadcast operand."""
     bases = unpack(keys, slice_bits(shape), k)
     spread = _spread_coefficients(shape, k)
-    out = np.zeros((bases.shape[1], spread.shape[1]), KEY)
+    out = np.zeros((bases.shape[1], spread.shape[1]), CODE)
     short, long, lines = ((bases, spread, out) if bases.shape[1] <= spread.shape[1]
                           else (spread, bases, out.T))
-    product = np.empty(min(long.shape[1], CHUNK), KEY)
+    product = np.empty(min(long.shape[1], CHUNK), CODE)
     for lo in range(0, long.shape[1], CHUNK):
         for line, factors in zip(lines[:, lo:lo + CHUNK], short.T):
             for row, factor in zip(long[:, lo:lo + CHUNK], factors):
@@ -303,17 +301,17 @@ def spanning_codes(shape: Shape, keys: np.ndarray, k: int) -> np.ndarray:
 
 def _spread_coefficients(shape: Shape, k: int) -> np.ndarray:
     """The d1 x k matrices A of rank k, found by filtering all 2^(d1 k)
-    candidates in chunks, as a (k, t(k)) uint32 array: entry [c, a] has
+    candidates in chunks, as a (k, t(k)) CODE array: entry [c, a] has
     bit (d1-1-j) M set when A[j, c] = 1, so that the XOR over c of B_c
     times entry [c, a] is the code of the tuple A B."""
     d1, m = shape.dims[0], slice_bits(shape)
-    out = np.zeros((k, tuple_counts(shape)[k]), KEY)
+    out = np.zeros((k, tuple_counts(shape)[k]), CODE)
     pos = 0
     for lo in range(0, 1 << (d1 * k), CHUNK):
-        cols = unpack(np.arange(lo, min(lo + CHUNK, 1 << (d1 * k)), dtype=KEY), d1, k)
+        cols = unpack(np.arange(lo, min(lo + CHUNK, 1 << (d1 * k)), dtype=CODE), d1, k)
         cols = cols[:, reduce_rows(cols.copy(), k)[k - 1] != 0]
         for c, spread in enumerate(out[:, pos:pos + cols.shape[1]]):
             for j in range(d1):
-                spread |= ((cols[c] >> np.uint32(j)) & 1) << np.uint32((d1 - 1 - j) * m)
+                spread |= ((cols[c] >> j) & 1) << (d1 - 1 - j) * m
         pos += cols.shape[1]
     return out

@@ -12,14 +12,14 @@ whose id goes to its least start.  The first batch has nb = 1, and each
 next one aims at _BATCH_CELLS cells from the last batch's count, nb
 between 1 and BATCH_MAX: few large orbits spin one at a time, with no
 labels gathered and no links tested, and many small ones a few hundred
-at once.  Besides the ids and the work queue, one cell each per
-subspace, every buffer is one chunk long except the mask, at most
-BATCH_MAX^2 bytes.
+at once.  Besides the ids, CELL (their width is set here only), and the
+work queue, one cell each per subspace, every buffer is one chunk long
+except the mask, at most BATCH_MAX^2 bytes.
 """
 
 import numpy as np
 
-from .slices import CHUNK, KEY
+from .slices import CHUNK, INDEX
 
 CELL = np.dtype(np.uint16)
 SENTINEL = int(np.iinfo(CELL).max)
@@ -28,13 +28,13 @@ _BATCH_CELLS = 4096
 
 
 def spin(perms):
-    """The orbit id of every subspace (uint16, the zero subspace at index 0
+    """The orbit id of every subspace (CELL, the zero subspace at index 0
     in orbit 0), for permutations of the subspaces.  Id i first occurs at
     orbit i's least subspace, so the ids alone give each orbit's
     canonical."""
     assignment = np.full(perms[0].size, SENTINEL, CELL)
     assignment[0] = 0
-    queue = np.empty(assignment.size, KEY)
+    queue = np.empty(assignment.size, INDEX)
     count, pos, nb = 1, 1, 1
     while (starts := _next_unassigned(assignment, pos, nb)).size:
         cells, roots = _spin_batch(assignment, count, starts, perms, queue)
@@ -83,7 +83,7 @@ def _spin_batch(assignment, first, starts, perms, queue):
     nb = starts.size
     if first + nb > SENTINEL:
         raise RuntimeError(f"orbit ids {first}..{first + nb - 1} reach the sentinel "
-                           f"{SENTINEL}: too many orbits for a 2-byte cell")
+                           f"{SENTINEL}: too many orbits for a {CELL.itemsize}-byte cell")
     assignment[starts] = np.arange(first, first + nb)
     queue[:nb] = starts
     link = np.zeros((nb, nb), bool)

@@ -13,7 +13,7 @@ that group.basis_images and enumerate_simple_tensors rest on.  No
 classify path reads a code entry by entry: the entry-level oracles
 (positions, entries, the mode transpose) live in tests/entry_oracle.py.
 All functions here are pure; codes are plain Python ints (N <= 27 keeps
-them inside one 32-bit word for the array-based modules).
+them inside one 32-bit word, slices.CODE, in the array-based modules).
 """
 
 import itertools
@@ -21,9 +21,9 @@ import re
 from dataclasses import dataclass
 
 # Largest supported entry count.  No array of 2^N cells is built: the
-# limits are that codes and subspace keys fit a uint32, orbit ids a
-# uint16 and required_bytes the default memory cap, and every format of
-# at most 27 entries meets all three.
+# limits are that codes and keys fit slices.CODE, subspace indices
+# slices.INDEX, orbit ids spin.CELL and required_bytes the default
+# memory cap, and every format of at most 27 entries meets all four.
 MAX_ENTRIES = 27
 
 _FORMAT_RE = re.compile(r"^\d+(x\d+)+$")

@@ -368,6 +368,17 @@ def test_transpose_codes_matches_transpose(accepted_formats):
     assert checked == 26
 
 
+def test_transpose_codes_keeps_the_code_width(engine):
+    # the images take the dtype of the codes they come from, so a wider
+    # code width reaches the merge with no cast of its own
+    s = engine.shape("3x2x2x2")
+    canonicals, perms = engine.atlas("3x2x2x2").canonicals, block_permutations(s)
+    narrow = transpose_codes(s, canonicals.astype(np.uint32), perms)
+    wide = transpose_codes(s, canonicals.astype(np.uint64), perms)
+    assert (narrow.dtype, wide.dtype) == (np.uint32, np.uint64)
+    assert np.array_equal(wide, narrow)
+
+
 def test_codemap_scalar_range_check():
     s = Shape((2, 2, 2))
     prog = compile_mode_action(s, 1, identity_matrix(2))

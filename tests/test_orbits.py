@@ -27,8 +27,9 @@ from f2orbits.orbits import (DEFAULT_MEM_CAP, FIXED_BYTES, MemoryCapError, Orbit
                              required_bytes, save_atlas)
 from f2orbits.ranks import rank_bytes
 from f2orbits.report import NoReferenceError, load_reference
-from f2orbits.slices import level_bounds, permutations, subspace_keys, tuple_counts, unrank
-from f2orbits.spin import SENTINEL, _least_linked, _spin_batch
+from f2orbits.slices import (CODE, level_bounds, permutations, subspace_keys, tuple_counts,
+                             unrank)
+from f2orbits.spin import CELL, SENTINEL, _least_linked, _spin_batch
 from f2orbits.tensor import Shape, parse_shape
 
 
@@ -150,7 +151,7 @@ def test_members_are_the_orbit(engine):
     atlas = engine.atlas("3x2x2x2")
     for oid in (0, 1, atlas.orbit_id(1 << 23), atlas.orbit_count):
         members = atlas.members(oid)
-        assert members.dtype == np.uint32
+        assert members.dtype == CODE
         assert (np.diff(members.astype(np.int64)) > 0).all()
         assert members.size == atlas.sizes[oid]
         assert members[0] == atlas.canonicals[oid]
@@ -599,8 +600,8 @@ def test_snapshot_roundtrip(tmp_path, engine):
     assert (back.assignment == atlas.assignment).all()
     assert (back.canonicals == atlas.canonicals).all()
     assert (back.sizes == atlas.sizes).all()
-    assert back.assignment.dtype == np.uint16
-    assert (back.canonicals.dtype, back.sizes.dtype) == (np.uint32, np.int64)
+    assert back.assignment.dtype == CELL
+    assert (back.canonicals.dtype, back.sizes.dtype) == (CODE, np.int64)
     # the members, unranked from the loaded ids, are every orbit's codes
     for oid in range(atlas.orbit_count + 1):
         assert np.array_equal(back.members(oid), atlas.members(oid)), oid

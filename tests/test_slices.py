@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from f2orbits.group import generator_set, identity_matrix
 from f2orbits.orbits import FIXED_BYTES, required_bytes
-from f2orbits.slices import (CHUNK, KEY, index_tables, level_bounds, max_dim,
+from f2orbits.slices import (CHUNK, CODE, INDEX, index_tables, level_bounds, max_dim,
                              permutations, reduce_rows, slice_bits, slice_maps, span_index,
                              subspace_count, subspace_keys, unpack, unrank, unrank_bytes)
 from f2orbits.tensor import Shape, parse_shape
@@ -31,7 +31,7 @@ from f2orbits.tensor import Shape, parse_shape
 def pack(basis, m):
     """The keys of reduced bases from reduce_rows: row i in slot i from the
     bottom, so the least row ends up in the highest nonzero slot."""
-    shifts = np.arange(basis.shape[0], dtype=KEY)[:, None] * np.uint32(m)
+    shifts = np.arange(basis.shape[0], dtype=CODE)[:, None] * m
     return np.bitwise_or.reduce(basis << shifts, axis=0)
 
 
@@ -71,16 +71,16 @@ def test_reduce_rows_matches_python_rref(case):
     expected = [python_rref(vectors, steps) for vectors in items]
     # rows as the callers build them: one contiguous row per vector slot,
     # here a view into a larger buffer whose first row must stay intact
-    buf = np.zeros((w + 1, n), KEY)
+    buf = np.zeros((w + 1, n), CODE)
     buf[0] = 1
-    buf[1:] = np.array(items, KEY).T
+    buf[1:] = np.array(items, CODE).T
     got = reduce_rows(buf[1:], steps)
     assert got.shape == (steps, n)
     assert got.T.tolist() == expected
     assert (buf[0] == 1).all()
     # a transpose is C-contiguous when w = 1, so the kernel would write
     # through it; a copy leaves the caller's items as they were
-    items_array = np.array(items, KEY)
+    items_array = np.array(items, CODE)
     view = items_array.T
     assert view.flags.c_contiguous == (w == 1 or n == 1)
     assert reduce_rows(view.copy(), steps).T.tolist() == expected
@@ -98,6 +98,7 @@ def test_permutations_are_bijections_onto_the_mapped_spans(accepted_formats):
         slots = np.array([(keys >> np.uint32(j * m)) & np.uint32((1 << m) - 1)
                           for j in range(d1)])
         for table, perm in zip(slice_maps(s), permutations(s), strict=True):
+            assert perm.dtype == INDEX, dims
             assert np.array_equal(np.sort(perm), np.arange(keys.size)), dims
             image = pack(reduce_rows(table[slots], max_dim(s)), m)
             assert np.array_equal(keys[perm], image), dims
@@ -118,7 +119,7 @@ def test_slice_maps_match_the_definition(accepted_formats):
         assert len(tables) == len(composites), dims
         x, y = rng.integers(0, 1 << m, size=(2, 256))
         for table, c in zip(tables, composites):
-            assert table.dtype == KEY and table.size == 1 << m, dims
+            assert table.dtype == CODE and table.size == 1 << m, dims
             action = (identity_matrix(dims[0]),) + c[1:]
             assert [int(table[1 << b]) for b in range(m)] == \
                 [reference_apply(s, action, 1 << b) for b in range(m)], dims
@@ -134,11 +135,12 @@ def test_every_key_gets_its_own_index(accepted_formats):
         keys, tables = subspace_keys(s), index_tables(s)
         bounds = level_bounds(s)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            at = np.arange(lo, hi, -(-(hi - lo) >> 20), dtype=KEY)
+            at = np.arange(lo, hi, -(-(hi - lo) >> 20), dtype=INDEX)
             for start in range(0, at.size, CHUNK):
                 chunk = at[start:start + CHUNK]
                 rows = unpack(keys[chunk], slice_bits(s), max_dim(s))
-                assert np.array_equal(span_index(rows, tables), chunk), (dims, lo)
+                got = span_index(rows, tables)
+                assert got.dtype == INDEX and np.array_equal(got, chunk), (dims, lo)
     assert len(accepted_formats) == 70
 
 
@@ -148,7 +150,7 @@ UNRANK_SLACK = 16 << 10
 
 
 def test_unrank_bytes_bound_the_peak():
-    # tracemalloc's peak over unrank, its uint32 result aside, stays
+    # tracemalloc's peak over unrank, its CODE result aside, stays
     # within unrank_bytes plus FIXED_BYTES for Python objects, and that
     # figure within UNRANK_SLACK of the peak, from a handful of indices
     # to several chunks
@@ -161,7 +163,7 @@ def test_unrank_bytes_bound_the_peak():
                 unrank(s, index)
                 figure = unrank_bytes(k, index.size) + FIXED_BYTES
                 for peak in traced_peaks(lambda: unrank(s, index)):
-                    peak -= 4 * index.size
+                    peak -= CODE.itemsize * index.size
                     assert peak <= figure <= peak + UNRANK_SLACK, (fmt, k, n, peak)
 
 
@@ -187,7 +189,7 @@ def test_unrank_lists_the_keys(accepted_formats):
         at = np.concatenate([np.arange(lo, hi, -(-(hi - lo) >> 20))
                              for lo, hi in zip(bounds[:-1], bounds[1:])])
         got = unrank(s, at)
-        assert got.dtype == KEY, dims
+        assert got.dtype == CODE, dims
         assert np.array_equal(got, keys[at]), dims
         assert np.array_equal(unrank(s, at[::-1]), keys[at[::-1]]), dims
     assert len(accepted_formats) == 70
@@ -210,13 +212,13 @@ def slice_rows(draw):
     pool = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=d1 + 1))
     n = draw(st.integers(1, 16))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=d1 * n, max_size=d1 * n))
-    return fmt, np.array([pool[i] for i in picks], KEY).reshape(d1, n)
+    return fmt, np.array([pool[i] for i in picks], CODE).reshape(d1, n)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(case=slice_rows())
-@example(case=("2x13", np.array([[8191, 0], [4096, 1]], KEY)))
-@example(case=("6x2x2", np.array([[1], [2], [4], [8], [15], [0]], KEY)))
+@example(case=("2x13", np.array([[8191, 0], [4096, 1]], CODE)))
+@example(case=("6x2x2", np.array([[1], [2], [4], [8], [15], [0]], CODE)))
 def test_span_index_matches_the_sorted_probe(case):
     fmt, rows = case
     s, keys, tables = probe_setup(fmt)

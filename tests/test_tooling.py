@@ -1,16 +1,17 @@
 """Repository checks: the orbit table stays behind orbits.py, only
 group.py builds N-bit maps, no module sorts or binary-searches for an
-index, only slices.permutations builds the subspace keys and only
-enumeration asks for the permutations, only orbits._check_cap raises
-MemoryCapError and the span_index figure is written once, in slices.py,
-for the enumeration's and the ranking's figures, no module names 8192,
-numpy's default ufunc buffer size, so that no figure is fitted to it,
-no subscript adds an axis with None or np.newaxis, so that no kernel
-hands numpy a broadcast operand to buffer, every definition in src/ is
-read by other code in src/ or by benchmark/, classify imports neither
-numpy.ma nor json nor decimal, the public names and the README's
-Library example match the package, the benchmark's layer pass still
-runs against the package, and the benchmark's self-check passes.
+index, each engine width has one owner, only slices.permutations builds
+the subspace keys and only enumeration asks for the permutations, only
+orbits._check_cap raises MemoryCapError and the span_index figure is
+written once, in slices.py, for the enumeration's and the ranking's
+figures, no module names 8192, numpy's default ufunc buffer size, so
+that no figure is fitted to it, no subscript adds an axis with None or
+np.newaxis, so that no kernel hands numpy a broadcast operand to
+buffer, every definition in src/ is read by other code in src/ or by
+benchmark/, classify imports neither numpy.ma nor json nor decimal, the
+public names and the README's Library example match the package, the
+benchmark's layer pass still runs against the package, and the
+benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -117,6 +118,32 @@ def test_one_memory_rule():
         assert len(calls(function(trees[module], caller), "span_index_bytes")) == 1, caller
     for path in sorted((ROOT / "src" / "f2orbits").glob("*.py")):
         assert "orbit_id_bytes" not in path.read_text(), path.name
+
+
+def test_one_owner_per_width():
+    """np.uint32, np.uint16 and "<u2" (or another string spelling of
+    those dtypes) appear in src/ only where the three widths are decided:
+    slices.CODE (codes, keys, slices, slice maps), slices.INDEX (subspace
+    indices, permutations, the spin's queue) and spin.CELL (orbit ids);
+    every other site takes its dtype from an owner or from the codes it
+    receives.  The exceptions use other literals: CodeMap's tables are
+    intp, sizes and unrank's internals int64, and ranks uint8.  A cast of
+    a real atlas to wider codes cannot show a literal left in
+    ranks._orbit_adjacency, as its XOR truncates back to the same ids, so
+    this check guards that site."""
+    spellings = {"uint32", "uint16", "u4", "u2", "<u4", "<u2", "=u4", "=u2"}
+    found = []
+    for module, tree in modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                owner = node.targets[0].id
+            else:
+                owner = getattr(node, "name", node.lineno)
+            found += [f"{module}:{owner}" for part in ast.walk(node)
+                      if (isinstance(part, ast.Attribute) and part.attr in ("uint32", "uint16")
+                          and getattr(part.value, "id", None) == "np")
+                      or (isinstance(part, ast.Constant) and part.value in spellings)]
+    assert sorted(found) == ["slices.py:CODE", "slices.py:INDEX", "spin.py:CELL"]
 
 
 def test_no_figure_counts_numpy_buffers():
