@@ -53,9 +53,9 @@ start, and every orbit the batch meets was wholly unassigned, as each
 batch spins its orbits whole.  So numbering the classes by least start
 keeps the ids 1, 2, ... ascending with the canonical form, with no
 renumbering pass.  Id 0 is the zero tensor, the zero subspace at index
-0.  A two-byte CELL suffices: no format up to MAX_ENTRIES entries has
-more than 696 nonzero orbits
-(tests/test_orbits.py::test_orbit_counts_fit_the_cell sweeps them all).
+0.  A two-byte CELL suffices with a batch of provisional labels below
+its sentinel: no format up to MAX_ENTRIES entries has more than 696
+nonzero orbits (tests/test_orbits.py::test_orbit_counts_fit_the_cell).
 
 The ids are the atlas, the one array of S cells it keeps, S the
 subspace count: orbit_id(code) numbers the span of the code's slices
@@ -88,7 +88,7 @@ from .group import block_permutations, generator_set, small_group_order, transpo
 from .slices import (CHUNK, CODE, INDEX, index_tables, level_bounds, max_dim, permutations,
                      slice_bits, span_index, span_index_bytes, spanning_codes, subspace_count,
                      tuple_counts, unpack, unrank, unrank_bytes)
-from .spin import BATCH_MAX, CELL, spin
+from .spin import CELL, spin, spin_bytes
 from .tensor import Shape
 
 DEFAULT_MEM_CAP = 2 * 1024 ** 3
@@ -115,17 +115,13 @@ def required_bytes(shape: Shape) -> int:
     transients, with FIXED_BYTES of small arrays and Python objects.
     slices.permutations holds a CODE key and m INDEX cells per subspace,
     m slice maps of 2^M CODE and span_index over a chunk of k slots
-    (mapping the rows takes 12 k bytes per item, and k <= 5); the spin
-    the permutations, a CELL id and an INDEX queue cell per subspace, 2
-    CELL, 2 INDEX and 12 bytes per chunk item and the link mask of the at
-    most min(S, 256) starts of a batch with a temporary; then _atlas."""
+    (mapping the rows takes 12 k bytes per item, and k <= 5); then
+    spin.spin_bytes, the spin with the m permutations; then _atlas."""
     s, m, k = subspace_count(shape), len(generator_set(shape)), max_dim(shape)
-    code, index, cell = CODE.itemsize, INDEX.itemsize, CELL.itemsize
+    code, index = CODE.itemsize, INDEX.itemsize
     perm_phase = ((code + index * m) * s + code * m * (1 << slice_bits(shape))
                   + span_index_bytes(shape, k, s))
-    spin_phase = ((cell + index * (m + 1)) * s + (2 * cell + 2 * index + 12) * min(s, CHUNK)
-                  + 2 * min(s, BATCH_MAX) ** 2)
-    return max(perm_phase + FIXED_BYTES, spin_phase + FIXED_BYTES, atlas_bytes(shape))
+    return max(perm_phase + FIXED_BYTES, spin_bytes(s, m) + FIXED_BYTES, atlas_bytes(shape))
 
 
 def atlas_bytes(shape: Shape) -> int:

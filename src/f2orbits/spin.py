@@ -3,18 +3,14 @@ generators induce on the subspaces (orbits.py gives the setting and why
 the ids ascend with the canonical form).
 
 The spin sweeps the subspaces once in ascending order, many orbits per
-pass.  A batch takes the next nb unassigned subspaces as its starts,
-from one dimension or several, and spreads them all breadth first, start j
-writing the label first + j, so each cell is visited once.  An image
-that already holds another label of the batch links the two starts in
-an nb x nb bool mask, and each class of linked starts is one orbit,
-whose id goes to its least start.  The first batch has nb = 1, and each
-next one aims at _BATCH_CELLS cells from the last batch's count, nb
-between 1 and BATCH_MAX: few large orbits spin one at a time, with no
-labels gathered and no links tested, and many small ones a few hundred
-at once.  Besides the ids, CELL (their width is set here only), and the
-work queue, one cell each per subspace, every buffer is one chunk long
-except the mask, at most BATCH_MAX^2 bytes.
+pass.  Every batch takes the next BATCH_MAX unassigned subspaces as its
+starts (fewer only at the end), from one dimension or several, and
+spreads them all breadth first, start j writing the provisional label
+first + j, so each cell is visited once and the orbit ids must stay
+BATCH_MAX below SENTINEL.  An image that already holds another label of
+the batch links the two starts in a bool mask, and each class of linked
+starts is one orbit, whose id goes to its least start.  The width of
+the ids, CELL, is set here only, and spin_bytes counts the buffers.
 """
 
 import numpy as np
@@ -24,7 +20,6 @@ from .slices import CHUNK, INDEX
 CELL = np.dtype(np.uint16)
 SENTINEL = int(np.iinfo(CELL).max)
 BATCH_MAX = 256
-_BATCH_CELLS = 4096
 
 
 def spin(perms):
@@ -35,18 +30,26 @@ def spin(perms):
     assignment = np.full(perms[0].size, SENTINEL, CELL)
     assignment[0] = 0
     queue = np.empty(assignment.size, INDEX)
-    count, pos, nb = 1, 1, 1
-    while (starts := _next_unassigned(assignment, pos, nb)).size:
-        cells, roots = _spin_batch(assignment, count, starts, perms, queue)
-        count += int(roots.sum())
+    count, pos = 1, 1
+    while (starts := _next_unassigned(assignment, pos)).size:
+        count += int(_spin_batch(assignment, count, starts, perms, queue).sum())
         pos = int(starts[-1]) + 1
-        nb = min(max(nb * _BATCH_CELLS // cells, 1), BATCH_MAX)
     return assignment
 
 
-def _next_unassigned(assignment, pos, count):
-    """Up to count indices of unassigned cells from pos on, ascending."""
-    found = [np.empty(0, np.intp)]
+def spin_bytes(s, m):
+    """Peak bytes spin allocates over s subspaces with the m INDEX
+    permutations it reads: per subspace those, a CELL id and an INDEX
+    queue cell, per chunk item 2 CELL, 2 INDEX and 12 bytes, and the
+    min(s, BATCH_MAX)^2 bool link mask of a batch with a temporary."""
+    cell, index = CELL.itemsize, INDEX.itemsize
+    return ((cell + index * (m + 1)) * s + (2 * cell + 2 * index + 12) * min(s, CHUNK)
+            + 2 * min(s, BATCH_MAX) ** 2)
+
+
+def _next_unassigned(assignment, pos):
+    """Up to BATCH_MAX indices of unassigned cells from pos on, ascending."""
+    found, count = [np.empty(0, np.intp)], BATCH_MAX
     for lo in range(pos, assignment.size, CHUNK):
         hits = np.flatnonzero(assignment[lo:lo + CHUNK] == SENTINEL)
         found.append(hits[:count] + lo)
@@ -76,10 +79,10 @@ def _spin_batch(assignment, first, starts, perms, queue):
     """Spin the orbits of the unassigned starts in one breadth-first pass
     with queue as the work list, start j writing the label first + j,
     then give each class of linked starts one id, ascending from first.
-    Returns the number of cells labelled and a mask of the starts least
-    in their orbit.  The permutations are bijections, so the images of a
-    duplicate-free chunk are duplicate-free, and marking cells between
-    permutations filters overlap without any sorting."""
+    Returns a mask of the starts least in their orbit.  The permutations
+    are bijections, so the images of a duplicate-free chunk are
+    duplicate-free, and marking cells between permutations filters
+    overlap without any sorting."""
     nb = starts.size
     if first + nb > SENTINEL:
         raise RuntimeError(f"orbit ids {first}..{first + nb - 1} reach the sentinel "
@@ -91,18 +94,15 @@ def _spin_batch(assignment, first, starts, perms, queue):
     while head < tail:
         stop = min(tail, head + CHUNK)
         frontier = queue[head:stop]
-        label = assignment[frontier] if nb > 1 else first
+        label = assignment[frontier]
         for perm in perms:
             img = perm[frontier]
             cell = assignment[img]
             new = cell == SENTINEL
             fresh = img[new]
-            if nb > 1:
-                assignment[fresh] = label[new]
-                old = ~new
-                link[label[old] - first, cell[old] - first] = True
-            else:
-                assignment[fresh] = first
+            assignment[fresh] = label[new]
+            old = ~new
+            link[label[old] - first, cell[old] - first] = True
             queue[tail:tail + fresh.size] = fresh
             tail += fresh.size
         head = stop
@@ -113,4 +113,4 @@ def _spin_batch(assignment, first, starts, perms, queue):
         for lo in range(0, tail, CHUNK):
             cells = queue[lo:min(lo + CHUNK, tail)]
             assignment[cells] = remap[assignment[cells] - first]
-    return tail, roots
+    return roots

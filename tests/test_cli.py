@@ -294,6 +294,16 @@ def test_conjecture_rejects_small_p(capsys):
     assert "p >= 4" in err
 
 
+def test_conjecture_beyond_27_entries(capsys):
+    # p = 4..6 fit the 27-entry limit; 7x2x2 has 28 entries and exits 1
+    # after the p it could check
+    code, out, err = run(capsys, "conjecture", "6", "7")
+    assert code == 1
+    assert out.startswith("p=6: 10/10 canonical forms match (pass)")
+    assert "p=7" not in out
+    assert "7x2x2 has 28 entries, limit is 27" in err
+
+
 def test_show_orbit(capsys):
     code, out, _ = run(capsys, "show-orbit", "--format", "2x2x2",
                        "--code", "107")

@@ -29,7 +29,7 @@ from f2orbits.ranks import rank_bytes
 from f2orbits.report import NoReferenceError, load_reference
 from f2orbits.slices import (CODE, level_bounds, permutations, subspace_keys, tuple_counts,
                              unrank)
-from f2orbits.spin import CELL, SENTINEL, _least_linked, _spin_batch
+from f2orbits.spin import BATCH_MAX, CELL, SENTINEL, _least_linked, _spin_batch
 from f2orbits.tensor import Shape, parse_shape
 
 
@@ -284,13 +284,12 @@ def reference_spin(shape):
 
 
 def test_batched_spin_matches_reference_spin(engine, monkeypatch):
-    # formats of many small orbits (merging batches of up to 256 starts)
-    # and of few large ones (single-start batches), array for array; the
-    # atlas keeps no keys, and unranking its subspaces gives the
-    # reference's keys.  The spin sweeps all dimensions with one batch
-    # size, and on every format here but 2x2x2x2, 3x3x3 and 3x9 some
-    # batch takes its starts from two dimensions or more (one batch of
-    # 3x2x2 from three, one of 4x2x2 from four)
+    # formats of many small orbits and of few large ones, array for
+    # array; the atlas keeps no keys, and unranking its subspaces gives
+    # the reference's keys.  The spin sweeps all dimensions with one
+    # batch size, and on every format here but 3x3x3 and 3x9 some batch
+    # takes its starts from two dimensions or more (one batch of 3x2x2
+    # from three, one of 4x2x2 from four)
     levels = {}
     batch = spin_module._spin_batch
 
@@ -311,7 +310,7 @@ def test_batched_spin_matches_reference_spin(engine, monkeypatch):
         assert np.array_equal(atlas.canonicals, canonicals), fmt
         assert np.array_equal(atlas.sizes, sizes), fmt
     assert {fmt for fmt, n in levels.items() if n > 1} == {
-        "3x2x2x2", "4x3x2", "2x2x2", "3x2x2", "4x2x2", "3x3x2", "4x5"}
+        "3x2x2x2", "2x2x2x2", "4x3x2", "2x2x2", "3x2x2", "4x2x2", "3x3x2", "4x5"}
     assert (levels["3x2x2"], levels["4x2x2"]) == (3, 4)
 
 
@@ -352,10 +351,31 @@ def test_spin_batch_refuses_labels_at_the_sentinel():
     with pytest.raises(RuntimeError, match="2-byte cell"):
         _spin_batch(assignment, SENTINEL - 1, np.array([1, 2]), perms, queue)
     assert (assignment == SENTINEL).all()
-    # from one lower they fit; the swap links them into one orbit
-    cells, roots = _spin_batch(assignment, SENTINEL - 2, np.array([1, 2]), perms, queue)
-    assert (cells, roots.tolist()) == (2, [True, False])
+    # from one lower they fit; the swap links them into one orbit, and
+    # the queue holds the two cells labelled
+    roots = _spin_batch(assignment, SENTINEL - 2, np.array([1, 2]), perms, queue)
+    assert (queue[:2].tolist(), roots.tolist()) == ([1, 2], [True, False])
     assert assignment.tolist() == [SENTINEL, SENTINEL - 2, SENTINEL - 2]
+
+
+def test_every_batch_but_the_last_takes_batch_max_starts(monkeypatch):
+    # one batch rule: each pass takes the next BATCH_MAX unassigned
+    # subspaces, whatever the orbits of the last pass covered, and only
+    # the last batch of a sweep may take fewer
+    batch = spin_module._spin_batch
+    for fmt in ("3x2x2x2", "2x2x2x2", "3x9"):
+        counts = []
+
+        def recording(assignment, first, starts, perms, queue):
+            counts.append(starts.size)
+            return batch(assignment, first, starts, perms, queue)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spin_module, "_spin_batch", recording)
+            spin_module.spin(permutations(parse_shape(fmt)))
+        assert len(counts) > 1, fmt
+        assert counts[:-1] == [BATCH_MAX] * (len(counts) - 1), (fmt, counts)
+        assert 0 < counts[-1] <= BATCH_MAX, fmt
 
 
 def test_slice_engine_matches_table_oracle(accepted_formats):
@@ -379,8 +399,9 @@ def test_slice_engine_matches_table_oracle(accepted_formats):
 
 
 def test_orbit_counts_fit_the_cell(engine, accepted_formats):
-    """Every accepted format has at most 65534 nonzero orbits, so orbit ids
-    fit a 2-byte cell below the sentinel 65535.
+    """Every accepted format has at most SENTINEL - BATCH_MAX nonzero
+    orbits, so orbit ids fit a 2-byte cell below the sentinel 65535 with
+    room for the provisional labels of a batch of BATCH_MAX starts.
 
     Permuting the modes of a format permutes the group's factors, so the
     orbit count depends only on the sorted dims.  With three or more modes
@@ -408,7 +429,7 @@ def test_orbit_counts_fit_the_cell(engine, accepted_formats):
         except NoReferenceError:
             assert key == "2x2x2x2"
             count = engine.atlas(key).orbit_count
-        assert count < 65535, key
+        assert count + BATCH_MAX <= SENTINEL, key
     assert len(seen) == 33
     assert sorted(k for k in seen if k.count("x") > 1) == [
         "2x2x2", "2x2x2x2", "3x2x2", "3x2x2x2", "3x3x2", "3x3x3",

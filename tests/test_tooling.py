@@ -4,12 +4,13 @@ index, each engine width has one owner, only slices.permutations builds
 the subspace keys and only enumeration asks for the permutations, only
 orbits._check_cap raises MemoryCapError and the span_index figure is
 written once, in slices.py, for the enumeration's and the ranking's
-figures, no module names 8192, numpy's default ufunc buffer size, so
-that no figure is fitted to it, no subscript adds an axis with None or
-np.newaxis, so that no kernel hands numpy a broadcast operand to
-buffer, every definition in src/ is read by other code in src/ or by
-benchmark/, classify imports neither numpy.ma nor json nor decimal, the
-public names and the README's Library example match the package, the
+figures, the spin's figure and batch size live in spin.py alone, no
+module names 8192, numpy's default ufunc buffer size, so that no figure
+is fitted to it, no subscript adds an axis with None or np.newaxis, so
+that no kernel hands numpy a broadcast operand to buffer, every
+definition in src/ is read by other code in src/ or by benchmark/,
+classify imports neither numpy.ma nor json nor decimal, the public
+names and the README's Library example match the package, the
 benchmark's layer pass still runs against the package, and the
 benchmark's self-check passes.
 
@@ -109,15 +110,19 @@ def test_one_memory_rule():
     # that constructs MemoryCapError; the bytes of span_index are written
     # once, in slices.span_index_bytes, which the enumeration's and the
     # ranking's figures call, and OrbitAtlas.orbit_id_bytes, a second copy
-    # of them, is gone
+    # of them, is gone; the spin's bytes are written beside the spin, in
+    # spin.spin_bytes, so the batch size is known by spin.py alone
     trees = modules()
     found = {module: len(calls(tree, "MemoryCapError")) for module, tree in trees.items()}
     assert {module: n for module, n in found.items() if n} == {"orbits.py": 1}
     assert len(calls(function(trees["orbits.py"], "_check_cap"), "MemoryCapError")) == 1
     for module, caller in (("orbits.py", "required_bytes"), ("ranks.py", "rank_bytes")):
         assert len(calls(function(trees[module], caller), "span_index_bytes")) == 1, caller
+    assert len(calls(function(trees["orbits.py"], "required_bytes"), "spin_bytes")) == 1
     for path in sorted((ROOT / "src" / "f2orbits").glob("*.py")):
         assert "orbit_id_bytes" not in path.read_text(), path.name
+        if path.name != "spin.py":
+            assert "BATCH_MAX" not in path.read_text(), path.name
 
 
 def test_one_owner_per_width():
