@@ -176,7 +176,7 @@ def cmd_conjecture(args):
             raise ValueError(f"stabilization is stated for p >= 4, got p={p}")
         shape = parse_shape(f"{p}x2x2")
         _, _, rows, _ = _compute(shape, cap)
-        rep = check_conjecture_p22(p, shape, rows)
+        rep = check_conjecture_p22(shape, rows)
         verdict = "pass" if rep.ok else "FAIL"
         print(f"p={p}: {sum(rep.forms_match)}/10 canonical forms match "
               f"({verdict}); rank-4 orbit {rep.rank4_size}/2^{4 * p} "

@@ -123,32 +123,16 @@ def small_group_order(shape: Shape) -> int:
     return math.prod(group_order(d) for d in shape.dims)
 
 
-def equal_dim_blocks(shape: Shape) -> tuple[tuple[int, ...], ...]:
-    """Modes grouped by equal dimension (1-based, each block ascending)."""
-    by_dim = {}
-    for k, d in enumerate(shape.dims, start=1):
-        by_dim.setdefault(d, []).append(k)
-    return tuple(tuple(v) for v in by_dim.values())
-
-
 def large_group_order(shape: Shape) -> int:
     """Small group extended by all permutations of equal-dimension modes."""
     return small_group_order(shape) * len(block_permutations(shape))
 
 
 def block_permutations(shape: Shape) -> list[tuple[int, ...]]:
-    """All mode permutations preserving dimensions, identity first."""
-    perms = []
-    blocks = equal_dim_blocks(shape)
-    for choice in itertools.product(
-            *(itertools.permutations(b) for b in blocks)):
-        sigma = list(range(1, shape.n + 1))
-        for block, image in zip(blocks, choice):
-            for src, dst in zip(block, image):
-                sigma[src - 1] = dst
-        perms.append(tuple(sigma))
-    perms.sort(key=lambda s: s != tuple(range(1, shape.n + 1)))
-    return perms
+    """All mode permutations preserving dimensions (1-based images), in
+    lexicographic order, so the identity comes first."""
+    return [sigma for sigma in itertools.permutations(range(1, shape.n + 1))
+            if all(shape.dims[k - 1] == d for k, d in zip(sigma, shape.dims))]
 
 
 def transpose_codes(shape: Shape, codes: np.ndarray, perms) -> np.ndarray:

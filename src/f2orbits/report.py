@@ -9,7 +9,9 @@ left-to-right order as the flattening.
 Reference tables live as plain-text files under refdata/.  They are
 transcribed data, kept separate from the computation on purpose: a test
 failure against them distinguishes a transcription error from an engine
-error.
+error.  They are the one record of every expected value, read only
+through load_reference: verify compares against them, and conjecture
+takes the stable p x 2 x 2 forms from the 4x2x2 table.
 """
 
 from dataclasses import dataclass
@@ -72,14 +74,11 @@ class ReferenceTable:
     distribution: tuple | None  # (rank, orbits, tensors, percent) or None
 
 
-def _refdata(name: str) -> str:
-    return resources.files("f2orbits").joinpath("refdata").joinpath(name).read_text()
-
-
 def _records(name: str) -> list[list[str]]:
     """The fields of every record of a refdata file: each line that is
     neither blank nor a # comment, split on whitespace."""
-    return [line.split() for line in _refdata(name).splitlines()
+    text = resources.files("f2orbits").joinpath("refdata").joinpath(name).read_text()
+    return [line.split() for line in text.splitlines()
             if line.strip() and not line.startswith("#")]
 
 
@@ -91,13 +90,12 @@ def load_reference(format_str: str, flavor: str = "small") -> ReferenceTable:
     if summary is None:
         raise NoReferenceError(f"no reference for {format_str} ({flavor} group)")
 
-    rows = None
     try:
-        text = _refdata(f"{format_str}_{flavor}.txt")
+        # the first record is the table's header: format, flavor, group order
+        body = _records(f"{format_str}_{flavor}.txt")[1:]
     except FileNotFoundError:
-        pass
+        rows = None
     else:
-        body = [ln.split() for ln in text.splitlines()[1:] if ln.strip()]
         rows = tuple((int(r), int(s), b) for r, s, b in body)
 
     dist = [(int(rank), int(orbits), int(tensors), pct)
@@ -187,20 +185,16 @@ class ConjectureReport:
         return all(self.forms_match)
 
 
-def expected_stable_forms(p: int) -> list[tuple[int, str]]:
-    """The ten (rank, bits) patterns, padded with leading zero entries to
-    width 4p.  For p >= 4 the classification reuses the p=4 forms."""
-    return [(int(rank), "." * (4 * p - 16) + bits)
-            for _, rank, bits in _records("conjecture_p22.txt")]
-
-
-def check_conjecture_p22(p: int, shape: Shape,
+def check_conjecture_p22(shape: Shape,
                          rows: list[ClassificationRow]) -> ConjectureReport:
-    if p < 4:
-        raise ValueError(f"stabilization is stated for p >= 4, got p={p}")
-    if shape.dims != (p, 2, 2):
-        raise ValueError(f"rows are for {shape}, expected {p}x2x2")
-    expected = expected_stable_forms(p)
+    """Compare the rows of p x 2 x 2 with the stored 4x2x2 table, whose
+    (rank, bits) rows are the stable forms once padded with 4p - 16
+    leading zero entries."""
+    p = shape.dims[0]
+    if shape.dims[1:] != (2, 2) or p < 4:
+        raise ValueError(f"stabilization is stated for p x 2 x 2 with p >= 4, got {shape}")
+    expected = [(rank, "." * (4 * p - 16) + bits)
+                for rank, _, bits in load_reference("4x2x2").rows]
     if len(rows) != len(expected):
         raise RuntimeError(
             f"p={p}: {len(rows)} nonzero orbits, stabilization predicts {len(expected)}")

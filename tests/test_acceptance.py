@@ -122,7 +122,7 @@ def test_stable_forms_and_fractions(engine):
             6: (13124160, "0.7823")}
     for p in (4, 5, 6):
         fmt = f"{p}x2x2"
-        rep = check_conjecture_p22(p, engine.shape(fmt), engine.rows(fmt))
+        rep = check_conjecture_p22(engine.shape(fmt), engine.rows(fmt))
         assert rep.ok, f"p={p}: canonical forms diverge"
         size, fs = want[p]
         assert rep.rank4_size == size

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, snapshots, caps."""
 
+import dataclasses
 import io
 import json
 import os
@@ -302,6 +303,27 @@ def test_conjecture_beyond_27_entries(capsys):
     assert out.startswith("p=6: 10/10 canonical forms match (pass)")
     assert "p=7" not in out
     assert "7x2x2 has 28 entries, limit is 27" in err
+
+
+def test_conjecture_reads_the_stored_4x2x2_table(capsys, monkeypatch):
+    # the stable forms are the rows of the 4x2x2 reference: a stored row
+    # 10 of rank 3 fails the rank-4 form at every p
+    import f2orbits.report as report
+    stored = report.load_reference
+
+    def edited(format_str, flavor="small"):
+        ref = stored(format_str, flavor)
+        if format_str != "4x2x2":
+            return ref
+        _, size, bits = ref.rows[9]
+        return dataclasses.replace(ref, rows=ref.rows[:9] + ((3, size, bits),))
+
+    monkeypatch.setattr(report, "load_reference", edited)
+    code, out, _ = run(capsys, "conjecture", "4", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(";")[0] for line in lines] == \
+        [f"p={p}: 9/10 canonical forms match (FAIL)" for p in (4, 5)]
 
 
 def test_show_orbit(capsys):

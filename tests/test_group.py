@@ -39,7 +39,7 @@ from table_oracle import transpose_map
 from f2orbits.group import (CodeMap, GLMatrix, block_permutations,
                             compile_composite,
                             compile_generators, compile_mode_action,
-                            equal_dim_blocks, generator_set, gl_generators,
+                            generator_set, gl_generators,
                             group_order, identity_matrix, large_group_order,
                             small_group_order, transpose_codes)
 from f2orbits.tensor import Shape
@@ -112,13 +112,6 @@ def test_group_orders():
     assert large_group_order(Shape((2, 2, 2, 2))) == 31104
     assert large_group_order(Shape((3, 2, 2, 2))) == 217728
     assert large_group_order(Shape((4, 3, 2))) == small_group_order(Shape((4, 3, 2)))
-
-
-def test_equal_dim_blocks():
-    assert equal_dim_blocks(Shape((2, 2, 2))) == ((1, 2, 3),)
-    assert equal_dim_blocks(Shape((3, 2, 2))) == ((1,), (2, 3))
-    assert equal_dim_blocks(Shape((4, 3, 2))) == ((1,), (2,), (3,))
-    assert equal_dim_blocks(Shape((3, 2, 2, 2))) == ((1,), (2, 3, 4))
 
 
 def test_block_permutations():

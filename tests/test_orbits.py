@@ -9,6 +9,7 @@ reference for the batched spin and its merging of labels.
 
 import dataclasses
 import io
+import math
 import struct
 import zlib
 
@@ -25,7 +26,7 @@ from f2orbits.group import (block_permutations, compile_generators, generator_se
 from f2orbits.orbits import (DEFAULT_MEM_CAP, FIXED_BYTES, MemoryCapError, OrbitAtlas,
                              atlas_bytes, enumerate_orbits, load_atlas, merge_large_orbits,
                              required_bytes, save_atlas)
-from f2orbits.ranks import rank_bytes
+from f2orbits.ranks import propagate_ranks, rank_bytes
 from f2orbits.report import NoReferenceError, load_reference
 from f2orbits.slices import (CODE, level_bounds, permutations, subspace_keys, tuple_counts,
                              unrank)
@@ -396,6 +397,38 @@ def test_slice_engine_matches_table_oracle(accepted_formats):
         assert (atlas.orbit_id(np.arange(s.code_bound)) == oracle.assignment).all(), dims
         checked += 1
     assert checked == 27
+
+
+def test_two_mode_formats_in_closed_form(accepted_formats):
+    """Every accepted d1 x d2 format: orbit r, for r = 0, ..., min(d1, d2),
+    holds the matrices of rank r, prod_{i<r} (2^d1 - 2^i)(2^d2 - 2^i)
+    over prod_{i<r} (2^r - 2^i) of them; its canonical has the rows 1, 2,
+    ..., 2^(r-1), from the top, as its last r rows, and its tensor rank is
+    the matrix rank r.  A transpose keeps the rank, so the large group of
+    a square format has the same orbits.  The atlases are built here and
+    dropped, so the session engine keeps none of more than 16 entries."""
+    def independent(d, r):
+        return math.prod((1 << d) - (1 << i) for i in range(r))
+
+    checked = 0
+    for dims in accepted_formats:
+        if len(dims) != 2:
+            continue
+        d1, d2 = dims
+        s = Shape(dims)
+        atlas = enumerate_orbits(s)
+        orbits = range(min(dims) + 1)
+        canonicals = [sum(1 << (d2 * (r - 1 - i) + i) for i in range(r)) for r in orbits]
+        sizes = [independent(d1, r) * independent(d2, r) // independent(r, r) for r in orbits]
+        assert atlas.canonicals.tolist() == canonicals, dims
+        assert atlas.sizes.tolist() == sizes, dims
+        assert propagate_ranks(s, atlas).by_orbit.tolist() == list(orbits), dims
+        if d1 == d2:
+            large = merge_large_orbits(s, atlas)
+            assert large.canonicals.tolist() == canonicals, dims
+            assert large.sizes.tolist() == sizes, dims
+        checked += 1
+    assert checked == 42
 
 
 def test_orbit_counts_fit_the_cell(engine, accepted_formats):

@@ -7,8 +7,8 @@ import pytest
 from f2orbits.group import small_group_order
 from f2orbits.report import (CSV_HEADER, ClassificationRow, DiffReport,
                              NoReferenceError, check_conjecture_p22, emit,
-                             expected_stable_forms, load_reference, render_bits,
-                             summarize, verify_reference)
+                             load_reference, render_bits, summarize,
+                             verify_reference)
 from f2orbits.orbits import enumerate_orbits, merge_large_orbits
 from f2orbits.ranks import propagate_ranks, rank_distribution
 from f2orbits.tensor import Shape, parse_shape
@@ -127,25 +127,39 @@ def test_verify_catches_distribution(engine):
 
 
 def test_stable_forms_p4(engine):
-    rep = check_conjecture_p22(4, engine.shape("4x2x2"), engine.rows("4x2x2"))
+    rep = check_conjecture_p22(engine.shape("4x2x2"), engine.rows("4x2x2"))
     assert rep.ok
     assert rep.rank4_size == 20160
     assert rep.fraction_str == "0.3076"
 
 
-def test_stable_forms_padding():
-    forms = expected_stable_forms(5)
+def test_stable_forms_padding(engine):
+    # the stable forms of 5x2x2 are the rows of the stored 4x2x2 table,
+    # each padded with 4 leading zero entries; the check accepts exactly
+    # those rows and flags a form that moves within its padded width
+    forms = [(rank, "...." + bits) for rank, _, bits in load_reference("4x2x2").rows]
     assert len(forms) == 10
     assert all(len(bits) == 20 for _, bits in forms)
     assert all(bits.startswith("....") for _, bits in forms)
     assert forms[0] == (1, "." * 19 + "1")
+    rows = engine.rows("5x2x2")
+    assert [(r.rank, r.canonical_bits) for r in rows] == forms
+    assert check_conjecture_p22(engine.shape("5x2x2"), rows).ok
+    moved = rows[:]
+    moved[0] = ClassificationRow(1, 1, rows[0].size, "...1" + "." * 16, 1 << 16)
+    assert check_conjecture_p22(engine.shape("5x2x2"), moved).forms_match == \
+        (False,) + (True,) * 9
 
 
 def test_conjecture_preconditions(engine):
+    # the shape alone decides: p x 2 x 2 with p >= 4
     with pytest.raises(ValueError):
-        check_conjecture_p22(3, engine.shape("3x2x2"), engine.rows("3x2x2"))
+        check_conjecture_p22(engine.shape("3x2x2"), engine.rows("3x2x2"))
     with pytest.raises(ValueError):
-        check_conjecture_p22(4, engine.shape("2x2x2"), engine.rows("2x2x2"))
+        check_conjecture_p22(engine.shape("2x2x2"), engine.rows("2x2x2"))
+    for fmt in ("4x3x2", "4x4", "5x2"):
+        with pytest.raises(ValueError):
+            check_conjecture_p22(parse_shape(fmt), [])
 
 
 def test_emit_csv(engine):

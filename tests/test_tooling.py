@@ -1,18 +1,19 @@
-"""Repository checks: the orbit table stays behind orbits.py, only
-group.py builds N-bit maps, no module sorts or binary-searches for an
-index, each engine width has one owner, only slices.permutations builds
-the subspace keys and only enumeration asks for the permutations, only
+"""Repository checks: the orbit table stays behind orbits.py, only group.py
+builds N-bit maps, no module sorts or binary-searches for an index, each
+engine width has one owner, only slices.permutations builds the subspace
+keys and only enumeration asks for the permutations, only
 orbits._check_cap raises MemoryCapError and the span_index figure is
 written once, in slices.py, for the enumeration's and the ranking's
 figures, the spin's figure and batch size live in spin.py alone, no
 module names 8192, numpy's default ufunc buffer size, so that no figure
 is fitted to it, no subscript adds an axis with None or np.newaxis, so
-that no kernel hands numpy a broadcast operand to buffer, every
-definition in src/ is read by other code in src/ or by benchmark/,
-classify imports neither numpy.ma nor json nor decimal, the public
-names and the README's Library example match the package, the
-benchmark's layer pass still runs against the package, and the
-benchmark's self-check passes.
+that no kernel hands numpy a broadcast operand to buffer, the refdata
+tables are read only inside report.load_reference, so each expected
+value has one stored record, every definition in src/ is read by other
+code in src/ or by benchmark/, classify imports neither numpy.ma nor
+json nor decimal, the public names and the README's Library example
+match the package, the benchmark's layer pass still runs against the
+package, and the benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -169,6 +170,19 @@ def test_no_subscript_adds_an_axis():
              if (isinstance(part, ast.Constant) and part.value is None)
              or (isinstance(part, ast.Attribute) and part.attr == "newaxis")]
     assert found == []
+
+
+def test_one_reader_for_refdata():
+    # the refdata tables are the one record of every expected value:
+    # every call in src/ of report's file readers, _records and _refdata,
+    # sits inside load_reference, so no helper keeps a copy of its own
+    trees = modules()
+    readers = ("_records", "_refdata")
+    found = sorted((module, call.lineno) for module, tree in trees.items()
+                   for name in readers for call in calls(tree, name))
+    inside = sorted(("report.py", call.lineno) for name in readers
+                    for call in calls(function(trees["report.py"], "load_reference"), name))
+    assert found and found == inside
 
 
 def test_classify_does_not_import_numpy_ma():
