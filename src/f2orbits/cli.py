@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 mismatch or invalid input, 2 resource refusal
-(memory cap, missing reference table), 3 I/O failure.  Phase timings and
-memory estimates go to stderr so stdout stays byte-identical between
-runs with the same configuration.
+Exit codes: 0 success; 1 mismatch or invalid input, such as a memory cap
+that is not a whole number of bytes; 2 resource refusal (memory cap,
+missing reference table) or a usage error argparse reports (a missing or
+unknown option, an invalid choice, a non-integer --code or p); 3 I/O
+failure.  Phase timings and memory estimates go to stderr so stdout
+stays byte-identical between runs with the same configuration.
 """
 
 import argparse
@@ -40,7 +42,7 @@ def _build_parser():
             sp.add_argument("--flavor", choices=tuple(_GROUP_ORDER), default="small",
                             help="small: products of linear groups only; "
                                  "large: also permute equal-dimension modes")
-        sp.add_argument("--mem-cap", type=int, default=None, metavar="BYTES",
+        sp.add_argument("--mem-cap", default=None, metavar="BYTES",
                         help="refuse runs whose tables exceed this many bytes")
 
     c = sub.add_parser("classify", help="enumerate orbits and report the table")
@@ -58,7 +60,7 @@ def _build_parser():
                        help="check the stable px2x2 canonical forms and the "
                             "rank-4 orbit fraction")
     j.add_argument("p", nargs="*", type=int, default=[4, 5, 6])
-    j.add_argument("--mem-cap", type=int, default=None, metavar="BYTES")
+    j.add_argument("--mem-cap", default=None, metavar="BYTES")
 
     s = sub.add_parser("show-orbit", help="inspect the orbit of one code")
     common(s, flavor=False)
@@ -70,7 +72,7 @@ def _build_parser():
 
 def _resolve_cap(args):
     if args.mem_cap is not None:
-        name, value = "--mem-cap", str(args.mem_cap)
+        name, value = "--mem-cap", args.mem_cap
     elif (value := os.environ.get("F2TO_MEM_CAP")) is not None:
         name = "F2TO_MEM_CAP"
     else:
@@ -178,8 +180,8 @@ def cmd_conjecture(args):
         _, _, rows, _ = _compute(shape, cap)
         rep = check_conjecture_p22(shape, rows)
         verdict = "pass" if rep.ok else "FAIL"
-        print(f"p={p}: {sum(rep.forms_match)}/10 canonical forms match "
-              f"({verdict}); rank-4 orbit {rep.rank4_size}/2^{4 * p} "
+        print(f"p={p}: {sum(rep.forms_match)}/{len(rep.forms_match)} canonical forms "
+              f"match ({verdict}); rank-4 orbit {rep.rank4_size}/2^{shape.entry_count} "
               f"= {rep.fraction_str}")
         failed = failed or not rep.ok
     return 1 if failed else 0
@@ -220,15 +222,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (MemoryCapError, NoReferenceError) as exc:
+    except (MemoryCapError, NoReferenceError, ValueError, OSError) as exc:
         print(f"f2orbits: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"f2orbits: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"f2orbits: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, ValueError) else 3 if isinstance(exc, OSError) else 2
 
 
 def console_entry():

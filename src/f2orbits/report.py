@@ -16,6 +16,7 @@ takes the stable p x 2 x 2 forms from the 4x2x2 table.
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import zip_longest
 
 from .orbits import LargeOrbitAtlas, OrbitAtlas
 from .ranks import DistributionRow, RankAtlas, decimal_string, large_orbit_ranks
@@ -175,7 +176,8 @@ def verify_reference(format_str: str, flavor: str,
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    p: int
+    """A row that the computed or the stable table lacks fails its form;
+    rank4_size counts every rank-4 tensor, one orbit's when all match."""
     forms_match: tuple         # per-row bool
     rank4_size: int
     fraction_str: str          # 4 decimal places
@@ -189,22 +191,17 @@ def check_conjecture_p22(shape: Shape,
                          rows: list[ClassificationRow]) -> ConjectureReport:
     """Compare the rows of p x 2 x 2 with the stored 4x2x2 table, whose
     (rank, bits) rows are the stable forms once padded with 4p - 16
-    leading zero entries."""
+    leading zero entries.  A differing row count or a second rank-4 orbit
+    fails a form, and rank4_size then sums the rank-4 rows."""
     p = shape.dims[0]
     if shape.dims[1:] != (2, 2) or p < 4:
         raise ValueError(f"stabilization is stated for p x 2 x 2 with p >= 4, got {shape}")
     expected = [(rank, "." * (4 * p - 16) + bits)
                 for rank, _, bits in load_reference("4x2x2").rows]
-    if len(rows) != len(expected):
-        raise RuntimeError(
-            f"p={p}: {len(rows)} nonzero orbits, stabilization predicts {len(expected)}")
-    match = tuple(r.canonical_bits == bits and r.rank == rk
-                  for r, (rk, bits) in zip(rows, expected))
-    rank4 = [r for r in rows if r.rank == 4]
-    if len(rank4) != 1:
-        raise RuntimeError(f"p={p}: expected a unique rank-4 orbit, found {len(rank4)}")
-    size = rank4[0].size
-    return ConjectureReport(p, match, size, decimal_string(size, shape.code_bound))
+    match = tuple(r is not None and (r.rank, r.canonical_bits) == form
+                  for r, form in zip_longest(rows, expected))
+    size = sum(r.size for r in rows if r.rank == 4)
+    return ConjectureReport(match, size, decimal_string(size, shape.code_bound))
 
 
 # ---- emission ----

@@ -119,6 +119,11 @@ def test_negative_mem_cap_is_invalid(capsys, monkeypatch):
     code, out, err = run(capsys, "classify", "--format", "2x2x2", "--mem-cap", "-1")
     assert code == 1 and out == ""
     assert "--mem-cap" in err and "'-1'" in err
+    # the flag and the environment share one parser: a cap that is not a
+    # number is invalid input, not an argparse usage error
+    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--mem-cap", "abc")
+    assert code == 1 and out == ""
+    assert "--mem-cap" in err and "'abc'" in err
     monkeypatch.setenv("F2TO_MEM_CAP", "-3")
     code, out, err = run(capsys, "classify", "--format", "2x2x2")
     assert code == 1 and out == ""
@@ -307,23 +312,26 @@ def test_conjecture_beyond_27_entries(capsys):
 
 def test_conjecture_reads_the_stored_4x2x2_table(capsys, monkeypatch):
     # the stable forms are the rows of the 4x2x2 reference: a stored row
-    # 10 of rank 3 fails the rank-4 form at every p
+    # 10 of rank 3 fails the rank-4 form at every p, and a stored table
+    # one row short or one row long fails the row the other side lacks,
+    # through the verdict line and exit 1, not a traceback
     import f2orbits.report as report
     stored = report.load_reference
+    for edit, score in ((lambda rows: rows[:9] + ((3,) + rows[9][1:],), "9/10"),
+                        (lambda rows: rows[:9], "9/10"),
+                        (lambda rows: rows + rows[9:], "10/11")):
+        def edited(format_str, flavor="small"):
+            ref = stored(format_str, flavor)
+            if format_str != "4x2x2":
+                return ref
+            return dataclasses.replace(ref, rows=edit(ref.rows))
 
-    def edited(format_str, flavor="small"):
-        ref = stored(format_str, flavor)
-        if format_str != "4x2x2":
-            return ref
-        _, size, bits = ref.rows[9]
-        return dataclasses.replace(ref, rows=ref.rows[:9] + ((3, size, bits),))
-
-    monkeypatch.setattr(report, "load_reference", edited)
-    code, out, _ = run(capsys, "conjecture", "4", "5")
-    assert code == 1
-    lines = out.splitlines()
-    assert [line.split(";")[0] for line in lines] == \
-        [f"p={p}: 9/10 canonical forms match (FAIL)" for p in (4, 5)]
+        monkeypatch.setattr(report, "load_reference", edited)
+        code, out, _ = run(capsys, "conjecture", "4", "5")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split(";")[0] for line in lines] == \
+            [f"p={p}: {score} canonical forms match (FAIL)" for p in (4, 5)]
 
 
 def test_show_orbit(capsys):

@@ -1,6 +1,7 @@
 """Table rendering, reference comparison, stable-form checks, emission."""
 
 import csv
+import dataclasses
 
 import pytest
 
@@ -149,6 +150,15 @@ def test_stable_forms_padding(engine):
     moved[0] = ClassificationRow(1, 1, rows[0].size, "...1" + "." * 16, 1 << 16)
     assert check_conjecture_p22(engine.shape("5x2x2"), moved).forms_match == \
         (False,) + (True,) * 9
+    # a second rank-4 orbit, in place of a row or as an 11th row, fails
+    # that form and is counted with the first rather than raising
+    relabeled = rows[:8] + [dataclasses.replace(rows[8], rank=4)] + rows[9:]
+    rep = check_conjecture_p22(engine.shape("5x2x2"), relabeled)
+    assert not rep.ok and rep.forms_match == (True,) * 8 + (False, True)
+    assert rep.rank4_size == rows[8].size + rows[9].size
+    rep = check_conjecture_p22(engine.shape("5x2x2"), rows + rows[9:])
+    assert not rep.ok and rep.forms_match == (True,) * 10 + (False,)
+    assert rep.rank4_size == 2 * rows[9].size
 
 
 def test_conjecture_preconditions(engine):

@@ -9,11 +9,12 @@ module names 8192, numpy's default ufunc buffer size, so that no figure
 is fitted to it, no subscript adds an axis with None or np.newaxis, so
 that no kernel hands numpy a broadcast operand to buffer, the refdata
 tables are read only inside report.load_reference, so each expected
-value has one stored record, every definition in src/ is read by other
-code in src/ or by benchmark/, classify imports neither numpy.ma nor
-json nor decimal, the public names and the README's Library example
-match the package, the benchmark's layer pass still runs against the
-package, and the benchmark's self-check passes.
+value has one stored record, every raise in report.py and cli.py builds
+a class that cli.main maps to an exit code, every definition in src/ is
+read by other code in src/ or by benchmark/, classify imports neither
+numpy.ma nor json nor decimal, the public names and the README's Library
+example match the package, the benchmark's layer pass still runs against
+the package, and the benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -183,6 +184,31 @@ def test_one_reader_for_refdata():
     inside = sorted(("report.py", call.lineno) for name in readers
                     for call in calls(function(trees["report.py"], "load_reference"), name))
     assert found and found == inside
+
+
+def test_every_raise_has_an_exit_code():
+    # every raise in report.py and cli.py builds a class, or a subclass of
+    # one, that an except clause of cli.main maps to an exit code, so no
+    # failure of a command ends in a traceback
+    import builtins
+
+    import f2orbits.cli as cli
+    import f2orbits.report as report
+    trees = modules()
+    caught = [node.type for node in ast.walk(function(trees["cli.py"], "main"))
+              if isinstance(node, ast.ExceptHandler)]
+    mapped = tuple(getattr(cli, name.id, None) or getattr(builtins, name.id)
+                   for node in caught for name in getattr(node, "elts", [node]))
+    assert {cls.__name__ for cls in mapped} >= {"ValueError", "NoReferenceError",
+                                                 "MemoryCapError"}
+    for name, module in (("report.py", report), ("cli.py", cli)):
+        raised = [node.exc.func.id for node in ast.walk(trees[name])
+                  if isinstance(node, ast.Raise)]
+        assert raised, name
+        unmapped = [cls for cls in raised
+                    if not issubclass(getattr(module, cls, None)
+                                      or getattr(builtins, cls), mapped)]
+        assert unmapped == [], name
 
 
 def test_classify_does_not_import_numpy_ma():
