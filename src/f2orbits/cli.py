@@ -101,7 +101,7 @@ def _compute(shape, cap, flavor="small", snapshot=None):
     (saving the snapshot if asked), rank, merge under mode swaps for the
     large flavor, and summarize.  Each phase checks its own figure against
     the cap before it allocates: required_bytes, atlas_bytes for a load,
-    and rank_bytes, atlas included.  Returns (atlas, ranks, rows, dist)."""
+    and rank_bytes, atlas included.  Returns (atlas, rows, dist)."""
     phases = _Phases()
     if snapshot and os.path.exists(snapshot):
         atlas = load_atlas(snapshot, shape, mem_cap=cap)
@@ -125,13 +125,13 @@ def _compute(shape, cap, flavor="small", snapshot=None):
         phases.mark("merge")
     rows = summarize(shape, atlas, ranks, flavor=flavor, large=large)
     dist = rank_distribution(atlas, ranks, large=large)
-    return atlas, ranks, rows, dist
+    return atlas, rows, dist
 
 
 def cmd_classify(args):
     shape = parse_shape(args.format)
     cap = _resolve_cap(args)
-    _, _, rows, dist = _compute(shape, cap, args.flavor, args.snapshot)
+    _, rows, dist = _compute(shape, cap, args.flavor, args.snapshot)
     if args.emit == "json":
         import json
         doc = {
@@ -139,7 +139,7 @@ def cmd_classify(args):
             "flavor": args.flavor,
             "group_order": _GROUP_ORDER[args.flavor](shape),
             "orbits": len(rows),
-            "rows": [row.__dict__ for row in rows],
+            "rows": [row._asdict() for row in rows],
             "distribution": [d._asdict() for d in dist],
         }
         text = json.dumps(doc, indent=2) + "\n"
@@ -159,7 +159,7 @@ def cmd_verify(args):
     load_reference(args.format, args.flavor)
     shape = parse_shape(args.format)
     cap = _resolve_cap(args)
-    _, _, rows, dist = _compute(shape, cap, args.flavor)
+    _, rows, dist = _compute(shape, cap, args.flavor)
     diff = verify_reference(args.format, args.flavor, rows,
                             group_order=_GROUP_ORDER[args.flavor](shape),
                             distribution=dist)
@@ -177,7 +177,7 @@ def cmd_conjecture(args):
         if p < 4:
             raise ValueError(f"stabilization is stated for p >= 4, got p={p}")
         shape = parse_shape(f"{p}x2x2")
-        _, _, rows, _ = _compute(shape, cap)
+        _, rows, _ = _compute(shape, cap)
         rep = check_conjecture_p22(shape, rows)
         verdict = "pass" if rep.ok else "FAIL"
         print(f"p={p}: {sum(rep.forms_match)}/{len(rep.forms_match)} canonical forms "
@@ -194,7 +194,7 @@ def cmd_show_orbit(args):
         raise ValueError(f"code {code} out of range for {shape} "
                          f"(1..{shape.code_bound - 1})")
     cap = _resolve_cap(args)
-    atlas, _, rows, _ = _compute(shape, cap)
+    atlas, rows, _ = _compute(shape, cap)
     orbit_id = atlas.orbit_id(code)
     row = next(r for r in rows if r.canonical_code == atlas.canonicals[orbit_id])
     del rows    # a listing holds the atlas and this one row

@@ -4,7 +4,9 @@ Rows are sorted first by increasing rank, within each rank by increasing
 orbit size, and within each size by the canonical code; ordinals count
 from 1 in that order.  Canonical forms render as bit strings with '.'
 for 0, most significant entry first, so the string reads in the same
-left-to-right order as the flattening.
+left-to-right order as the flattening.  Both table records are
+NamedTuples: their fields are the CSV columns in order, _asdict() gives
+the JSON objects, and _replace edits a record.
 
 Reference tables live as plain-text files under refdata/.  They are
 transcribed data, kept separate from the computation on purpose: a test
@@ -17,14 +19,14 @@ takes the stable p x 2 x 2 forms from the 4x2x2 table.
 from dataclasses import dataclass
 from importlib import resources
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .orbits import LargeOrbitAtlas, OrbitAtlas
 from .ranks import DistributionRow, RankAtlas, decimal_string, large_orbit_ranks
 from .tensor import Shape
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     ordinal: int
     rank: int
     size: int
@@ -144,31 +146,23 @@ def verify_reference(format_str: str, flavor: str,
     if group_order is not None and group_order != ref.group_order:
         bad.append(f"group order: computed {group_order} "
                    f"!= reference {ref.group_order}")
-    checked = 0
-    if ref.rows is not None:
-        for row, (rk, sz, bits) in zip(rows, ref.rows):
-            checked += 1
-            for field, got, want in (("rank", row.rank, rk),
-                                     ("size", row.size, sz),
-                                     ("canonical_bits", row.canonical_bits, bits)):
-                if got != want:
-                    bad.append(f"row {row.ordinal}: {field} "
-                               f"computed {got} != reference {want}")
-        if len(rows) != len(ref.rows):
-            bad.append(f"row count: computed {len(rows)} "
-                       f"!= reference {len(ref.rows)}")
-    if distribution is not None and ref.distribution is not None:
-        for got, want in zip(distribution, ref.distribution):
-            rk, orbits, tensors, pct = want
-            for field, g, w in (("orbits", got.orbits, orbits),
-                                ("tensors", got.tensors, tensors),
-                                ("percent", got.percent, pct)):
-                if g != w:
-                    bad.append(f"rank {rk} distribution: {field} "
-                               f"computed {g} != reference {w}")
-        if len(distribution) != len(ref.distribution):
-            bad.append(f"distribution rows: computed {len(distribution)} "
-                       f"!= reference {len(ref.distribution)}")
+    # compared fields end each reference record; a label reads got or want
+    tables = [("row {got.ordinal}", "row count", rows, ref.rows,
+               ("rank", "size", "canonical_bits")),
+              ("rank {want[0]} distribution", "distribution rows", distribution,
+               ref.distribution, ("orbits", "tensors", "percent"))]
+    for label, count_name, computed, reference, fields in tables:
+        if computed is None or reference is None:
+            continue
+        for got, want in zip(computed, reference):
+            for field, value in zip(fields, want[-len(fields):]):
+                if getattr(got, field) != value:
+                    bad.append(f"{label.format(got=got, want=want)}: {field} "
+                               f"computed {getattr(got, field)} != reference {value}")
+        if len(computed) != len(reference):
+            bad.append(f"{count_name}: computed {len(computed)} "
+                       f"!= reference {len(reference)}")
+    checked = 0 if ref.rows is None else min(len(rows), len(ref.rows))
     return DiffReport(format_str, flavor, checked, tuple(bad))
 
 
@@ -206,39 +200,25 @@ def check_conjecture_p22(shape: Shape,
 
 # ---- emission ----
 
-CSV_HEADER = "ordinal,rank,size,canonical_bits,canonical_code"
+CSV_HEADER = ",".join(ClassificationRow._fields)
 
 
 def emit(payload, fmt: str = "text") -> str:
     """Serialize classification rows or a rank distribution as text or
-    CSV.  classify --emit json builds its own document."""
+    CSV.  Both are NamedTuples: a CSV header is the record's _fields and a
+    line its values, in order, and classify --emit json writes each
+    _asdict().  An empty payload is an empty classification table."""
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown output format {fmt!r}")
-    payload = list(payload)
-    if payload and isinstance(payload[0], DistributionRow):
-        return _emit_distribution(payload, fmt)
-    return _emit_rows(payload, fmt)
-
-
-def _emit_rows(rows, fmt):
+    records = list(payload)
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        lines += [f"{r.ordinal},{r.rank},{r.size},{r.canonical_bits},{r.canonical_code}"
-                  for r in rows]
+        lines = [",".join(records[0]._fields) if records else CSV_HEADER]
+        lines += [",".join(map(str, r)) for r in records]
         return "\n".join(lines) + "\n"
-    if not rows:
-        return ""
-    wid = max(len(str(r.size)) for r in rows)
+    if records and isinstance(records[0], DistributionRow):
+        wid = max(len(str(d.tensors)) for d in records)
+        return "".join(f"rank {d.rank}: {d.orbits:>3} orbits {d.tensors:>{wid}} tensors"
+                       f" {d.percent:>8} %\n" for d in records)
+    wid = max((len(str(r.size)) for r in records), default=0)
     return "".join(f"{r.ordinal:>3} {r.rank} {r.size:>{wid}}  {r.canonical_bits}\n"
-                   for r in rows)
-
-
-def _emit_distribution(dist, fmt):
-    if fmt == "csv":
-        lines = ["rank,orbits,tensors,percent"]
-        lines += [f"{d.rank},{d.orbits},{d.tensors},{d.percent}" for d in dist]
-        return "\n".join(lines) + "\n"
-    wid = max(len(str(d.tensors)) for d in dist)
-    return "".join(f"rank {d.rank}: {d.orbits:>3} orbits {d.tensors:>{wid}} tensors"
-                   f" {d.percent:>8} %\n" for d in dist)
-
+                   for r in records)

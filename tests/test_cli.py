@@ -56,6 +56,7 @@ def test_classify_json(capsys):
     assert len(doc["rows"]) == 5
     assert doc["rows"][0] == {"ordinal": 1, "rank": 1, "size": 27,
                               "canonical_bits": ".......1", "canonical_code": 1}
+    assert list(doc["distribution"][0]) == ["rank", "orbits", "tensors", "percent"]
     assert doc["distribution"][0]["percent"] == "0.3906"
     assert sum(d["tensors"] for d in doc["distribution"]) == 256
 
@@ -208,11 +209,14 @@ def test_compute_peak_within_checked_figures(tmp_path, monkeypatch, engine):
             figure = max(first(shape), rank_bytes(atlas))
             tracemalloc.start()
             try:
-                _compute(shape, DEFAULT_MEM_CAP, flavor, snapshot)
+                computed, rows, dist = _compute(shape, DEFAULT_MEM_CAP, flavor, snapshot)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= figure, (fmt, snapshot, peak, figure)
+            # the zero orbit has a distribution entry but no row
+            assert computed.orbit_count == atlas.orbit_count
+            assert len(rows) + 1 == sum(d.orbits for d in dist)
 
 
 def test_snapshot_format_mismatch(capsys, tmp_path):

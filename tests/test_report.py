@@ -1,7 +1,6 @@
 """Table rendering, reference comparison, stable-form checks, emission."""
 
 import csv
-import dataclasses
 
 import pytest
 
@@ -11,7 +10,7 @@ from f2orbits.report import (CSV_HEADER, ClassificationRow, DiffReport,
                              load_reference, render_bits, summarize,
                              verify_reference)
 from f2orbits.orbits import enumerate_orbits, merge_large_orbits
-from f2orbits.ranks import propagate_ranks, rank_distribution
+from f2orbits.ranks import DistributionRow, propagate_ranks, rank_distribution
 from f2orbits.tensor import Shape, parse_shape
 
 
@@ -109,6 +108,18 @@ def test_verify_names_ordinal_and_field(engine):
     diff = verify_reference("2x2x2", "small", rows)
     assert not diff.ok
     assert diff.mismatches == ("row 3: size computed 19 != reference 18",)
+    # a missing row shows in the orbit count and the row count, and a row
+    # relabeled past the reference's top rank in the max rank and its rank
+    full = engine.rows("2x2x2")
+    assert verify_reference("2x2x2", "small", full[:-1]).mismatches == (
+        "orbit count: computed 7 (with zero orbit) != reference 8",
+        "row count: computed 6 != reference 7")
+    last = full[-1]
+    relabeled = full[:-1] + [ClassificationRow(last.ordinal, 4, last.size,
+                                               last.canonical_bits, last.canonical_code)]
+    assert verify_reference("2x2x2", "small", relabeled).mismatches == (
+        "max rank: computed 4 != reference 3",
+        "row 7: rank computed 4 != reference 3")
 
 
 def test_verify_catches_group_order(engine):
@@ -124,7 +135,13 @@ def test_verify_catches_distribution(engine):
     diff = verify_reference("2x2x2", "small", engine.rows("2x2x2"),
                             distribution=dist)
     assert not diff.ok
-    assert any("percent" in m for m in diff.mismatches)
+    assert diff.mismatches == (
+        "rank 2 distribution: percent computed 63.2812 != reference 63.2813",)
+    # the count line follows the field lines, whichever side is longer
+    full = engine.distribution("2x2x2")
+    for cut, computed in ((full[:-1], 3), (full + full[-1:], 5)):
+        diff = verify_reference("2x2x2", "small", engine.rows("2x2x2"), distribution=cut)
+        assert diff.mismatches == (f"distribution rows: computed {computed} != reference 4",)
 
 
 def test_stable_forms_p4(engine):
@@ -152,7 +169,7 @@ def test_stable_forms_padding(engine):
         (False,) + (True,) * 9
     # a second rank-4 orbit, in place of a row or as an 11th row, fails
     # that form and is counted with the first rather than raising
-    relabeled = rows[:8] + [dataclasses.replace(rows[8], rank=4)] + rows[9:]
+    relabeled = rows[:8] + [rows[8]._replace(rank=4)] + rows[9:]
     rep = check_conjecture_p22(engine.shape("5x2x2"), relabeled)
     assert not rep.ok and rep.forms_match == (True,) * 8 + (False, True)
     assert rep.rank4_size == rows[8].size + rows[9].size
@@ -176,6 +193,7 @@ def test_emit_csv(engine):
     text = emit(engine.rows("2x2x2"), "csv")
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER == "ordinal,rank,size,canonical_bits,canonical_code"
+    assert CSV_HEADER == ",".join(ClassificationRow._fields)
     assert lines[1] == "1,1,27,.......1,1"
     assert len(lines) == 8
 
@@ -192,7 +210,8 @@ def test_emit_text_layout(engine):
 
 def test_emit_distribution(engine):
     text = emit(engine.distribution("2x2x2"), "csv")
-    assert text.splitlines()[0] == "rank,orbits,tensors,percent"
+    assert text.splitlines()[0] == "rank,orbits,tensors,percent" == \
+        ",".join(DistributionRow._fields)
     assert "2,4,162,63.2813" in text
 
 
@@ -202,6 +221,25 @@ def test_emit_diff(engine):
     bad = verify_reference("2x2x2", "small", engine.rows("2x2x2"), group_order=215)
     assert bad.render() == \
         "2x2x2 (small group): group order: computed 215 != reference 216\n"
+    # every kind at once renders in one order: the orbit count, max rank
+    # and group order, then the rows table, then the distribution table
+    rows, dist = engine.rows("2x2x2"), list(engine.distribution("2x2x2"))
+    last = rows[-2]
+    rows = rows[:-2] + [ClassificationRow(last.ordinal, 4, 13, ".11.1.1.",
+                                          last.canonical_code)]
+    dist[1] = dist[1]._replace(orbits=2, tensors=28)
+    bad = verify_reference("2x2x2", "small", rows, group_order=215, distribution=dist[:-1])
+    assert bad.render() == "".join(f"2x2x2 (small group): {line}\n" for line in (
+        "orbit count: computed 7 (with zero orbit) != reference 8",
+        "max rank: computed 4 != reference 3",
+        "group order: computed 215 != reference 216",
+        "row 6: rank computed 4 != reference 3",
+        "row 6: size computed 13 != reference 12",
+        "row 6: canonical_bits computed .11.1.1. != reference .11.1.11",
+        "row count: computed 6 != reference 7",
+        "rank 1 distribution: orbits computed 2 != reference 1",
+        "rank 1 distribution: tensors computed 28 != reference 27",
+        "distribution rows: computed 3 != reference 4"))
 
 
 def test_emit_rejects_unknown_format(engine):

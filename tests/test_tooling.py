@@ -9,12 +9,14 @@ module names 8192, numpy's default ufunc buffer size, so that no figure
 is fitted to it, no subscript adds an axis with None or np.newaxis, so
 that no kernel hands numpy a broadcast operand to buffer, the refdata
 tables are read only inside report.load_reference, so each expected
-value has one stored record, every raise in report.py and cli.py builds
-a class that cli.main maps to an exit code, every definition in src/ is
-read by other code in src/ or by benchmark/, classify imports neither
-numpy.ma nor json nor decimal, the public names and the README's Library
-example match the package, the benchmark's layer pass still runs against
-the package, and the benchmark's self-check passes.
+value has one stored record, no string literal spells a table's CSV
+header, so each field list lives only in its record class, every raise
+in report.py and cli.py builds a class that cli.main maps to an exit
+code, every definition in src/ is read by other code in src/ or by
+benchmark/, classify imports neither numpy.ma nor json nor decimal, the
+public names and the README's Library example match the package, the
+benchmark's layer pass still runs against the package, and the
+benchmark's self-check passes.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -184,6 +186,21 @@ def test_one_reader_for_refdata():
     inside = sorted(("report.py", call.lineno) for name in readers
                     for call in calls(function(trees["report.py"], "load_reference"), name))
     assert found and found == inside
+
+
+def test_one_owner_per_field_list():
+    # a table's field list lives only in its record class: no string
+    # literal in src/ spells either CSV header, which emit joins from the
+    # record's _fields
+    from f2orbits.ranks import DistributionRow
+    from f2orbits.report import ClassificationRow
+    headers = [",".join(record.__annotations__)
+               for record in (ClassificationRow, DistributionRow)]
+    found = [f"{module}:{node.lineno}" for module, tree in modules().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(header in node.value for header in headers)]
+    assert found == []
 
 
 def test_every_raise_has_an_exit_code():
