@@ -12,11 +12,11 @@ step adds one simple tensor.
 from .group import GLMatrix, generator_set, large_group_order, small_group_order
 from .orbits import (LargeOrbitAtlas, MemoryCapError, OrbitAtlas, enumerate_orbits,
                      load_atlas, merge_large_orbits, save_atlas)
-from .ranks import RankAtlas, propagate_ranks, rank_distribution
+from .ranks import RankAtlas, enumerate_simple_tensors, propagate_ranks, rank_distribution
 from .report import (ClassificationRow, ConjectureReport, DiffReport,
                      NoReferenceError, check_conjecture_p22, emit, load_reference,
                      summarize, verify_reference)
-from .tensor import MAX_ENTRIES, Shape, enumerate_simple_tensors, parse_shape
+from .tensor import MAX_ENTRIES, Shape, parse_shape
 
 __version__ = "0.1.0"
 

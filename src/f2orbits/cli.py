@@ -42,8 +42,6 @@ def _build_parser():
             sp.add_argument("--flavor", choices=tuple(_GROUP_ORDER), default="small",
                             help="small: products of linear groups only; "
                                  "large: also permute equal-dimension modes")
-        sp.add_argument("--mem-cap", default=None, metavar="BYTES",
-                        help="refuse runs whose tables exceed this many bytes")
 
     c = sub.add_parser("classify", help="enumerate orbits and report the table")
     common(c)
@@ -59,14 +57,17 @@ def _build_parser():
     j = sub.add_parser("conjecture",
                        help="check the stable px2x2 canonical forms and the "
                             "rank-4 orbit fraction")
-    j.add_argument("p", nargs="*", type=int, default=[4, 5, 6])
-    j.add_argument("--mem-cap", default=None, metavar="BYTES")
+    j.add_argument("p", nargs="*", type=int, default=[4, 5, 6],
+                   help="first-mode dimensions to check (default 4 5 6)")
 
     s = sub.add_parser("show-orbit", help="inspect the orbit of one code")
     common(s, flavor=False)
     s.add_argument("--code", required=True, type=int)
     s.add_argument("--members-limit", type=int, default=64,
                    help="print members only for orbits up to this size")
+    for sp in sub.choices.values():
+        sp.add_argument("--mem-cap", default=None, metavar="BYTES",
+                        help="refuse runs whose tables exceed this many bytes")
     return p
 
 

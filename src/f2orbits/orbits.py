@@ -63,9 +63,10 @@ with the same span_index, and slices.unrank, its inverse, gives back the
 key of a subspace from its index, for the canonicals and for members.
 merge_large_orbits permutes the modes of every canonical with
 group.transpose_codes, which moves each bit to the bit of its basis
-tensor's image, and reads the images' ids through orbit_id.
-required_bytes takes S from Gaussian binomials; no array of 2^N cells
-is built.
+tensor's image, and reads the images' ids through orbit_id.  The cap's
+figures here (required_bytes, atlas_bytes, member_bytes) take S from
+Gaussian binomials, build no array of 2^N cells, and add up the bytes
+that slices.py and spin.py write beside each of their kernels.
 
 Since the ids ascend with the canonical form, id i first occurs where
 the running maximum of the ids steps to i, at the index of orbit i's
@@ -85,9 +86,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import block_permutations, generator_set, small_group_order, transpose_codes
-from .slices import (CHUNK, CODE, INDEX, index_tables, level_bounds, max_dim, permutations,
-                     slice_bits, span_index, span_index_bytes, spanning_codes, subspace_count,
-                     tuple_counts, unpack, unrank, unrank_bytes)
+from .slices import (CHUNK, CODE, index_tables, level_bounds, permutations, permutations_bytes,
+                     slice_bits, span_index, spanning_codes, spanning_codes_bytes,
+                     subspace_count, tuple_counts, unpack, unrank, unrank_bytes)
 from .spin import CELL, spin, spin_bytes
 from .tensor import Shape
 
@@ -110,18 +111,11 @@ class MemoryCapError(RuntimeError):
 
 
 def required_bytes(shape: Shape) -> int:
-    """Peak bytes enumerate_orbits allocates, from the Gaussian binomials:
-    the largest of its phases, each the arrays it holds and its own
-    transients, with FIXED_BYTES of small arrays and Python objects.
-    slices.permutations holds a CODE key and m INDEX cells per subspace,
-    m slice maps of 2^M CODE and span_index over a chunk of k slots
-    (mapping the rows takes 12 k bytes per item, and k <= 5); then
-    spin.spin_bytes, the spin with the m permutations; then _atlas."""
-    s, m, k = subspace_count(shape), len(generator_set(shape)), max_dim(shape)
-    code, index = CODE.itemsize, INDEX.itemsize
-    perm_phase = ((code + index * m) * s + code * m * (1 << slice_bits(shape))
-                  + span_index_bytes(shape, k, s))
-    return max(perm_phase + FIXED_BYTES, spin_bytes(s, m) + FIXED_BYTES, atlas_bytes(shape))
+    """Peak bytes enumerate_orbits allocates: FIXED_BYTES of small arrays
+    and Python objects plus the larger of slices.permutations_bytes and
+    spin.spin_bytes; _atlas, last, holds less (atlas_bytes) than the spin."""
+    s, m = subspace_count(shape), len(generator_set(shape))
+    return FIXED_BYTES + max(permutations_bytes(shape), spin_bytes(s, m))
 
 
 def atlas_bytes(shape: Shape) -> int:
@@ -197,25 +191,16 @@ class OrbitAtlas:
 
     def member_bytes(self, orbit_id: int) -> int:
         """Peak bytes members(orbit_id) allocates: FIXED_BYTES plus the
-        largest of its phases over the orbit's n k-spaces, t = t(k).  They
-        hold the id mask over the level of k-spaces and the n int64
-        indices; the indices, keys and unrank's bytes; or, beside the
-        keys, their rows and the (k, t) coefficients, a chunk of
-        candidates being filtered (3 k + 2 CODE each) or the result and one
-        product line of the longer of n and t, at most a chunk, in CODE."""
+        largest of its phases over the orbit's n k-spaces, which hold the id
+        mask over their level and the n int64 indices; those, the CODE keys
+        and unrank's bytes; or the keys and spanning_codes' bytes."""
         k, code = self._dimension(orbit_id), CODE.itemsize
         if k == 0:
             return code + FIXED_BYTES
-        size = int(self.sizes[orbit_id])
-        t = tuple_counts(self.shape)[k]
-        n = size // t
+        n = int(self.sizes[orbit_id]) // tuple_counts(self.shape)[k]
         lo, hi = level_bounds(self.shape)[k:k + 2]
-        held = code * ((1 + k) * n + k * t)
-        candidates = min(CHUNK, 1 << (self.shape.dims[0] * k))
-        return FIXED_BYTES + max(hi - lo + 8 * n,
-                                 (8 + code) * n + unrank_bytes(k, n),
-                                 held + code * (3 * k + 2) * candidates,
-                                 held + code * (size + min(max(n, t), CHUNK)))
+        return FIXED_BYTES + max(hi - lo + 8 * n, (8 + code) * n + unrank_bytes(k, n),
+                                 code * n + spanning_codes_bytes(self.shape, k, n))
 
     def _dimension(self, orbit_id: int) -> int:
         """The dimension k of the subspaces of an orbit: its canonical is a

@@ -22,10 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .group import linear_table
 from .orbits import FIXED_BYTES, LargeOrbitAtlas, OrbitAtlas
-from .slices import CODE, span_index_bytes
+from .slices import CODE, outer, span_index_bytes
 from .spin import CELL
-from .tensor import Shape, enumerate_simple_tensors
+from .tensor import Shape, simple_code
 
 
 class RankAtlas:
@@ -39,33 +40,44 @@ class RankAtlas:
         return int(self.by_orbit.max())
 
 
+def enumerate_simple_tensors(shape: Shape) -> np.ndarray:
+    """The prod(2^dk - 1) rank-1 codes, one per tuple of nonzero vectors,
+    ascending, as CODE.  v1 (x) ... (x) vn is the AND over k of the mask of
+    vk on mode k, the simple code with all-ones vectors on the other modes,
+    which is linear in vk, so one linear_table per mode holds its masks."""
+    ones = [(1 << d) - 1 for d in shape.dims]
+    codes = np.full(1, shape.code_bound - 1, CODE)
+    for k, d in enumerate(shape.dims):
+        masks = linear_table([simple_code(shape.dims, ones[:k] + [1 << b] + ones[k + 1:])
+                              for b in range(d)], CODE)[1:]
+        codes = outer(np.bitwise_and, codes, masks,
+                      np.empty((codes.size, masks.size), CODE)).reshape(-1)
+    codes.sort()
+    assert (codes[1:] != codes[:-1]).all(), "simple tensors repeat"
+    return codes
+
+
 def rank_bytes(atlas: OrbitAtlas) -> int:
     """Peak bytes propagate_ranks allocates, with the atlas it reads, for K
     = orbit count + 1 and n simple tensors: FIXED_BYTES, the atlas's
-    arrays by their size, 16 bytes per orbit for the BFS, and the larger
-    of two phases.  Building the simple tensors takes at most 64 bytes
-    each as Python ints in lists, and one CODE in an array; the lookup
-    holds those, the K n CODE codes, their CELL ids and span_index over
-    the codes' d1 slots.  A BFS step takes less than the lookup.  The
-    large flavor's merge, which follows unchecked, peaks below this figure
-    less the atlas: about 120 KB against 404 KB on 2x2x2x2."""
+    arrays by their size, 16 bytes per orbit for the BFS, and the lookup:
+    the simple tensors and the K n codes in CODE, their CELL ids and
+    span_index over the codes' d1 slots.  Building the simple tensors and
+    a BFS step take less, and so, beside the atlas, does the large
+    flavor's merge, which follows unchecked (about 120 KB against 404 KB on 2x2x2x2)."""
     k, n = atlas.orbit_count + 1, math.prod((1 << d) - 1 for d in atlas.shape.dims)
-    lookup = (CODE.itemsize * (1 + k) * n + CELL.itemsize * k * n
-              + span_index_bytes(atlas.shape, atlas.shape.dims[0], k * n))
-    return FIXED_BYTES + atlas.nbytes + 16 * k + max((64 + CODE.itemsize) * n, lookup)
+    return (FIXED_BYTES + atlas.nbytes + 16 * k + CODE.itemsize * (1 + k) * n
+            + CELL.itemsize * k * n + span_index_bytes(atlas.shape, atlas.shape.dims[0], k * n))
 
 
 def _orbit_adjacency(atlas: OrbitAtlas) -> np.ndarray:
     """The (K, number of simple tensors) table of the orbit ids of
     canonical_i XOR S for every simple tensor S, K = orbit count + 1: row
     i lists the orbits adjacent to orbit i, and row 0, the zero orbit's,
-    the orbits of the simple tensors.  The codes are XORed a row per
-    canonical, as a broadcast XOR makes numpy buffer both operands."""
-    simples = np.array(enumerate_simple_tensors(atlas.shape), atlas.canonicals.dtype)
-    codes = np.empty((atlas.canonicals.size, simples.size), simples.dtype)
-    for row, canonical in zip(codes, atlas.canonicals):
-        np.bitwise_xor(simples, canonical, out=row)
-    return atlas.orbit_id(codes)
+    the orbits of the simple tensors."""
+    simples = enumerate_simple_tensors(atlas.shape)
+    codes = np.empty((atlas.canonicals.size, simples.size), CODE)
+    return atlas.orbit_id(outer(np.bitwise_xor, atlas.canonicals, simples, codes))
 
 
 def propagate_ranks(shape: Shape, atlas: OrbitAtlas) -> RankAtlas:

@@ -115,6 +115,15 @@ def unpack(keys: np.ndarray, m: int, k: int) -> np.ndarray:
     return slots
 
 
+def outer(ufunc, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = ufunc(a[i], b[j]) for a commutative ufunc, by lines of
+    the shorter axis: numpy buffers a broadcast operand."""
+    lines, short, long = (out, a, b) if a.size <= b.size else (out.T, b, a)
+    for line, scalar in zip(lines, short):
+        ufunc(long, scalar, out=line)
+    return out
+
+
 def subspace_keys(shape: Shape) -> np.ndarray:
     """The keys of all S subspaces, ascending.  The keys of k-spaces lie
     in [2^((k-1)M), 2^(kM)), and each (k+1)-space is built from its
@@ -135,11 +144,7 @@ def subspace_keys(shape: Shape) -> np.ndarray:
             chosen = parents[(parents >= floor) & ((parents & column) == 0)]
             rows = np.arange(1 << p, 2 << p, dtype=CODE) << k * m
             block = keys[pos:pos + rows.size * chosen.size].reshape(rows.size, chosen.size)
-            # a line of the shorter axis at a time: numpy buffers a broadcast operand
-            lines, short, long = ((block, rows, chosen) if rows.size <= chosen.size
-                                  else (block.T, chosen, rows))
-            for line, scalar in zip(lines, short):
-                np.bitwise_or(long, scalar, out=line)
+            outer(np.bitwise_or, rows, chosen, block)
             pos += block.size
         lo, hi = hi, pos
     assert hi == keys.size, "subspace count disagrees with the Gaussian binomials"
@@ -281,6 +286,15 @@ def permutations(shape: Shape) -> list[np.ndarray]:
     return perms
 
 
+def permutations_bytes(shape: Shape) -> int:
+    """Peak bytes permutations allocates: per subspace a CODE key and m
+    INDEX cells, m slice maps of 2^M CODE, and span_index over a chunk of
+    k slots (mapping the rows takes 12 k bytes per item, and k <= 5)."""
+    s, m, code = subspace_count(shape), len(generator_set(shape)), CODE.itemsize
+    return ((code + INDEX.itemsize * m) * s + code * m * (1 << slice_bits(shape))
+            + span_index_bytes(shape, max_dim(shape), s))
+
+
 def spanning_codes(shape: Shape, keys: np.ndarray, k: int) -> np.ndarray:
     """The codes A B, unsorted, for the reduced basis B of each k-space
     in keys and every d1 x k coefficient matrix A of rank k: code [i, a] is
@@ -297,6 +311,16 @@ def spanning_codes(shape: Shape, keys: np.ndarray, k: int) -> np.ndarray:
             for row, factor in zip(long[:, lo:lo + CHUNK], factors):
                 line ^= np.multiply(row, factor, out=product[:line.size])
     return out.reshape(-1)
+
+
+def spanning_codes_bytes(shape: Shape, k: int, n: int) -> int:
+    """Peak bytes spanning_codes allocates for n keys of k-spaces, t = t(k),
+    in CODE: the keys' rows and the (k, t) coefficients, beside a chunk of
+    candidates being filtered (3 k + 2 each) or the n t codes and one
+    product line of the longer of n and t, at most a chunk."""
+    t, code = tuple_counts(shape)[k], CODE.itemsize
+    candidates = min(CHUNK, 1 << (shape.dims[0] * k))
+    return code * (k * (n + t) + max((3 * k + 2) * candidates, n * t + min(max(n, t), CHUNK)))
 
 
 def _spread_coefficients(shape: Shape, k: int) -> np.ndarray:

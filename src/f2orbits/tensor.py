@@ -9,14 +9,13 @@ flattenings.  That makes "minimal element of an orbit" the same thing as
 
 Entrywise addition over GF(2) is XOR of codes.  simple_code builds the
 code of an outer product of one vector per mode, the one construction
-that group.basis_images and enumerate_simple_tensors rest on.  No
+that group.basis_images and ranks.enumerate_simple_tensors rest on.  No
 classify path reads a code entry by entry: the entry-level oracles
 (positions, entries, the mode transpose) live in tests/entry_oracle.py.
 All functions here are pure; codes are plain Python ints (N <= 27 keeps
 them inside one 32-bit word, slices.CODE, in the array-based modules).
 """
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -90,20 +89,4 @@ def simple_code(dims, vectors) -> int:
             code = code << width | (inner if v >> i & 1 else 0)
         width *= d
     return code
-
-
-def enumerate_simple_tensors(shape: Shape) -> list[int]:
-    """All rank-1 codes, ascending.  Count is prod(2^dk - 1): distinct
-    tuples of nonzero vectors give distinct outer products over GF(2).
-    v1 (x) ... (x) vn is the AND over k of the mask of vk on mode k, the
-    simple code with all-ones vectors on the other modes."""
-    ones = [(1 << d) - 1 for d in shape.dims]
-    per_mode = [[simple_code(shape.dims, ones[:k] + [v] + ones[k + 1:])
-                 for v in range(1, 1 << d)] for k, d in enumerate(shape.dims)]
-    codes = per_mode[0]
-    for mode in per_mode[1:]:
-        codes = [c & m for c in codes for m in mode]
-    codes.sort()
-    assert all(a < b for a, b in itertools.pairwise(codes)), "simple tensors repeat"
-    return codes
 

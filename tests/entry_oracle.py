@@ -1,5 +1,5 @@
 """Entry-level oracles: positions, entries, the mode transpose, matrix
-inverses and brute-force rank, each from its definition.
+inverses, simple tensors and brute-force rank, each from its definition.
 
 The package builds every group action from the images of basis tensors
 (group.basis_images), permutes modes by one bit gather
@@ -10,9 +10,10 @@ the tests check the package against them.
 """
 
 import functools
+import itertools
 
 from f2orbits.group import GLMatrix
-from f2orbits.tensor import Shape, enumerate_simple_tensors
+from f2orbits.tensor import Shape, simple_code
 
 
 def strides(shape: Shape) -> tuple[int, ...]:
@@ -96,9 +97,15 @@ def inverse(matrix: GLMatrix) -> GLMatrix:
     return GLMatrix(d, tuple(inv))
 
 
+def simple_tensors(shape: Shape) -> set[int]:
+    """The outer products of every tuple of nonzero vectors, one per mode."""
+    return {simple_code(shape.dims, vectors)
+            for vectors in itertools.product(*(range(1, 1 << d) for d in shape.dims))}
+
+
 @functools.lru_cache(maxsize=None)
 def _rank_levels(shape: Shape, max_r: int):
-    simples = enumerate_simple_tensors(shape)
+    simples = simple_tensors(shape)
     known = {0: 0}
     frontier = [0]
     for r in range(1, max_r + 1):

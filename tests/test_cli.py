@@ -193,6 +193,29 @@ def test_rank_phase_is_capped(capsys):
     assert "enumeration" in err and "cap is 27908 bytes" in err
 
 
+def test_readme_memory_figures(tmp_path, engine):
+    # the figures README's Memory section quotes, at its rounding: MB and
+    # KB are 10^6 and 10^3 bytes
+    def mb(figure, places=1):
+        return round(figure / 1e6, places)
+
+    for fmt, enumerate_mb, load_mb, rank_mb in (("3x3x3", 12.2, 1.9, 2.7),
+                                                ("3x2x2x2", 2.5, 0.4, 1.8)):
+        shape = parse_shape(fmt)
+        assert mb(required_bytes(shape)) == enumerate_mb, fmt
+        assert mb(atlas_bytes(shape)) == load_mb, fmt
+        assert mb(rank_bytes(engine.atlas(fmt))) == rank_mb, fmt
+    assert round(required_bytes(parse_shape("6x2x2")) / 1e3) == 28
+    assert round(rank_bytes(engine.atlas("6x2x2")) / 1e3) == 431
+    assert round(required_bytes(parse_shape("13x2")) / 1e3) == 17
+    assert mb(rank_bytes(engine.atlas("13x2"))) == 1.9
+    assert mb(required_bytes(parse_shape("2x13")), 0) == 157
+    assert mb(required_bytes(parse_shape("2x3x2x2")), 0) == 51
+    snap = tmp_path / "3x3x3.snap"
+    save_atlas(engine.atlas("3x3x3"), str(snap))
+    assert mb(snap.stat().st_size, 2) == 1.66
+
+
 def test_compute_peak_within_checked_figures(tmp_path, monkeypatch, engine):
     # tracemalloc's peak over the whole pipeline (enumeration or snapshot
     # load, ranks, merge and summary) stays within the largest figure
@@ -274,6 +297,18 @@ def test_cell_width_option_is_gone(capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert "--cell-width" not in capsys.readouterr().out
+
+
+def test_every_subcommand_explains_its_options(capsys):
+    # --mem-cap is declared once, with its help, for all four subcommands,
+    # and conjecture explains its positional p (whitespace as argparse wraps it)
+    texts = {}
+    for command in ("classify", "verify", "conjecture", "show-orbit"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        texts[command] = " ".join(capsys.readouterr().out.split())
+        assert "--mem-cap BYTES refuse runs whose tables exceed this many bytes" in texts[command]
+    assert "p first-mode dimensions to check (default 4 5 6)" in texts["conjecture"]
 
 
 def test_verify_pass(capsys):

@@ -489,17 +489,18 @@ def test_memory_cap_refusal():
     assert "F2TO_MEM_CAP" in str(exc.value)
 
 
-def test_required_bytes_and_strategy(accepted_formats):
+def test_required_bytes_on_every_format(accepted_formats):
     """required_bytes on every accepted format, without enumerating: the
-    larger of the permutation build and the spin, plus a fixed 16 KiB.
-    The build holds per subspace a uint32 key and one uint32 permutation
-    per composite; m + k + 2 tables of 2^M uint32 (the slice maps, the
-    lead table and the ranking tables); and 20 + 8 k bytes per item of
-    one chunk of at most 2^14 items, k = min(d1, M).  The spin holds per
-    subspace the permutations, a uint16 id and a uint32 queue cell, 24
-    bytes per item of one chunk, and a batch's link mask of at most
-    min(S, 256)^2 bools plus one temporary of its size.  S comes from the
-    q-Pascal rule."""
+    larger of the two phase figures, the permutation build and the spin,
+    plus a fixed 16 KiB, and never below atlas_bytes, the figure of
+    _atlas, which runs after the spin.  The build holds per subspace a 4-byte CODE key and m
+    4-byte INDEX permutations, one per generator; m + k + 2 tables of 2^M
+    cells (the CODE slice maps and lead table and the INDEX ranking
+    tables); and 20 + 8 k bytes per item of one chunk of at most 2^14
+    items, k = min(d1, M).  The spin holds per subspace the permutations,
+    a 2-byte CELL id and a 4-byte INDEX queue cell, 24 bytes per item of
+    one chunk, and a batch's link mask of at most min(S, 256)^2 bools plus
+    one temporary of its size.  S comes from the q-Pascal rule."""
     for dims in accepted_formats:
         s = Shape(dims)
         m, S = len(generator_set(s)), slice_subspaces(dims)
@@ -509,6 +510,7 @@ def test_required_bytes_and_strategy(accepted_formats):
                  + (20 + 8 * k) * chunk)
         spinning = (6 + 4 * m) * S + 24 * chunk + 2 * min(S, 256) ** 2
         assert required_bytes(s) == max(build, spinning) + (16 << 10), dims
+        assert required_bytes(s) >= atlas_bytes(s), dims
     assert FIXED_BYTES == 16 << 10
     assert len(accepted_formats) == 70
     # the paper's largest formats need a small part of the old 2^N table

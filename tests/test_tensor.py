@@ -6,10 +6,11 @@ tests/entry_oracle.py, which the other tests build on."""
 import random
 
 import pytest
-from entry_oracle import get_entry, index_of, position_of, transpose
+from entry_oracle import get_entry, index_of, position_of, simple_tensors, transpose
 
-from f2orbits.tensor import (MAX_ENTRIES, Shape, enumerate_simple_tensors, parse_shape,
-                             simple_code)
+from f2orbits.ranks import enumerate_simple_tensors
+from f2orbits.slices import CODE
+from f2orbits.tensor import MAX_ENTRIES, Shape, parse_shape, simple_code
 
 
 def single_entry(shape, idx):
@@ -130,6 +131,16 @@ def test_simple_tensor_is_outer_product():
     assert products == set(enumerate_simple_tensors(s))
 
 
+def test_simple_tensors_match_the_definition(accepted_formats):
+    # on every accepted format, the simple tensors are the outer products
+    # of every tuple of nonzero vectors, ascending, as one CODE array
+    for dims in accepted_formats:
+        s = Shape(dims)
+        simples = enumerate_simple_tensors(s)
+        assert simples.dtype == CODE, dims
+        assert simples.tolist() == sorted(simple_tensors(s)), dims
+
+
 def test_simple_tensor_count():
     # product of (2^d - 1) over the modes
     assert len(enumerate_simple_tensors(Shape((2, 2, 2)))) == 27
@@ -140,7 +151,7 @@ def test_simple_tensor_count():
 
 def test_simple_tensors_distinct_and_sorted():
     for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2)):
-        simples = enumerate_simple_tensors(Shape(dims))
+        simples = enumerate_simple_tensors(Shape(dims)).tolist()
         assert simples == sorted(set(simples))
         assert 0 not in simples
         assert 1 in simples             # all-last basis vectors

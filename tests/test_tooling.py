@@ -2,9 +2,9 @@
 builds N-bit maps, no module sorts or binary-searches for an index, each
 engine width has one owner, only slices.permutations builds the subspace
 keys and only enumeration asks for the permutations, only
-orbits._check_cap raises MemoryCapError and the span_index figure is
-written once, in slices.py, for the enumeration's and the ranking's
-figures, the spin's figure and batch size live in spin.py alone, no
+orbits._check_cap raises MemoryCapError and each kernel's figure is
+written once, beside the kernel, for every figure that runs it, the
+spin's figure and batch size live in spin.py alone, no
 module names 8192, numpy's default ufunc buffer size, so that no figure
 is fitted to it, no subscript adds an axis with None or np.newaxis, so
 that no kernel hands numpy a broadcast operand to buffer, the refdata
@@ -111,18 +111,29 @@ def test_only_enumeration_builds_the_keys():
 
 def test_one_memory_rule():
     # every cap check hands its figure to orbits._check_cap, the only code
-    # that constructs MemoryCapError; the bytes of span_index are written
-    # once, in slices.span_index_bytes, which the enumeration's and the
-    # ranking's figures call, and OrbitAtlas.orbit_id_bytes, a second copy
-    # of them, is gone; the spin's bytes are written beside the spin, in
-    # spin.spin_bytes, so the batch size is known by spin.py alone
+    # that constructs MemoryCapError; the bytes of each kernel are written
+    # once, beside it, and every figure that runs the kernel calls them:
+    # slices.span_index_bytes from the permutation build's figure and the
+    # ranking's, slices.permutations_bytes and spin.spin_bytes from the
+    # enumeration's, and slices.spanning_codes_bytes and
+    # slices.unrank_bytes from the listing's, so orbits.py spells out no
+    # buffer of slices.py (OrbitAtlas.orbit_id_bytes, a second copy of
+    # span_index's bytes, is gone) and the batch size is known by spin.py
+    # alone
     trees = modules()
     found = {module: len(calls(tree, "MemoryCapError")) for module, tree in trees.items()}
     assert {module: n for module, n in found.items() if n} == {"orbits.py": 1}
     assert len(calls(function(trees["orbits.py"], "_check_cap"), "MemoryCapError")) == 1
-    for module, caller in (("orbits.py", "required_bytes"), ("ranks.py", "rank_bytes")):
-        assert len(calls(function(trees[module], caller), "span_index_bytes")) == 1, caller
-    assert len(calls(function(trees["orbits.py"], "required_bytes"), "spin_bytes")) == 1
+    for module, caller, kernels in (
+            ("slices.py", "permutations_bytes", ("span_index_bytes",)),
+            ("ranks.py", "rank_bytes", ("span_index_bytes",)),
+            ("orbits.py", "required_bytes", ("permutations_bytes", "spin_bytes")),
+            ("orbits.py", "member_bytes", ("spanning_codes_bytes", "unrank_bytes"))):
+        for kernel in kernels:
+            assert len(calls(function(trees[module], caller), kernel)) == 1, (caller, kernel)
+    imported = {alias.name for node in ast.walk(trees["orbits.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"INDEX", "max_dim", "span_index_bytes"} == set()
     for path in sorted((ROOT / "src" / "f2orbits").glob("*.py")):
         assert "orbit_id_bytes" not in path.read_text(), path.name
         if path.name != "spin.py":
