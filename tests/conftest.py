@@ -4,15 +4,10 @@ Orbit enumeration for the big formats is the expensive part of the
 suite, so completed atlases are cached once per session and reused by
 every test that asks for the same format.
 
-per_mode_generators builds the 2n per-mode generators, cycle and
-transvection of every mode, straight from gl_generators, each as a
-tuple of matrices with the identity on the other modes.  Closure and
-partition checks use them rather than generator_set, so the elements
-enumeration runs on are checked against a set that shares nothing with
-their layout.
-
-accepted_formats lists every dims tuple Shape accepts, in every mode
-order.
+ACCEPTED_FORMATS, also the accepted_formats fixture, lists every dims
+tuple Shape accepts, in every mode order.  atlas_2x13 enumerates 2x13,
+11.2 M subspaces, once for the tests that need it; the session engine
+keeps no atlas of it.
 
 reference_apply is the one reference for the group action: it applies a
 group element from the definition, one entry at a time, and shares no code
@@ -30,7 +25,6 @@ import numpy as np
 import pytest
 from entry_oracle import index_of
 
-from f2orbits.group import gl_generators, identity_matrix
 from f2orbits.orbits import enumerate_orbits, merge_large_orbits
 from f2orbits.ranks import large_orbit_ranks, propagate_ranks, rank_distribution
 from f2orbits.report import summarize
@@ -94,23 +88,6 @@ def reference_apply(shape, element, code):
     return sum(entry[idx] << (n - 1 - p) for p, idx in enumerate(indices))
 
 
-def on_mode(shape, k, matrix):
-    """The element with matrix on mode k (1-based), the identity elsewhere."""
-    matrices = [identity_matrix(d) for d in shape.dims]
-    matrices[k - 1] = matrix
-    return tuple(matrices)
-
-
-def _per_mode_generators(shape):
-    return tuple(on_mode(shape, k, m)
-                 for k, d in enumerate(shape.dims, start=1) for m in gl_generators(d))
-
-
-@pytest.fixture(scope="session")
-def per_mode_generators():
-    return _per_mode_generators
-
-
 def _accepted_formats(prefix=(), entries=1):
     if len(prefix) >= 2:
         yield prefix
@@ -118,9 +95,19 @@ def _accepted_formats(prefix=(), entries=1):
         yield from _accepted_formats(prefix + (d,), entries * d)
 
 
+ACCEPTED_FORMATS = list(_accepted_formats())
+
+
 @pytest.fixture(scope="session")
 def accepted_formats():
-    return list(_accepted_formats())
+    return ACCEPTED_FORMATS
+
+
+@pytest.fixture(scope="session")
+def atlas_2x13():
+    # its orbit ids, 2 bytes for each of the 11.2 M subspaces (22 MB), live
+    # until the session ends; the 157 MB of the enumeration do not
+    return enumerate_orbits(parse_shape("2x13"))
 
 
 # the most the two peaks of traced_peaks differ by when numpy buffers

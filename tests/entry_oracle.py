@@ -1,12 +1,15 @@
-"""Entry-level oracles: positions, entries, the mode transpose, matrix
-inverses, simple tensors and brute-force rank, each from its definition.
+"""Entry-level oracles: positions, entries, the mode mover and transpose,
+matrix inverses, simple tensors and brute-force rank, each from its
+definition.
 
 The package builds every group action from the images of basis tensors
 (group.basis_images), permutes modes by one bit gather
 (group.transpose_codes) and ranks orbits by one breadth-first search
 over the orbit graph (ranks.propagate_ranks).  The helpers here read and
 write a code one entry at a time and share no code with those paths, so
-the tests check the package against them.
+the tests check the package against them.  move carries codes to
+another mode order of their format, so the orbits of one mode order can
+be checked against those of another.
 """
 
 import functools
@@ -53,30 +56,43 @@ def get_entry(shape: Shape, code: int, idx) -> int:
     return (code >> (shape.entry_count - 1 - position_of(shape, idx))) & 1
 
 
-def _check_perm(shape, perm):
-    if sorted(perm) != list(range(1, shape.n + 1)):
+def entry_moves(shape: Shape, perm, target: Shape) -> list[int]:
+    """The position in target of each entry of shape when mode k of shape
+    becomes mode perm[k] of target: the entry at (i1, ..., in) lands where
+    the subscript in mode perm[k] is ik.  Each mode keeps its dimension,
+    so target is shape with its modes permuted."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(1, shape.n + 1)) or target.n != shape.n:
         raise ValueError(f"{perm} is not a permutation of modes 1..{shape.n}")
-    for k, src in enumerate(perm, start=1):
-        if shape.dims[src - 1] != shape.dims[k - 1]:
+    for k, dst in enumerate(perm, start=1):
+        if target.dims[dst - 1] != shape.dims[k - 1]:
             raise ValueError(
-                f"permutation {perm} mixes unequal dimensions in {shape}")
+                f"permutation {perm} mixes unequal dimensions from {shape} to {target}")
+    moves = []
+    for p in range(shape.entry_count):
+        dst = [0] * shape.n
+        for k, i in zip(perm, index_of(shape, p)):
+            dst[k - 1] = i
+        moves.append(position_of(target, dst))
+    return moves
+
+
+def move(shape: Shape, code, perm, target: Shape):
+    """code, an int or an integer array of codes of shape, with every entry
+    moved to its place in target (entry_moves), one bit at a time."""
+    n = shape.entry_count
+    out = code & 0
+    for p, q in enumerate(entry_moves(shape, perm, target)):
+        out |= ((code >> (n - 1 - p)) & 1) << (n - 1 - q)
+    return out
 
 
 def transpose(shape: Shape, code: int, perm) -> int:
-    """Permute modes: result entry at (i1, ..., in) is the input entry at
-    (i_perm[1], ..., i_perm[n]).  This is a left action: composing
-    transpose by sigma after transpose by tau equals transpose by
-    sigma o tau."""
-    perm = tuple(perm)
-    _check_perm(shape, perm)
-    n_bits = shape.entry_count
-    out = 0
-    for p in range(n_bits):
-        idx = index_of(shape, p)
-        src = tuple(idx[s - 1] for s in perm)
-        if (code >> (n_bits - 1 - position_of(shape, src))) & 1:
-            out |= 1 << (n_bits - 1 - p)
-    return out
+    """Permute modes within shape, the move onto shape itself: result
+    entry at (i1, ..., in) is the input entry at (i_perm[1], ...,
+    i_perm[n]).  This is a left action: composing transpose by sigma
+    after transpose by tau equals transpose by sigma o tau."""
+    return move(shape, code, perm, shape)
 
 
 def inverse(matrix: GLMatrix) -> GLMatrix:

@@ -9,7 +9,9 @@ Run with -v to get one pass/fail line per criterion:
   5. stable canonical forms for p = 4, 5, 6 and the rank-4 orbit fractions
   6. brute-force rank agrees with propagated rank on every nonzero code
      of the two smallest formats
-  7. structural properties that hold without any reference data
+  7. properties that hold without any reference data, on all ten
+     formats: the orbits partition the codes, their sizes divide the
+     group order, and flipping one entry moves the rank by at most one
   8. small-to-large orbit merge counts for the two four-way/cubic formats
 
 The expected values are frozen literals here, independent of the refdata
@@ -24,16 +26,12 @@ checks that they agree on 2x2x2x2).  So the check is marked xfail rather
 than silently adjusted.
 """
 
-import random
-
 import numpy as np
 import pytest
-from entry_oracle import brute_force_rank, index_of, inverse, position_of
+from entry_oracle import brute_force_rank
 
-from f2orbits.group import (compile_generators, compile_mode_action, gl_generators,
-                            identity_matrix, large_group_order, small_group_order)
+from f2orbits.group import large_group_order, small_group_order
 from f2orbits.report import load_reference
-from f2orbits.tensor import Shape
 
 SUMMARY = [
     # format, flavor, tensors, group order, orbits incl zero, max rank
@@ -139,7 +137,7 @@ def test_rank_oracle_agreement(engine):
                 ranks.by_orbit[atlas.orbit_id(code)], f"{fmt} code {code}"
 
 
-def test_structural_properties(engine, per_mode_generators):
+def test_structural_properties(engine):
     rng = np.random.default_rng(2024)
 
     for fmt, flavor, *_ in SUMMARY:
@@ -163,44 +161,6 @@ def test_structural_properties(engine, per_mode_generators):
         by = ranks.by_orbit.astype(np.int16)
         delta = by[atlas.orbit_id(codes)] - by[atlas.orbit_id(codes ^ 1)]
         assert int(np.abs(delta).max()) <= 1
-
-    # closure under the 2n per-mode generators, not the composites the
-    # enumeration used, preserves orbit ids; checked for every code and
-    # every generator on the formats small enough to do exhaustively
-    for fmt in ("2x2x2", "3x2x2", "4x2x2", "2x2x2x2"):
-        shape = engine.shape(fmt)
-        atlas = engine.atlas(fmt)
-        codes = np.arange(shape.code_bound, dtype=np.uint32)
-        ids = atlas.orbit_id(codes)
-        for prog in compile_generators(shape, per_mode_generators(shape)):
-            assert (atlas.orbit_id(prog.apply_array(codes.copy())) == ids).all()
-
-    # position/index round trip
-    for fmt in ("2x2x2", "3x3x2", "3x2x2x2"):
-        shape = engine.shape(fmt)
-        for p in range(shape.entry_count):
-            assert position_of(shape, index_of(shape, p)) == p
-
-    # composition and inverse laws on random group elements
-    pyrng = random.Random(5)
-    shape = Shape((3, 2, 2))
-    for mode in (1, 2, 3):
-        d = shape.dims[mode - 1]
-        cyc, tv = gl_generators(d)
-        for _ in range(8):
-            a = identity_matrix(d)
-            b = identity_matrix(d)
-            for _ in range(10):
-                a = a @ (cyc if pyrng.random() < 0.5 else tv)
-                b = b @ (tv if pyrng.random() < 0.5 else cyc)
-            pa = compile_mode_action(shape, mode, a)
-            pb = compile_mode_action(shape, mode, b)
-            pab = compile_mode_action(shape, mode, a @ b)
-            inv = compile_mode_action(shape, mode, inverse(a))
-            for _ in range(25):
-                c = pyrng.randrange(shape.code_bound)
-                assert pab(c) == pb(pa(c))
-                assert inv(pa(c)) == c
 
 
 def test_large_orbit_merge_counts(engine):

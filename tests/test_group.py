@@ -30,11 +30,11 @@ import random
 
 import numpy as np
 import pytest
-from conftest import on_mode, reference_apply
+from conftest import reference_apply
 from entry_oracle import inverse, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from table_oracle import transpose_map
+from table_oracle import on_mode, per_mode_generators, transpose_map
 
 from f2orbits.group import (CodeMap, GLMatrix, block_permutations,
                             compile_composite,
@@ -199,7 +199,7 @@ def test_generator_set_generates_small_group(accepted_formats):
     assert len(checked) == 23
 
 
-def test_compiled_matches_reference_on_generators(per_mode_generators):
+def test_compiled_matches_reference_on_generators():
     # a composite is its per-mode actions applied one after another
     for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
         s = Shape(dims)
@@ -247,16 +247,17 @@ def test_action_composition_law():
 
 def test_action_inverse_law():
     rng = random.Random(17)
-    s = Shape((2, 3, 2))
-    for mode in (1, 2, 3):
-        d = s.dims[mode - 1]
-        for _ in range(10):
-            m = random_gl(d, rng)
-            fwd = compile_mode_action(s, mode, m)
-            back = compile_mode_action(s, mode, inverse(m))
-            for _ in range(30):
-                c = rng.randrange(s.code_bound)
-                assert back(fwd(c)) == c
+    for dims in ((2, 3, 2), (3, 2, 2)):
+        s = Shape(dims)
+        for mode in (1, 2, 3):
+            d = s.dims[mode - 1]
+            for _ in range(10):
+                m = random_gl(d, rng)
+                fwd = compile_mode_action(s, mode, m)
+                back = compile_mode_action(s, mode, inverse(m))
+                for _ in range(30):
+                    c = rng.randrange(s.code_bound)
+                    assert back(fwd(c)) == c
 
 
 def test_actions_commute_across_modes():
@@ -277,7 +278,7 @@ def test_identity_action_is_identity():
                 assert prog(c) == c
 
 
-def test_apply_array_matches_scalar(per_mode_generators):
+def test_apply_array_matches_scalar():
     # the lookup-table array path against the term-by-term scalar path, on
     # random codes plus codes that set the top bits of both table halves
     rng = np.random.default_rng(29)

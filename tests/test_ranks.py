@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from table_oracle import table_orbits
 
 from f2orbits.group import compile_generators, identity_matrix
-from f2orbits.orbits import LargeOrbitAtlas, enumerate_orbits
+from f2orbits.orbits import LargeOrbitAtlas
 from f2orbits.ranks import (DistributionRow, _orbit_adjacency, decimal_string,
                             enumerate_simple_tensors, large_orbit_ranks, percent_string,
                             propagate_ranks, rank_bytes)
@@ -42,16 +42,17 @@ def test_seed_marks_single_orbit(engine):
 RANK_SLACK = 26 << 10
 
 
-def test_rank_bytes_bound_the_peak(engine):
+def test_rank_bytes_bound_the_peak(engine, atlas_2x13):
     # rank_bytes counts the atlas by the size of its arrays, which exist
     # before ranking, so propagate_ranks' traced peak plus those bytes
     # stays under it, and within RANK_SLACK of it: on formats of many
     # orbits, and of many simple tensors and few orbits, as 13x2 and
-    # 2x13, whose 11.2 M subspaces stay out of the session engine
+    # 2x13, whose 11.2 M subspaces stay out of the session engine and
+    # come from their shared fixture
     for fmt in ("2x2x2", "6x2x2", "13x2", "4x3x2", "3x3x2", "2x2x2x2", "3x2x2x2", "3x3x3",
                 "2x13"):
         shape = engine.shape(fmt)
-        atlas = enumerate_orbits(shape) if fmt == "2x13" else engine.atlas(fmt)
+        atlas = atlas_2x13 if fmt == "2x13" else engine.atlas(fmt)
         propagate_ranks(shape, atlas)
         for peak in traced_peaks(lambda: propagate_ranks(shape, atlas)):
             peak += atlas.nbytes

@@ -1,6 +1,9 @@
 """Table rendering, reference comparison, stable-form checks, emission."""
 
 import csv
+import math
+from decimal import ROUND_HALF_UP, Decimal
+from importlib import resources
 
 import pytest
 
@@ -90,6 +93,76 @@ def test_load_reference_fields():
         load_reference("9x9x9", "small")
     with pytest.raises(NoReferenceError):
         load_reference("2x2x2x2", "small")
+
+
+def test_stored_tables_agree_with_themselves():
+    """The refdata tables against one another and against their formulas,
+    with no engine code, so that a slip in the transcription fails here
+    and an engine error does not.  Every summary record has 2^N tensors
+    and the group order of its flavor: the product of the |GL(d,2)|,
+    times the permutations of equal dimensions for the large group.  Each
+    row file starts with its summary record's format, flavor and group
+    order, and then lists in table order (rank, size, code) one row per
+    nonzero orbit, with N-character bit strings, the max rank as its
+    largest rank and sizes that sum to 2^N - 1.  Each distribution lists
+    ranks 0 to the max rank, its orbits and tensors sum to the summary's,
+    its percents are rounded half up to 4 places, as percent_string
+    renders them, and where rows exist it counts theirs per rank."""
+    refdata = resources.files("f2orbits").joinpath("refdata")
+
+    def percent(count, total):
+        return str((Decimal(100 * count) / Decimal(total)).quantize(
+            Decimal("0.0001"), rounding=ROUND_HALF_UP))
+
+    def records(name):
+        return [line.split() for line in refdata.joinpath(name).read_text().splitlines()
+                if line.strip() and not line.startswith("#")]
+
+    summary, distributions = records("summary.txt"), records("distributions.txt")
+    row_files = set()
+    for fmt, flavor, *fields in summary:
+        key, dims = (fmt, flavor), [int(d) for d in fmt.split("x")]
+        entries = math.prod(dims)
+        tensors, order, orbits, max_rank = map(int, fields)
+        assert tensors == 1 << entries, key
+        group = math.prod((1 << d) - (1 << i) for d in dims for i in range(d))
+        assert flavor in ("small", "large"), key
+        if flavor == "large":
+            group *= math.prod(math.factorial(dims.count(d)) for d in set(dims))
+        assert order == group, key
+        per_rank = None
+        name = f"{fmt}_{flavor}.txt"
+        if refdata.joinpath(name).is_file():
+            row_files.add(name)
+            header, *body = records(name)
+            assert header == [fmt, flavor, str(order)], key
+            assert all(len(bits) == entries and set(bits) <= {".", "1"}
+                       for _, _, bits in body), key
+            rows = [(int(rank), int(size), int(bits.replace(".", "0"), 2))
+                    for rank, size, bits in body]
+            assert rows == sorted(set(rows)), key
+            assert len(rows) + 1 == orbits, key
+            assert max(rank for rank, _, _ in rows) == max_rank, key
+            assert sum(size for _, size, _ in rows) == tensors - 1, key
+            per_rank = [[1, 1]] + [[0, 0] for _ in range(max_rank)]
+            for rank, size, _ in rows:
+                per_rank[rank][0] += 1
+                per_rank[rank][1] += size
+        dist = [[int(field) for field in fields[2:5]] + fields[5:]
+                for fields in distributions if fields[:2] == [fmt, flavor]]
+        if dist:
+            assert [rank for rank, *_ in dist] == list(range(max_rank + 1)), key
+            assert sum(row[1] for row in dist) == orbits, key
+            assert sum(row[2] for row in dist) == tensors, key
+            assert [pct for *_, pct in dist] == \
+                [percent(count, tensors) for _, _, count, _ in dist], key
+            if per_rank is not None:
+                assert [row[1:3] for row in dist] == per_rank, key
+    assert len(summary) == 12
+    assert {tuple(fields[:2]) for fields in distributions} <= \
+        {tuple(fields[:2]) for fields in summary}
+    assert row_files == {path.name for path in refdata.iterdir()
+                         if path.name.endswith(("_small.txt", "_large.txt"))}
 
 
 def test_verify_pass(engine):

@@ -61,7 +61,7 @@ def test_position_is_lex_rank():
 
 
 def test_position_index_roundtrip_all_formats():
-    for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 2)):
+    for dims in ((2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 2), (3, 2, 2, 2)):
         s = Shape(dims)
         for p in range(s.entry_count):
             assert position_of(s, index_of(s, p)) == p
