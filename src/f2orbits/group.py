@@ -24,20 +24,18 @@ no terms: two lookup tables hold the images of every low half
 lo[codes & lo_mask] ^ hi[codes >> lo_bits], at the same cost for any
 map.
 
-Enumeration stores one permutation of the slice-space subspaces per
-generator (slices.py) and does one gather per subspace per generator
-(spin.py), so the default generator set is as small as the group
-allows: m = max(2, number of modes of dimension 2) elements, not the
-2n per-mode generators.  For d >= 3, GL(d, 2) is simple and nonabelian, and a
-direct product of such groups is generated by two elements that carry
-one generating pair per factor, as long as no automorphism carries one
-factor's pair to another's (P. Hall, "The Eulerian functions of a
-group", 1936).  GL(2, 2) is S3, and S3^k
-maps onto its abelianization Z2^k, so k such factors need k generators.
-generator_set gives the layout.  tests/test_group.py proves by
-Schreier-Sims that it generates the full product on every format with at
-most 100 nonzero mode vectors, and argues the remaining two-mode formats
-in its docstring.
+Enumeration acts with G' = GL(d2,2) x ... x GL(dn,2) alone (orbits.py),
+stores one permutation of the slice-space subspaces per generator
+(slices.py) and does one gather per subspace per generator (spin.py), so
+generator_set gives as few elements of G' as it allows.  For d >= 3,
+GL(d, 2) is simple and nonabelian, and a direct product of such groups
+is generated by two elements that carry one generating pair per factor,
+as long as no automorphism carries one factor's pair to another's (P.
+Hall, "The Eulerian functions of a group", 1936).  GL(2, 2) is S3, and
+S3^k maps onto its abelianization Z2^k, so k such factors need k
+generators.  tests/test_group.py proves by Schreier-Sims that
+generator_set generates G' where modes 2..n have at most 100 nonzero
+vectors; elsewhere G' is one GL(d, 2), d >= 7, which c and t generate.
 """
 
 import functools
@@ -154,26 +152,24 @@ def transpose_codes(shape: Shape, codes: np.ndarray, perms) -> np.ndarray:
 # ---- actions ----
 
 def generator_set(shape: Shape) -> tuple[tuple[GLMatrix, ...], ...]:
-    """m = max(2, number of dimension-2 modes) elements that generate
-    GL(d1,2) x ... x GL(dn,2), from c, t = gl_generators(d) per mode; an
-    element is a tuple of matrices, the (k - 1)-th acting on mode k.
+    """m = max(2, dimension-2 modes after the first) elements that
+    generate G' = GL(d2,2) x ... x GL(dn,2), each the identity on mode 1,
+    from c, t = gl_generators(d); an element is a tuple of matrices, the
+    (k - 1)-th acting on mode k.
 
-    The j-th mode of dimension d >= 3 (j = 0, 1, 2; no supported format has
-    more) takes the pair (c, t), (t, c) or (c, t @ c) into elements 0
-    and 1 and the identity elsewhere.  The j-th mode of dimension 2 takes
-    t, an involution, in element j and c @ t, of order 3, in the others."""
-    count = max(2, shape.dims.count(2))
-    columns = []
-    seen = {}
-    for d in shape.dims:
-        j = seen[d] = seen.get(d, -1) + 1
+    After the first, the j-th mode of dimension d >= 3 (j = 0, 1: a slice
+    has at most 13 entries) takes (c, t) or (t, c) into elements 0 and 1
+    and the identity elsewhere, and the j-th mode of dimension 2 takes t,
+    an involution, in element j and c @ t, of order 3, in the others."""
+    count = max(2, shape.dims[1:].count(2))
+    columns = [[identity_matrix(shape.dims[0])] * count]
+    for k, d in enumerate(shape.dims[1:], start=1):
+        j = shape.dims[1:k].count(d)
         c, t = gl_generators(d)
         if d == 2:
-            column = [c @ t] * count
-            column[j] = t
+            column = [c @ t] * j + [t] + [c @ t] * (count - 1 - j)
         else:
-            column = list(((c, t), (t, c), (c, t @ c))[j])
-            column += [identity_matrix(d)] * (count - 2)
+            column = ([c, t] if j == 0 else [t, c]) + [identity_matrix(d)] * (count - 2)
         columns.append(column)
     return tuple(zip(*columns))
 

@@ -37,14 +37,14 @@ Enumeration.  slices.permutations builds the keys of every subspace in
 ascending order, pivot by pivot with no sorting or dedupe: each
 (k+1)-space is a k-space plus a row whose pivot lies below every earlier
 pivot and is clear in every earlier row, with its lower bits free.  For
-each generator of group.generator_set, its slice map (the generator with
-the identity on mode 1, applied to the 2^M codes of the last slice)
-gives one slices.INDEX permutation of the subspaces: map the rows of every
-key and number their span with slices.span_index, which reduces the rows
-and ranks the basis by arithmetic on its pivots and free bits, with no
-search.  The projections of generators of G generate G'.  The keys go
-when the permutations are built.  spin.py then marks one orbit id, a
-spin.CELL, per subspace, many orbits per pass: a batch takes the next
+each element of group.generator_set, which generate G' and hold the
+identity on mode 1, its slice map (the element on the 2^M codes of the
+last slice) gives one slices.INDEX permutation of the subspaces: map the
+rows of every key and number their span with slices.span_index, which
+reduces the rows and ranks the basis by arithmetic on its pivots and
+free bits, with no search.  The keys go when the permutations are
+built.  spin.py then marks one orbit id, a spin.CELL, per subspace,
+many orbits per pass: a batch takes the next
 unassigned keys in ascending order as its starts, of one dimension or
 several, spreads them all breadth first, and makes each class of starts
 that meet one orbit.  Its least start is its canonical key: every key
@@ -85,7 +85,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import block_permutations, generator_set, small_group_order, transpose_codes
+from .group import (block_permutations, generator_set, group_order, small_group_order,
+                    transpose_codes)
 from .slices import (CHUNK, CODE, index_tables, level_bounds, permutations, permutations_bytes,
                      slice_bits, span_index, spanning_codes, spanning_codes_bytes,
                      subspace_count, tuple_counts, unpack, unrank, unrank_bytes)
@@ -212,38 +213,41 @@ class OrbitAtlas:
 # ---- enumeration ----
 
 def _atlas(shape: Shape, assignment: np.ndarray) -> OrbitAtlas:
-    """The atlas of the ids of every subspace, with the canonicals and
-    sizes derived from them in one pass over chunks of the ids: orbit i's
-    canonical is the key of the subspace where the running maximum of the
-    ids steps to i, and its size the sum of t(dim U) over its subspaces
-    U.  ValueError for ids that put a nonzero id at the zero subspace,
-    skip a number, are out of order, where an id first occurs before a
-    lower one, or give an orbit whose size does not divide the group
-    order, as every orbit's size does."""
+    """The atlas of the ids of every subspace, with each orbit's canonical
+    and size derived in one pass over chunks of the ids: the key where the
+    running maximum of the ids steps to its id, and t(k) times its count
+    of subspaces, k the canonical's dimension.  ValueError for a nonzero
+    id at the zero subspace, an id above the level it first occurs in,
+    ids that skip a number or first occur out of order, or a count that
+    does not divide |G'|, as a G'-orbit's does: so every size divides |G|."""
     if assignment[0] != 0:
         raise ValueError(f"orbit id {assignment[0]} at the zero subspace")
-    sizes, firsts, peak = np.ones(1, np.int64), [np.zeros(1, np.intp)], 0
+    counts, firsts, tops, peak = np.ones(1, np.int64), [np.zeros(1, np.intp)], [0], 0
     bounds = level_bounds(shape)
-    for t, start, stop in zip(tuple_counts(shape)[1:], bounds[1:], bounds[2:]):
+    for start, stop in zip(bounds[1:], bounds[2:]):
         for lo in range(start, stop, CHUNK):
-            hi = min(lo + CHUNK, stop)
+            ids = assignment[lo:min(lo + CHUNK, stop)]
+            if ids.min() <= tops[-1]:
+                raise ValueError(f"orbit {ids.min()} has subspaces of more than one dimension")
             # the chunk's running maximum, from the last one's at lo - 1
-            run = np.maximum.accumulate(assignment[lo - 1:hi])
+            run = np.maximum.accumulate(assignment[lo - 1:lo + ids.size])
             np.maximum(run, peak, out=run)
             firsts.append(np.flatnonzero(run[1:] != run[:-1]) + lo)
             peak = int(run[-1])
-            sizes = np.concatenate((sizes, np.zeros(peak + 1 - sizes.size, np.int64)))
-            sizes += t * np.bincount(assignment[lo:hi], minlength=sizes.size)
+            counts = np.concatenate((counts, np.zeros(peak + 1 - counts.size, np.int64)))
+            counts += np.bincount(ids, minlength=counts.size)
+        tops.append(peak)
     firsts = np.concatenate(firsts)
-    if not sizes.all():
-        raise ValueError(f"orbit ids skip {sizes.argmin()}")
-    if firsts.size != sizes.size:
+    if not counts.all():
+        raise ValueError(f"orbit ids skip {counts.argmin()}")
+    if firsts.size != counts.size:
         raise ValueError("orbit ids do not ascend with their least keys")
-    order = small_group_order(shape)
-    for i, size in enumerate(sizes.tolist()):
-        if order % size:
-            raise ValueError(f"orbit {i} has {size} tensors, which does not "
-                             f"divide the group order {order}")
+    order = small_group_order(shape) // group_order(shape.dims[0])
+    for i, n in enumerate(counts.tolist()):
+        if order % n:
+            raise ValueError(f"orbit {i} has {n} subspaces, which does not divide |G'| = {order}")
+    # the ids of the k-spaces' orbits run from the top id of level k - 1 up
+    sizes = np.repeat(tuple_counts(shape), np.diff(tops, prepend=-1)) * counts
     assert sizes.sum() == shape.code_bound, "orbit sizes do not cover the space"
     return OrbitAtlas(shape, assignment, unrank(shape, firsts), sizes)
 
@@ -336,8 +340,8 @@ def load_atlas(path: str, shape: Shape | None = None, *,
     magic, version or header, a length other than the format's, a failed
     CRC, and ids that _atlas refuses.  A snapshot is trusted input: the
     CRC guards against corruption only, and the checks do not prove the
-    ids right (ids that move subspaces between orbits, resealed with a
-    fresh CRC, load whenever every size divides the group order)."""
+    ids right (13 of 400 one-id edits load on 2x2x2, 12 of 650 on 3x2x2:
+    those that keep each orbit in one level and every count dividing |G'|)."""
     with open(path, "rb") as f:
         head = f.read(6)
         if head[:4] != _SNAPSHOT_MAGIC:

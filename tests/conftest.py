@@ -16,9 +16,12 @@ with group.py or slices.py.
 traced_peaks traces a call for the two-sided memory figure tests, at
 numpy's default buffer size and at 1 MiB, so that a figure fitted to
 numpy's hidden ufunc buffers fails at one of them.  A kernel that numpy
-buffers nothing for has the same peak at both, up to OBJECT_SLACK.
+buffers nothing for has the same peak at both, up to OBJECT_SLACK.  It
+collects garbage before each traced call and keeps the collector off
+during it, so that earlier tests' garbage moves neither peak.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -119,12 +122,17 @@ OBJECT_SLACK = 256
 
 def traced_peaks(call):
     """tracemalloc's peak over call() at numpy's buffer size and at 1 MiB,
-    in that order; numpy's size is restored in finally."""
-    old = np.getbufsize()
+    in that order.  Garbage is collected before each traced call and the
+    collector stays off while it runs, so that a collection of earlier
+    tests' garbage, and the finalizers it runs, land in neither peak;
+    numpy's size and the collector are restored in finally."""
+    old, enabled = np.getbufsize(), gc.isenabled()
     peaks = []
     try:
         for size in (old, 1 << 20):
             np.setbufsize(size)
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 call()
@@ -133,4 +141,6 @@ def traced_peaks(call):
                 tracemalloc.stop()
     finally:
         np.setbufsize(old)
+        if enabled:
+            gc.enable()
     return peaks

@@ -210,7 +210,7 @@ def test_readme_memory_figures(tmp_path, engine):
     assert round(required_bytes(parse_shape("13x2")) / 1e3) == 17
     assert mb(rank_bytes(engine.atlas("13x2"))) == 1.9
     assert mb(required_bytes(parse_shape("2x13")), 0) == 157
-    assert mb(required_bytes(parse_shape("2x3x2x2")), 0) == 51
+    assert mb(required_bytes(parse_shape("2x3x2x2")), 0) == 40
     snap = tmp_path / "3x3x3.snap"
     save_atlas(engine.atlas("3x3x3"), str(snap))
     assert mb(snap.stat().st_size, 2) == 1.66
@@ -275,20 +275,35 @@ def test_snapshot_bad_ids_refused(capsys, tmp_path):
     assert "orbit id 1 at the zero subspace" in err
 
 
-def test_snapshot_split_orbit_refused(capsys, tmp_path):
-    # the last of the 51 subspace ids moved to a new orbit 8 and resealed:
-    # the ids ascend and skip nothing, but orbit 5 keeps 48 tensors, and
-    # 48 does not divide the group order 216
+def resealed_2x2x2(capsys, tmp_path, index, old, new):
+    """classify on a 2x2x2 snapshot it wrote, whose id old at subspace
+    index, after the 9 header bytes, is set to new under a fresh CRC."""
     snap = tmp_path / "a.snap"
     assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
     blob = bytearray(snap.read_bytes())
-    assert blob[-6:-4] == (5).to_bytes(2, "little")
-    blob[-6:-4] = (8).to_bytes(2, "little")
+    assert blob[9 + 2 * index:11 + 2 * index] == old.to_bytes(2, "little")
+    blob[9 + 2 * index:11 + 2 * index] = new.to_bytes(2, "little")
     blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
     snap.write_bytes(bytes(blob))
-    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
+    return run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
+
+
+def test_snapshot_split_orbit_refused(capsys, tmp_path):
+    # the last of the 51 subspace ids (orbit 5) moved to a new orbit 8: the
+    # ids ascend and skip nothing, but orbit 5 keeps 8 of its 9 planes,
+    # and 8 does not divide the order 36 of GL(2,2) x GL(2,2)
+    code, out, err = resealed_2x2x2(capsys, tmp_path, 50, 5, 8)
     assert code == 1 and out == ""
-    assert "orbit 5 has 48 tensors, which does not divide the group order 216" in err
+    assert "orbit 5 has 8 subspaces, which does not divide |G'| = 36" in err
+
+
+def test_snapshot_orbit_of_two_dimensions_refused(capsys, tmp_path):
+    # plane 25 moved from orbit 4 to orbit 2, whose 6 lines span 18 tensors:
+    # orbit 2 then has 24 and orbit 4 12, both divisors of 216, so a check
+    # of sizes alone loads it, but an orbit keeps to one dimension
+    code, out, err = resealed_2x2x2(capsys, tmp_path, 25, 4, 2)
+    assert code == 1 and out == ""
+    assert "orbit 2 has subspaces of more than one dimension" in err
 
 
 def test_cell_width_option_is_gone(capsys):

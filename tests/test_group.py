@@ -4,28 +4,23 @@ The compiled maps are checked against conftest.reference_apply, which
 reapplies the definition one entry at a time and shares no code with
 basis_images or tensor.simple_code.
 
-test_generator_set_generates_small_group proves, with sympy's
-Schreier-Sims order computation, that generator_set generates the whole
-of GL(d1,2) x ... x GL(dn,2) on every format the parser accepts whose
-nonzero mode vectors number at most 100.  The product acts faithfully on
-the disjoint union of those vectors, so the permutation group there has
-the small group's order exactly when the composites generate it.
+test_generator_set_generates_slice_group proves, with sympy's
+Schreier-Sims order computation, that generator_set generates G' =
+GL(d2,2) x ... x GL(dn,2), the group the enumeration acts with, on every
+format the parser accepts whose modes 2..n have at most 100 nonzero
+vectors.  The product acts faithfully on the disjoint union of those
+vectors, so the permutation group there has the order of G' exactly
+when the elements generate it.
 
-The other accepted formats are the two-mode ones with a mode of
-dimension a >= 7 beside a mode of dimension b = 2 or 3 (7x2 up to 13x2,
-7x3 up to 9x3, either way round), where the composites are (c_a, x) and
-(t_a, y).  For every d, c and t generate GL(d,2): conjugating t by powers
-of c gives the transvections e_i -> e_i + e_(i+1) around the cycle,
-their commutators give every elementary transvection, and those generate
-SL(d,2) = GL(d,2).  So the subgroup H the composites generate projects
-onto A = GL(a,2), and onto B: for b = 2, x = t and y = c @ t, an
-involution and an element of order 3, generate S3 = GL(2,2); for b = 3,
-(x, y) = (c, t).  By Goursat's lemma H is the fibre product over an
-isomorphism between quotients A/N and B/M.  A is simple and nonabelian
-of order at least |GL(7,2)|, larger than |B|, so the only quotient of A
-that is also a quotient of B is trivial, N = A, and H = A x B.
+The other accepted formats (2x7 up to 2x13 and 3x7 up to 3x9) have one
+mode after the first, of dimension d >= 7, where the elements are c and
+t.  For every d, c and t generate GL(d,2): conjugating t by powers of c
+gives the transvections e_i -> e_i + e_(i+1) around the cycle, their
+commutators give every elementary transvection, and those generate
+SL(d,2) = GL(d,2).
 """
 
+import math
 import random
 
 import numpy as np
@@ -130,13 +125,13 @@ def test_block_permutations():
 def test_pinned_generator_images():
     s = Shape((2, 2, 2))
     progs = compile_generators(s, generator_set(s))
-    # composite j holds t = (e1 -> e1 + e2) on mode j + 1 and c @ t
-    # (e2 -> e1 + e2) on the other modes; entry (2,2,2) is code 1, so its
-    # image is e2 in mode j + 1 times e1 + e2 in the others
-    assert [prog(1) for prog in progs] == [0b00001111, 0b00110011, 0b01010101]
+    # element j holds the identity on mode 1, t = (e1 -> e1 + e2) on mode
+    # j + 2 and c @ t (e2 -> e1 + e2) on the other; entry (2,2,2) is code
+    # 1, so its image is e2 in modes 1 and j + 2 times e1 + e2 in the other
+    assert [prog(1) for prog in progs] == [0b00000011, 0b00000101]
 
 
-def test_generator_set_layout():
+def test_generator_set_layout(accepted_formats):
     def layout(dims):
         s = Shape(dims)
         comps = generator_set(s)
@@ -145,21 +140,30 @@ def test_generator_set_layout():
         assert all(len(c) == s.n for c in comps)
         return list(comps)
 
+    # every element is the identity on mode 1, and there are as many as
+    # the modes of dimension 2 after the first, at least 2
+    for dims in accepted_formats:
+        comps = layout(dims)
+        assert all(c[0] == identity_matrix(dims[0]) for c in comps), dims
+        assert len(comps) == max(2, dims[1:].count(2)), dims
+    assert len(accepted_formats) == 70
+
     c2, t2 = gl_generators(2)
     c3, t3 = gl_generators(3)
-    i3 = identity_matrix(3)
-    assert layout((3, 2, 2)) == [(c3, t2, c2 @ t2), (t3, c2 @ t2, t2)]
-    assert layout((3, 3, 3)) == [(c3, t3, c3), (t3, c3, t3 @ c3)]
-    assert layout((4, 3, 2)) == [(gl_generators(4)[0], c3, t2),
-                                 (gl_generators(4)[1], t3, c2 @ t2)]
-    assert layout((3, 2, 2, 2)) == [(c3, t2, c2 @ t2, c2 @ t2),
-                                    (t3, c2 @ t2, t2, c2 @ t2),
+    i2, i3, i4 = identity_matrix(2), identity_matrix(3), identity_matrix(4)
+    assert layout((2, 2, 2)) == [(i2, t2, c2 @ t2), (i2, c2 @ t2, t2)]
+    assert layout((3, 2, 2)) == [(i3, t2, c2 @ t2), (i3, c2 @ t2, t2)]
+    assert layout((3, 3, 3)) == [(i3, c3, t3), (i3, t3, c3)]
+    assert layout((4, 3, 2)) == [(i4, c3, t2), (i4, t3, c2 @ t2)]
+    assert layout((3, 2, 2, 2)) == [(i3, t2, c2 @ t2, c2 @ t2),
+                                    (i3, c2 @ t2, t2, c2 @ t2),
                                     (i3, c2 @ t2, c2 @ t2, t2)]
-    assert len(layout((2, 2, 2, 2))) == 4
+    assert len(layout((2, 2, 2, 2))) == 3
+    assert len(layout((2, 3, 2, 2))) == 2
     assert len(layout((6, 2, 2))) == 2
 
 
-def test_generator_set_generates_small_group(accepted_formats):
+def test_generator_set_generates_slice_group(accepted_formats):
     # see the module docstring for the formats with more than 100 points
     from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -170,33 +174,33 @@ def test_generator_set_generates_small_group(accepted_formats):
                 out ^= row
         return out
 
-    def layout(dims):
-        return list(generator_set(Shape(dims)))
-
-    checked = set()
+    checked, single = {}, []
     for dims in accepted_formats:
-        if sum((1 << d) - 1 for d in dims) > 100:
-            assert len(dims) == 2 and max(dims) >= 7 and min(dims) <= 3
+        rest = dims[1:]
+        if sum((1 << d) - 1 for d in rest) > 100:
+            single.append(dims)
             continue
-        # a reordered format gets the same composites with the modes
-        # reordered (equal dimensions keep their order), so it generates
-        # the same group up to the order of the factors
-        order = sorted(range(len(dims)), key=lambda k: dims[k])
-        key = tuple(dims[k] for k in order)
-        assert [tuple(m[k] for k in order) for m in layout(dims)] == layout(key)
+        # another order of modes 2..n gets the same elements with those
+        # modes reordered (equal dimensions keep their order), so it
+        # generates the same group up to the order of the factors
+        order = sorted(range(len(rest)), key=lambda k: rest[k])
+        key = tuple(rest[k] for k in order)
+        elements = [tuple(g[1:][k] for k in order) for g in generator_set(Shape(dims))]
         if key in checked:
+            assert elements == checked[key], dims
             continue
         perms = []
-        for matrices in layout(key):
+        for matrices in elements:
             images, offset = [], 0
             for m in matrices:
                 images += [offset + vector_image(m.rows, v) - 1
                            for v in range(1, 1 << m.d)]
                 offset += (1 << m.d) - 1
             perms.append(Permutation(images))
-        assert PermutationGroup(perms).order() == small_group_order(Shape(key)), key
-        checked.add(key)
-    assert len(checked) == 23
+        assert PermutationGroup(perms).order() == math.prod(map(group_order, key)), dims
+        checked[key] = elements
+    assert len(checked) == 14
+    assert sorted(single) == [(2, d) for d in range(7, 14)] + [(3, d) for d in range(7, 10)]
 
 
 def test_compiled_matches_reference_on_generators():

@@ -699,8 +699,12 @@ def test_snapshot_rejects_inconsistent_subspaces(tmp_path, engine):
         (edited(1, 2), "do not ascend with their least keys"),
         (edited(50, 9), "orbit ids skip 8"),
         # ids that load in order can still split an orbit: moving the last
-        # subspace to a new orbit 8 leaves orbit 5 with 54 - 6 tensors
-        (edited(50, 8), "orbit 5 has 48 tensors, which does not divide the group order 216"),
+        # subspace to a new orbit 8 leaves orbit 5 with 9 - 1 subspaces,
+        # and 8 does not divide |GL(2,2) x GL(2,2)| = 36
+        (edited(50, 8), r"orbit 5 has 8 subspaces, which does not divide \|G'\| = 36"),
+        # or join orbits of two dimensions: orbit 2 holds 6 lines (18
+        # tensors), and a plane of orbit 4 added gives 24, which divides 216
+        (edited(25, 2), "orbit 2 has subspaces of more than one dimension"),
     ]
     for bad, message in cases:
         (tmp_path / "k.snap").write_bytes(bad)

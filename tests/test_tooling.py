@@ -321,6 +321,8 @@ def test_benchmark_layer_pass(tmp_path):
     assert out["problems"] == []
     assert out["cell_bytes"] == 2
     assert out["counts"]["orbits.orbits"] == 7
+    # the benchmark compiles generator_set: two elements of GL(2,2) x GL(2,2)
+    assert out["counts"]["group.generators"] == 2
 
 
 def test_benchmark_layer_pass_large(tmp_path):
