@@ -13,12 +13,18 @@ reference_apply is the one reference for the group action: it applies a
 group element from the definition, one entry at a time, and shares no code
 with group.py or slices.py.
 
+traced_peak is the one way a test traces a call: it returns the call's
+result and tracemalloc's peak over it, with the cyclic garbage collector
+off while the call runs, so that no collection of earlier tests' garbage,
+and none of the finalizers it would run, lands in the peak.  No
+collection is forced beforehand: that garbage was allocated before
+tracing started, so it moves no peak, and a full collection with the
+session's atlases alive costs tens of milliseconds.
+
 traced_peaks traces a call for the two-sided memory figure tests, at
 numpy's default buffer size and at 1 MiB, so that a figure fitted to
 numpy's hidden ufunc buffers fails at one of them.  A kernel that numpy
-buffers nothing for has the same peak at both, up to OBJECT_SLACK.  It
-collects garbage before each traced call and keeps the collector off
-during it, so that earlier tests' garbage moves neither peak.
+buffers nothing for has the same peak at both, up to OBJECT_SLACK.
 """
 
 import gc
@@ -120,27 +126,31 @@ def atlas_2x13():
 OBJECT_SLACK = 256
 
 
-def traced_peaks(call):
-    """tracemalloc's peak over call() at numpy's buffer size and at 1 MiB,
-    in that order.  Garbage is collected before each traced call and the
-    collector stays off while it runs, so that a collection of earlier
-    tests' garbage, and the finalizers it runs, land in neither peak;
-    numpy's size and the collector are restored in finally."""
-    old, enabled = np.getbufsize(), gc.isenabled()
-    peaks = []
+def traced_peak(call):
+    """(call(), tracemalloc's peak over it).  The collector is off while
+    call runs, so no collection, and no finalizer one would run, lands in
+    the peak; none is forced beforehand, as earlier garbage is untraced.
+    tracemalloc is stopped and the collector restored in finally."""
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
     try:
-        for size in (old, 1 << 20):
-            np.setbufsize(size)
-            gc.collect()
-            gc.disable()
-            tracemalloc.start()
-            try:
-                call()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
-        np.setbufsize(old)
+        tracemalloc.stop()
         if enabled:
             gc.enable()
-    return peaks
+
+
+def traced_peaks(call):
+    """traced_peak's peak over call() at numpy's buffer size and at 1 MiB,
+    in that order; numpy's size is restored in finally."""
+    old = np.getbufsize()
+    try:
+        peaks = []
+        for size in (old, 1 << 20):
+            np.setbufsize(size)
+            peaks.append(traced_peak(call)[1])
+        return peaks
+    finally:
+        np.setbufsize(old)

@@ -11,7 +11,10 @@ Run with -v to get one pass/fail line per criterion:
      of the two smallest formats
   7. properties that hold without any reference data, on all ten
      formats: the orbits partition the codes, their sizes divide the
-     group order, and flipping one entry moves the rank by at most one
+     group order, flipping one entry moves the rank by at most one and by
+     one somewhere (on every code of the five formats of at most 2^18),
+     and the small-group rank distribution sums to the code count, with
+     the zero orbit alone at rank 0
   8. small-to-large orbit merge counts for the two four-way/cubic formats
 
 The expected values are frozen literals here, independent of the refdata
@@ -152,15 +155,22 @@ def test_structural_properties(engine):
         order = small_group_order(shape)
         assert (order % atlas.sizes[1:] == 0).all()
 
-        # rank changes by at most one when the lowest entry is flipped
+        # flipping the lowest entry, a simple tensor, moves the rank by at
+        # most one, and by one on some code: every code up to 2^18 of them
         cb = shape.code_bound
-        if cb - 1 <= 100000:
+        if cb <= 1 << 18:
             codes = np.arange(cb, dtype=np.uint32)
         else:
             codes = rng.integers(0, cb, size=100000, dtype=np.uint32)
         by = ranks.by_orbit.astype(np.int16)
         delta = by[atlas.orbit_id(codes)] - by[atlas.orbit_id(codes ^ 1)]
-        assert int(np.abs(delta).max()) <= 1
+        assert int(np.abs(delta).max()) == 1
+
+        # the small distribution counts every code, the zero orbit alone
+        # at rank 0
+        rows = engine.distribution(fmt)
+        assert sum(r.tensors for r in rows) == cb
+        assert (rows[0].rank, rows[0].orbits, rows[0].tensors) == (0, 1, 1)
 
 
 def test_large_orbit_merge_counts(engine):

@@ -6,11 +6,11 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from f2orbits.cli import _PRINT_BLOCK, _PRINT_BYTES, _compute, main
 from f2orbits.orbits import DEFAULT_MEM_CAP, atlas_bytes, required_bytes, save_atlas
@@ -230,12 +230,8 @@ def test_compute_peak_within_checked_figures(tmp_path, monkeypatch, engine):
         save_atlas(atlas, snap)
         for snapshot, first in ((None, required_bytes), (snap, atlas_bytes)):
             figure = max(first(shape), rank_bytes(atlas))
-            tracemalloc.start()
-            try:
-                computed, rows, dist = _compute(shape, DEFAULT_MEM_CAP, flavor, snapshot)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (computed, rows, dist), peak = traced_peak(
+                lambda: _compute(shape, DEFAULT_MEM_CAP, flavor, snapshot))
             assert peak <= figure, (fmt, snapshot, peak, figure)
             # the zero orbit has a distribution entry but no row
             assert computed.orbit_count == atlas.orbit_count
@@ -457,17 +453,13 @@ def test_show_orbit_listing_peak_is_counted(tmp_path, monkeypatch, engine):
     counted = max(required_bytes(atlas.shape), rank_bytes(atlas), listing_bytes(atlas, oid))
     assert counted == listing_bytes(atlas, oid)
     listing = tmp_path / "members.txt"
-    with open(listing, "w") as sink:
+    with open(listing, "w") as sink, open(os.devnull, "w") as null:
         monkeypatch.setattr(sys, "stdout", sink)
-        monkeypatch.setattr(sys, "stderr", open(os.devnull, "w"))
-        tracemalloc.start()
+        monkeypatch.setattr(sys, "stderr", null)
         try:
-            code = main(["show-orbit", "--format", "4x3x2", "--code", "4384",
-                         "--members-limit", "100000000"])
-            peak = tracemalloc.get_traced_memory()[1]
+            code, peak = traced_peak(lambda: main(["show-orbit", "--format", "4x3x2", "--code",
+                                                   "4384", "--members-limit", "100000000"]))
         finally:
-            tracemalloc.stop()
-            sys.stderr.close()
             monkeypatch.undo()
     assert code == 0
     lines = listing.read_text().splitlines()

@@ -33,8 +33,7 @@ from f2orbits.orbits import (DEFAULT_MEM_CAP, FIXED_BYTES, MemoryCapError, Orbit
                              required_bytes, save_atlas)
 from f2orbits.ranks import large_orbit_ranks, propagate_ranks, rank_bytes
 from f2orbits.report import NoReferenceError, load_reference
-from f2orbits.slices import (CODE, level_bounds, permutations, subspace_keys, tuple_counts,
-                             unrank)
+from f2orbits.slices import CODE, level_bounds, permutations, subspace_keys, tuple_counts
 from f2orbits.spin import BATCH_MAX, CELL, SENTINEL, _least_linked, _spin_batch
 from f2orbits.tensor import Shape, parse_shape
 
@@ -85,20 +84,15 @@ def test_spin_matches_python_bfs(engine):
 
 
 def test_spin_rejects_zero(engine):
-    # the zero code is orbit 0 on its own: slot 0 of the per-orbit arrays
-    atlas = engine.atlas("2x2x2")
-    assert orbit_of(atlas, 0).tolist() == [0]
-    assert (atlas.canonicals[0], atlas.sizes[0]) == (0, 1)
-    with pytest.raises(ValueError):
-        atlas.orbit_id(256)
-
-
-def test_zero_code_is_orbit_zero(engine):
+    # the zero code is orbit 0 on its own: slot 0 of the per-orbit arrays,
+    # and the zero subspace, index 0, is the only subspace in orbit 0
     atlas = engine.atlas("2x2x2")
     assert atlas.orbit_id(0) == 0
-    # the zero subspace, key 0, comes first, and is alone in orbit 0
-    assert unrank(atlas.shape, np.array([0])).tolist() == [0]
+    assert orbit_of(atlas, 0).tolist() == [0]
+    assert (atlas.canonicals[0], atlas.sizes[0]) == (0, 1)
     assert np.flatnonzero(atlas.assignment == 0).tolist() == [0]
+    with pytest.raises(ValueError):
+        atlas.orbit_id(256)
 
 
 def test_orbit_id_takes_arrays(engine):
@@ -199,16 +193,15 @@ def reference_spin(shape):
     dims = np.searchsorted([1 << (k * m) for k in range(len(tuple_counts(shape)))], keys,
                            side="right")
     sizes = np.bincount(assignment, weights=np.array(tuple_counts(shape))[dims])
-    return keys, assignment, np.array(canonicals), sizes.astype(np.int64)
+    return assignment, np.array(canonicals), sizes.astype(np.int64)
 
 
 def test_batched_spin_matches_reference_spin(engine, monkeypatch):
     # formats of many small orbits and of few large ones, array for
-    # array; the atlas keeps no keys, and unranking its subspaces gives
-    # the reference's keys.  The spin sweeps all dimensions with one
-    # batch size, and on every format here but 3x3x3 and 3x9 some batch
-    # takes its starts from two dimensions or more (one batch of 3x2x2
-    # from three, one of 4x2x2 from four)
+    # array.  The spin sweeps all dimensions with one batch size, and on
+    # every format here but 3x3x3 and 3x9 some batch takes its starts
+    # from two dimensions or more (one batch of 3x2x2 from three, one of
+    # 4x2x2 from four)
     levels = {}
     batch = spin_module._spin_batch
 
@@ -220,11 +213,10 @@ def test_batched_spin_matches_reference_spin(engine, monkeypatch):
     for fmt in ("3x2x2x2", "2x2x2x2", "4x3x2", "3x3x3", "3x9", "2x2x2", "3x2x2", "4x2x2",
                 "3x3x2", "4x5"):
         shape, atlas = parse_shape(fmt), engine.atlas(fmt)
-        keys, assignment, canonicals, sizes = reference_spin(shape)
+        assignment, canonicals, sizes = reference_spin(shape)
         with monkeypatch.context() as patch:
             patch.setattr(spin_module, "_spin_batch", recording)
             assert np.array_equal(spin_module.spin(permutations(shape)), assignment), fmt
-        assert np.array_equal(unrank(atlas.shape, np.arange(atlas.assignment.size)), keys), fmt
         assert np.array_equal(atlas.assignment, assignment), fmt
         assert np.array_equal(atlas.canonicals, canonicals), fmt
         assert np.array_equal(atlas.sizes, sizes), fmt

@@ -15,8 +15,10 @@ in report.py and cli.py builds a class that cli.main maps to an exit
 code, every definition in src/ is read by other code in src/ or by
 benchmark/, classify imports neither numpy.ma nor json nor decimal, the
 public names and the README's Library example match the package, the
-benchmark's layer pass still runs against the package, and the
-benchmark's self-check passes.
+benchmark's layer pass still runs against the package, the
+benchmark's self-check passes, and no test module but conftest.py starts
+tracemalloc or collects garbage, so every traced figure goes through
+conftest.traced_peak and no per-call collection comes back.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -184,6 +186,27 @@ def test_no_subscript_adds_an_axis():
              if (isinstance(part, ast.Constant) and part.value is None)
              or (isinstance(part, ast.Attribute) and part.attr == "newaxis")]
     assert found == []
+
+
+def tracer_calls(path):
+    # tracemalloc.start and gc.collect, named in a call or an import
+    names = {("tracemalloc", "start"), ("gc", "collect")}
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute)
+                and (getattr(node.value, "id", None), node.attr) in names)
+            or (isinstance(node, ast.ImportFrom)
+                and any((node.module, alias.name) in names for alias in node.names))]
+
+
+def test_one_tracer_for_the_tests():
+    # conftest.traced_peak keeps the collector off while it traces and
+    # forces no collection, which costs tens of milliseconds per call
+    # with the session's atlases alive; no other test module traces or
+    # collects on its own
+    tests = ROOT / "tests"
+    assert tracer_calls(tests / "conftest.py")
+    assert [found for path in sorted(tests.glob("*.py")) if path.name != "conftest.py"
+            for found in tracer_calls(path)] == []
 
 
 def test_one_reader_for_refdata():
