@@ -7,30 +7,38 @@ with permutations of equal-dimension directions) partition the tensors
 into orbits; every orbit gets a canonical form (its smallest code) and a
 tensor rank, its breadth-first distance from the zero orbit when each
 step adds one simple tensor.
+
+Each public name, and each submodule, loads on first access, so
+importing the package loads neither numpy nor the engine.
 """
 
-from .group import GLMatrix, generator_set, large_group_order, small_group_order
-from .orbits import (LargeOrbitAtlas, MemoryCapError, OrbitAtlas, enumerate_orbits,
-                     load_atlas, merge_large_orbits, save_atlas)
-from .ranks import RankAtlas, enumerate_simple_tensors, propagate_ranks, rank_distribution
-from .report import (ClassificationRow, ConjectureReport, DiffReport,
-                     NoReferenceError, check_conjecture_p22, emit, load_reference,
-                     summarize, verify_reference)
-from .tensor import MAX_ENTRIES, Shape, parse_shape
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_ENTRIES", "Shape", "parse_shape",
-    "enumerate_simple_tensors",
-    "GLMatrix", "generator_set",
-    "small_group_order", "large_group_order",
-    "OrbitAtlas", "LargeOrbitAtlas", "MemoryCapError",
-    "enumerate_orbits", "merge_large_orbits",
-    "save_atlas", "load_atlas",
-    "RankAtlas", "propagate_ranks", "rank_distribution",
-    "ClassificationRow", "DiffReport", "ConjectureReport", "NoReferenceError",
-    "summarize", "load_reference", "verify_reference", "check_conjecture_p22",
-    "emit",
-    "__version__",
-]
+_MODULES = ("cli", "group", "orbits", "ranks", "report", "slices", "spin", "tensor")
+_HOME = {
+    "MAX_ENTRIES": "tensor", "Shape": "tensor", "parse_shape": "tensor",
+    "enumerate_simple_tensors": "ranks",
+    "GLMatrix": "group", "generator_set": "group",
+    "small_group_order": "group", "large_group_order": "group",
+    "OrbitAtlas": "orbits", "LargeOrbitAtlas": "orbits", "MemoryCapError": "orbits",
+    "enumerate_orbits": "orbits", "merge_large_orbits": "orbits",
+    "save_atlas": "orbits", "load_atlas": "orbits",
+    "RankAtlas": "ranks", "propagate_ranks": "ranks", "rank_distribution": "ranks",
+    "ClassificationRow": "report", "DiffReport": "report", "ConjectureReport": "report",
+    "NoReferenceError": "report", "summarize": "report", "load_reference": "report",
+    "verify_reference": "report", "check_conjecture_p22": "report", "emit": "report",
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name, name)
+    if module not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)
+    if module != name:
+        value = globals()[name] = getattr(value, name)
+    return value

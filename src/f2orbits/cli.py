@@ -6,6 +6,9 @@ missing reference table) or a usage error argparse reports (a missing or
 unknown option, an invalid choice, a non-integer --code or p); 3 I/O
 failure.  Phase timings and memory estimates go to stderr so stdout
 stays byte-identical between runs with the same configuration.
+
+Each command imports the engine when it runs, so help and usage errors
+answer before the engine and numpy load.
 """
 
 import argparse
@@ -13,15 +16,6 @@ import os
 import sys
 import time
 
-from .group import large_group_order, small_group_order
-from .orbits import (DEFAULT_MEM_CAP, MemoryCapError, _check_cap, enumerate_orbits,
-                     load_atlas, merge_large_orbits, required_bytes, save_atlas)
-from .ranks import propagate_ranks, rank_bytes, rank_distribution
-from .report import (NoReferenceError, check_conjecture_p22, emit, load_reference,
-                     summarize, verify_reference)
-from .tensor import parse_shape
-
-_GROUP_ORDER = {"small": small_group_order, "large": large_group_order}
 # show-orbit prints members this many at a time; a block's ints, strings
 # and joined line take under _PRINT_BYTES per member
 _PRINT_BLOCK = 1 << 12
@@ -39,7 +33,7 @@ def _build_parser():
         sp.add_argument("--format", required=True, metavar="DxDx...",
                         help="tensor format, e.g. 3x3x3")
         if flavor:
-            sp.add_argument("--flavor", choices=tuple(_GROUP_ORDER), default="small",
+            sp.add_argument("--flavor", choices=("small", "large"), default="small",
                             help="small: products of linear groups only; "
                                  "large: also permute equal-dimension modes")
 
@@ -72,6 +66,7 @@ def _build_parser():
 
 
 def _resolve_cap(args):
+    from .orbits import DEFAULT_MEM_CAP
     if args.mem_cap is not None:
         name, value = "--mem-cap", args.mem_cap
     elif (value := os.environ.get("F2TO_MEM_CAP")) is not None:
@@ -103,6 +98,10 @@ def _compute(shape, cap, flavor="small", snapshot=None):
     large flavor, and summarize.  Each phase checks its own figure against
     the cap before it allocates: required_bytes, atlas_bytes for a load,
     and rank_bytes, atlas included.  Returns (atlas, rows, dist)."""
+    from .orbits import (_check_cap, enumerate_orbits, load_atlas, merge_large_orbits,
+                         required_bytes, save_atlas)
+    from .ranks import propagate_ranks, rank_bytes, rank_distribution
+    from .report import summarize
     phases = _Phases()
     if snapshot and os.path.exists(snapshot):
         atlas = load_atlas(snapshot, shape, mem_cap=cap)
@@ -129,7 +128,14 @@ def _compute(shape, cap, flavor="small", snapshot=None):
     return atlas, rows, dist
 
 
+def _group_order(flavor, shape):
+    from .group import large_group_order, small_group_order
+    return {"small": small_group_order, "large": large_group_order}[flavor](shape)
+
+
 def cmd_classify(args):
+    from .report import emit
+    from .tensor import parse_shape
     shape = parse_shape(args.format)
     cap = _resolve_cap(args)
     _, rows, dist = _compute(shape, cap, args.flavor, args.snapshot)
@@ -138,7 +144,7 @@ def cmd_classify(args):
         doc = {
             "format": str(shape),
             "flavor": args.flavor,
-            "group_order": _GROUP_ORDER[args.flavor](shape),
+            "group_order": _group_order(args.flavor, shape),
             "orbits": len(rows),
             "rows": [row._asdict() for row in rows],
             "distribution": [d._asdict() for d in dist],
@@ -155,6 +161,8 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
+    from .report import load_reference, verify_reference
+    from .tensor import parse_shape
     # the reference lookup comes first so an unknown format is reported as
     # a missing reference, not a shape error
     load_reference(args.format, args.flavor)
@@ -162,7 +170,7 @@ def cmd_verify(args):
     cap = _resolve_cap(args)
     _, rows, dist = _compute(shape, cap, args.flavor)
     diff = verify_reference(args.format, args.flavor, rows,
-                            group_order=_GROUP_ORDER[args.flavor](shape),
+                            group_order=_group_order(args.flavor, shape),
                             distribution=dist)
     if diff.ok:
         sys.stdout.write(diff.render())
@@ -172,6 +180,8 @@ def cmd_verify(args):
 
 
 def cmd_conjecture(args):
+    from .report import check_conjecture_p22
+    from .tensor import parse_shape
     cap = _resolve_cap(args)
     failed = False
     for p in args.p:
@@ -189,6 +199,8 @@ def cmd_conjecture(args):
 
 
 def cmd_show_orbit(args):
+    from .orbits import _check_cap
+    from .tensor import parse_shape
     shape = parse_shape(args.format)
     code = args.code
     if not 0 < code < shape.code_bound:
@@ -215,6 +227,8 @@ def cmd_show_orbit(args):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    from .orbits import MemoryCapError
+    from .report import NoReferenceError
     handler = {
         "classify": cmd_classify,
         "verify": cmd_verify,

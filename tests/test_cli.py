@@ -496,8 +496,10 @@ def test_usage_error_exits_via_argparse(capsys):
 
 
 def test_cli_imports_numpy_only():
-    # sympy and hypothesis are test-only dependencies
-    probe = ("import sys, f2orbits.cli; "
+    # sympy and hypothesis are test-only dependencies; the CLI loads the
+    # engine only when a command runs, so the probe runs one
+    probe = ("import sys; from f2orbits.cli import main; "
+             "assert main(['classify', '--format', '2x2x2']) == 0; "
              "sys.exit(' '.join({'sympy', 'hypothesis'} & set(sys.modules)) or None)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", probe], env=env,

@@ -12,13 +12,16 @@ tables are read only inside report.load_reference, so each expected
 value has one stored record, no string literal spells a table's CSV
 header, so each field list lives only in its record class, every raise
 in report.py and cli.py builds a class that cli.main maps to an exit
-code, every definition in src/ is read by other code in src/ or by
-benchmark/, classify imports neither numpy.ma nor json nor decimal, the
-public names and the README's Library example match the package, the
-benchmark's layer pass still runs against the package, the
-benchmark's self-check passes, and no test module but conftest.py starts
-tracemalloc or collects garbage, so every traced figure goes through
-conftest.traced_peak and no per-call collection comes back.
+code, every definition in src/ but a module hook is read by other code
+in src/ or by benchmark/, the package and the CLI load numpy only when a
+command runs, so importing either, help and usage errors load no numpy,
+classify imports neither numpy.ma nor json nor decimal, the public names
+and each submodule resolve from a bare import of the package, the
+README's Library example runs, the benchmark's layer pass still runs
+against the package, the benchmark's self-check passes, and no test
+module but conftest.py starts tracemalloc or collects garbage, so every
+traced figure goes through conftest.traced_peak and no per-call
+collection comes back.
 
 benchmark/layers.py calls compile_mode_action.cache_clear, reads
 CodeMap.terms, passes enumerate_orbits(cell_width=2) and, for the large
@@ -241,14 +244,21 @@ def test_every_raise_has_an_exit_code():
     # every raise in report.py and cli.py builds a class, or a subclass of
     # one, that an except clause of cli.main maps to an exit code, so no
     # failure of a command ends in a traceback
+    # main imports the engine's classes after parsing, so each is found
+    # in the module main imports it from
     import builtins
+    from importlib import import_module
 
     import f2orbits.cli as cli
     import f2orbits.report as report
     trees = modules()
-    caught = [node.type for node in ast.walk(function(trees["cli.py"], "main"))
-              if isinstance(node, ast.ExceptHandler)]
-    mapped = tuple(getattr(cli, name.id, None) or getattr(builtins, name.id)
+    main = function(trees["cli.py"], "main")
+    home = {alias.name: import_module("." + node.module, "f2orbits")
+            for node in ast.walk(main) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    caught = [node.type for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    mapped = tuple(getattr(home[name.id], name.id) if name.id in home
+                   else getattr(builtins, name.id)
                    for node in caught for name in getattr(node, "elts", [node]))
     assert {cls.__name__ for cls in mapped} >= {"ValueError", "NoReferenceError",
                                                  "MemoryCapError"}
@@ -263,26 +273,53 @@ def test_every_raise_has_an_exit_code():
 
 
 def test_classify_does_not_import_numpy_ma():
-    # a plain np.unique calls np.ma.is_masked, and importing numpy.ma
-    # costs every run tens of milliseconds and most of a megabyte; json
-    # (only --emit json needs it) and decimal stay off the path as well
+    # numpy and the engine cost about 80 ms a start, so the package, the
+    # CLI module, help and usage errors load neither; a plain np.unique
+    # calls np.ma.is_masked, and importing numpy.ma costs every run tens
+    # of milliseconds and most of a megabyte; json (only --emit json needs
+    # it) and decimal stay off the path as well
     code = ("import sys\n"
+            "def absent(step, *names):\n"
+            "    for name in names:\n"
+            "        assert name not in sys.modules, f'{step} imported {name}'\n"
+            "import f2orbits\n"
+            "absent('import f2orbits', 'numpy')\n"
+            "import f2orbits.cli\n"
+            "absent('import f2orbits.cli', 'numpy')\n"
             "from f2orbits.cli import main\n"
+            "for argv, status in ((['--help'], 0), (['classify', '--help'], 0),\n"
+            "                     (['classify', '--format', '2x2x2', '--emit', 'yaml'], 2)):\n"
+            "    try:\n"
+            "        main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == status, (argv, exc.code)\n"
+            "    else:\n"
+            "        raise AssertionError(f'{argv} did not exit')\n"
+            "    absent(argv, 'numpy')\n"
             "assert main(['classify', '--format', '3x2x2x2', '--flavor', 'large']) == 0\n"
-            "for name in ('numpy.ma', 'json', 'decimal'):\n"
-            "    assert name not in sys.modules, name + ' was imported'\n")
+            "assert 'numpy' in sys.modules\n"
+            "absent('classify', 'numpy.ma', 'json', 'decimal')\n")
+    fresh_interpreter(code)
+
+
+def fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
+# the interpreter reads a module's __getattr__ and __dir__ (PEP 562)
+MODULE_HOOKS = ("__getattr__", "__dir__")
+
+
 def definitions(tree):
     """(name, node, reads that name it) for every top-level function and
-    class of a module and every method of its classes but the dunders: a
-    method is read only as an attribute, a top-level name either way."""
+    class of a module but the module hooks, and every method of its
+    classes but the dunders: a method is read only as an attribute, a
+    top-level name either way."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in MODULE_HOOKS:
             yield node.name, node, (node.name, "." + node.name)
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -325,9 +362,32 @@ def test_every_definition_has_a_consumer():
 
 
 def test_public_names_resolve():
-    import f2orbits
-    missing = [name for name in f2orbits.__all__ if not hasattr(f2orbits, name)]
-    assert missing == []
+    # from a bare import of the package: the README's f2orbits.slices.CODE,
+    # f2orbits.slices.unrank and f2orbits.spin.CELL, every submodule as an
+    # attribute (each dropped from the package first, so the module hook,
+    # not an earlier import, resolves it), every public name, a
+    # from-import of a submodule, and AttributeError for an unknown name
+    submodules = [path.stem for path in sorted((ROOT / "src" / "f2orbits").glob("*.py"))
+                  if path.stem != "__init__"]
+    code = ("import types\n"
+            "import f2orbits\n"
+            "assert f2orbits.slices.CODE and f2orbits.slices.unrank and f2orbits.spin.CELL\n"
+            f"for name in {submodules!r}:\n"
+            "    vars(f2orbits).pop(name, None)\n"
+            "    module = getattr(f2orbits, name)\n"
+            "    assert isinstance(module, types.ModuleType), name\n"
+            "    assert module.__name__ == 'f2orbits.' + name, name\n"
+            "missing = [name for name in f2orbits.__all__ if not hasattr(f2orbits, name)]\n"
+            "assert missing == [], missing\n"
+            "from f2orbits import spin\n"
+            "assert spin is f2orbits.spin\n"
+            "try:\n"
+            "    f2orbits.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('f2orbits.no_such_name resolved')\n")
+    fresh_interpreter(code)
 
 
 def test_readme_library_example_runs():
