@@ -74,9 +74,12 @@ canonical key, which unrank turns into the canonical.  So a snapshot
 (format version 3) is a small header naming the format, the S ids and a
 CRC-32 of both, and enumeration and loading derive the canonicals and
 sizes the same way, in _atlas, in one pass over chunks of the ids with
-no key array.  Saving writes a temporary file that replaces the target
-only once complete; loading checks the memory cap before it allocates,
-then the length and the CRC.
+no key array.  A chunk whose largest id does not pass the peak of the
+chunks before it holds no first occurrence, so the pass takes the
+running maximum only in the chunks that raise the peak (6 of the 53 on
+3x3x3); the others only count their ids.  Saving writes a temporary
+file that replaces the target only once complete; loading checks the
+memory cap before it allocates, then the length and the CRC.
 """
 
 import os
@@ -216,7 +219,10 @@ def _atlas(shape: Shape, assignment: np.ndarray) -> OrbitAtlas:
     """The atlas of the ids of every subspace, with each orbit's canonical
     and size derived in one pass over chunks of the ids: the key where the
     running maximum of the ids steps to its id, and t(k) times its count
-    of subspaces, k the canonical's dimension.  ValueError for a nonzero
+    of subspaces, k the canonical's dimension.  The running maximum is
+    taken only in a chunk whose largest id passes the peak so far, as no
+    id first occurs in any other; the largest id is a reduction, which
+    allocates nothing, so atlas_bytes holds.  ValueError for a nonzero
     id at the zero subspace, an id above the level it first occurs in,
     ids that skip a number or first occur out of order, or a count that
     does not divide |G'|, as a G'-orbit's does: so every size divides |G|."""
@@ -230,11 +236,12 @@ def _atlas(shape: Shape, assignment: np.ndarray) -> OrbitAtlas:
             if ids.min() <= tops[-1]:
                 raise ValueError(f"orbit {ids.min()} has subspaces of more than one dimension")
             # the chunk's running maximum, from the last one's at lo - 1
-            run = np.maximum.accumulate(assignment[lo - 1:lo + ids.size])
-            np.maximum(run, peak, out=run)
-            firsts.append(np.flatnonzero(run[1:] != run[:-1]) + lo)
-            peak = int(run[-1])
-            counts = np.concatenate((counts, np.zeros(peak + 1 - counts.size, np.int64)))
+            if ids.max() > peak:
+                run = np.maximum.accumulate(assignment[lo - 1:lo + ids.size])
+                np.maximum(run, peak, out=run)
+                firsts.append(np.flatnonzero(run[1:] != run[:-1]) + lo)
+                peak = int(run[-1])
+                counts = np.concatenate((counts, np.zeros(peak + 1 - counts.size, np.int64)))
             counts += np.bincount(ids, minlength=counts.size)
         tops.append(peak)
     firsts = np.concatenate(firsts)

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, snapshots, caps."""
 
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -505,3 +506,46 @@ def test_cli_imports_numpy_only():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def console(*argv, env=()):
+    """python -m f2orbits.cli, the console entry, in a fresh process with
+    F2TO_MEM_CAP unset unless env sets it."""
+    full = {k: v for k, v in os.environ.items() if k != "F2TO_MEM_CAP"}
+    full.update(env, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "f2orbits.cli", *argv], env=full,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [("classify", "--format", "2x2x2"),
+                                  ("classify", "--format", "3x3x2", "--flavor", "large")],
+                         ids=["2x2x2", "3x3x2-large"])
+def test_console_entry_matches_main(capsys, tmp_path, argv):
+    # the entry freezes the collector's objects before it exits; the
+    # report, to stdout or to --output, is main's to the byte
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    done = console(*argv)
+    assert (done.returncode, done.stdout) == (0, out.encode())
+    target = tmp_path / "report.txt"
+    done = console(*argv, "--output", str(target))
+    assert (done.returncode, done.stdout) == (0, b"")
+    assert target.read_bytes() == out.encode()
+
+
+def test_console_entry_exit_codes(tmp_path):
+    argv = ("classify", "--format", "2x2x2")
+    done = console(*argv, env={"F2TO_MEM_CAP": "abc"})
+    assert done.returncode == 1 and b"F2TO_MEM_CAP" in done.stderr
+    done = console(*argv, "--emit", "yaml")
+    assert done.returncode == 2 and b"usage: f2orbits" in done.stderr
+    done = console(*argv, "--output", str(tmp_path / "missing" / "report.txt"))
+    assert done.returncode == 3 and b"f2orbits:" in done.stderr
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # only the console entry freezes; main runs in-process for tests and
+    # library callers
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run(capsys, "classify", "--format", "3x2x2", "--flavor", "large")[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before

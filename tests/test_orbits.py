@@ -28,12 +28,13 @@ from table_oracle import MAX_CODES, per_mode_generators, table_orbits, transpose
 
 from f2orbits import spin as spin_module
 from f2orbits.group import block_permutations, compile_generators, generator_set, identity_matrix
-from f2orbits.orbits import (DEFAULT_MEM_CAP, FIXED_BYTES, MemoryCapError, OrbitAtlas,
+from f2orbits.orbits import (DEFAULT_MEM_CAP, FIXED_BYTES, MemoryCapError, OrbitAtlas, _atlas,
                              atlas_bytes, enumerate_orbits, load_atlas, merge_large_orbits,
                              required_bytes, save_atlas)
 from f2orbits.ranks import large_orbit_ranks, propagate_ranks, rank_bytes
 from f2orbits.report import NoReferenceError, load_reference
-from f2orbits.slices import CODE, level_bounds, permutations, subspace_keys, tuple_counts
+from f2orbits.slices import (CHUNK, CODE, level_bounds, permutations, subspace_keys,
+                             tuple_counts, unrank)
 from f2orbits.spin import BATCH_MAX, CELL, SENTINEL, _least_linked, _spin_batch
 from f2orbits.tensor import Shape, parse_shape
 
@@ -702,6 +703,39 @@ def test_snapshot_rejects_inconsistent_subspaces(tmp_path, engine):
         (tmp_path / "k.snap").write_bytes(bad)
         with pytest.raises(ValueError, match=message):
             load_atlas(str(tmp_path / "k.snap"))
+
+
+@pytest.mark.parametrize("fmt", ["3x3x3", "3x2x2x2", "2x3x2x2"])
+def test_atlas_matches_first_occurrences(engine, fmt):
+    # _atlas skips the running maximum in chunks where no id first
+    # occurs; the canonical of orbit i is still the key at the first
+    # index holding i, and its size t(k) times its subspace count
+    s, atlas = parse_shape(fmt), engine.atlas(fmt)
+    ids, firsts, counts = np.unique(atlas.assignment, return_index=True, return_counts=True)
+    assert ids.tolist() == list(range(atlas.orbit_count + 1))
+    levels = np.searchsorted(level_bounds(s), firsts, side="right") - 1
+    assert np.array_equal(atlas.canonicals, unrank(s, firsts))
+    assert np.array_equal(atlas.sizes, np.array(tuple_counts(s))[levels] * counts)
+
+
+def test_atlas_refusals_survive_skipped_chunks(engine):
+    # 3x2x2x2: S = 108,206 subspaces, the last level in six chunks
+    s, atlas = parse_shape("3x2x2x2"), engine.atlas("3x2x2x2")
+    ids, top = atlas.assignment, level_bounds(s)[-2]
+    low, high = int(ids[top]), atlas.orbit_count
+    # swap the last level's least id with the last id: high now first
+    # occurs at the level's first key, so the chunk where high first
+    # occurred holds no id above the peak and is skipped, with the first
+    # occurrences of the smaller ids in it
+    swapped = ids.copy()
+    swapped[ids == low], swapped[ids == high] = high, low
+    lo = top + (int(np.flatnonzero(ids == high)[0]) - top) // CHUNK * CHUNK
+    assert lo > top and swapped[lo:lo + CHUNK].max() <= swapped[:lo].max()
+    with pytest.raises(ValueError, match="do not ascend with their least keys"):
+        _atlas(s, swapped)
+    # move the last orbit to a new id past it: the ids skip high
+    with pytest.raises(ValueError, match=f"orbit ids skip {high}"):
+        _atlas(s, np.where(ids == high, ids + 1, ids))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
