@@ -165,8 +165,11 @@ class OrbitAtlas:
 
     def orbit_id(self, codes):
         """The orbit id of an int code, or an array of ids for an integer
-        array of codes.  ValueError if any code is out of range."""
+        array of codes.  ValueError if the codes are not integers, bools
+        included, or if any code is out of range."""
         codes, bound = np.asarray(codes), self.shape.code_bound
+        if codes.dtype.kind not in "iu":
+            raise ValueError(f"codes must be integers, got {codes.dtype}")
         # min and max allocate nothing; the mask is built only to report
         if codes.size and (codes.min() < 0 or codes.max() >= bound):
             bad = codes[(codes < 0) | (codes >= bound)]

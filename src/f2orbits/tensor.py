@@ -16,6 +16,7 @@ All functions here are pure; codes are plain Python ints (N <= 27 keeps
 them inside one 32-bit word, slices.CODE, in the array-based modules).
 """
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -30,12 +31,15 @@ _FORMAT_RE = re.compile(r"^\d+(x\d+)+$")
 
 @dataclass(frozen=True)
 class Shape:
-    """A tensor format d1 x ... x dn, all di >= 2, with N <= MAX_ENTRIES."""
+    """A tensor format d1 x ... x dn, all di integers >= 2, with N <= MAX_ENTRIES."""
 
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            raise ValueError(f"dimensions must be integers, got {self.dims!r}") from None
         object.__setattr__(self, "dims", dims)
         if len(dims) < 2:
             raise ValueError(f"need at least two modes, got {dims}")

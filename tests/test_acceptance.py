@@ -17,8 +17,11 @@ Run with -v to get one pass/fail line per criterion:
      the zero orbit alone at rank 0
   8. small-to-large orbit merge counts for the two four-way/cubic formats
 
-The expected values are frozen literals here, independent of the refdata
-files; criterion 1 also cross-checks that the stored summary agrees.
+Criteria 1, 4, 5 and 8 expect frozen literals here, and 6 and 7 need no
+expected values; criterion 1 also cross-checks that the stored summary
+agrees.  Criteria 2 and 3 compare against the stored tables, read by
+load_reference from the refdata files, and criterion 5's stable forms are
+the stored 4x2x2 rows, which check_conjecture_p22 reads.
 
 One summary row is expected to fail: for 2x2x2x2 the stored table says 31
 orbits including zero, but the computed count is 30.  Two methods agree

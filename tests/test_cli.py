@@ -5,9 +5,11 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,14 +70,6 @@ def test_classify_deterministic(capsys):
     assert first == second
 
 
-def test_classify_rejects_bad_format(capsys):
-    code, _, err = run(capsys, "classify", "--format", "1x2x2")
-    assert code == 1
-    assert "at least 2" in err
-    code, _, err = run(capsys, "classify", "--format", "4x4x2")
-    assert code == 1
-
-
 def test_classify_output_file(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "classify", "--format", "2x2x2",
@@ -85,53 +79,123 @@ def test_classify_output_file(capsys, tmp_path):
     assert target.read_text().splitlines()[1] == "1,1,27,.......1,1"
 
 
-def test_classify_output_io_error(capsys, tmp_path):
-    code, _, err = run(capsys, "classify", "--format", "2x2x2",
-                       "--output", str(tmp_path))
-    assert code == 3
-    assert "f2orbits:" in err
-
-
-def test_classify_mem_cap_refusal(capsys):
-    code, _, err = run(capsys, "classify", "--format", "3x3x2",
-                       "--mem-cap", "1000")
-    assert code == 2
-    assert "bytes" in err and "cap" in err
-
-
 def test_mem_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("F2TO_MEM_CAP", "1000")
-    code, _, err = run(capsys, "classify", "--format", "3x3x2")
-    assert code == 2
     # an explicit flag wins over the environment
-    code, out, _ = run(capsys, "classify", "--format", "3x3x2",
-                       "--mem-cap", str(1 << 30))
+    monkeypatch.setenv("F2TO_MEM_CAP", "1000")
+    code, out, _ = run(capsys, "classify", "--format", "3x3x2", "--mem-cap", str(1 << 30))
     assert code == 0
-    assert out
-    # a value that is not a byte count is invalid input and names itself
-    monkeypatch.setenv("F2TO_MEM_CAP", "lots")
-    code, _, err = run(capsys, "classify", "--format", "3x3x2")
-    assert code == 1
-    assert "F2TO_MEM_CAP" in err and "'lots'" in err
+    assert "rank 3:" in out
 
 
-def test_negative_mem_cap_is_invalid(capsys, monkeypatch):
-    # a negative cap is invalid input that names itself; a cap of 0 is a
-    # valid cap that refuses every run
-    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--mem-cap", "-1")
-    assert code == 1 and out == ""
-    assert "--mem-cap" in err and "'-1'" in err
+def failure(cause, command, code, *err, edit=None):
+    """A failing command: the cause it backs, spelled as in README's row
+    for its exit code; the command, after any NAME=value environment
+    settings, where {dir} is a fresh directory; an edit (subspace index,
+    old id, new id, fresh CRC) of the 2x2x2 snapshot {dir}/a.snap that a
+    --snapshot reads; its exit code and fragments of its stderr."""
+    return cause, command, code, err, edit
+
+
+SNAP = "--snapshot {dir}/a.snap"
+LOAD = f"classify --format 2x2x2 {SNAP}"
+BAD_SNAPSHOT = "a `--snapshot` file that fails one of its checks"
+NOT_BYTES = "a `--mem-cap` or `F2TO_MEM_CAP` that is not a whole number of bytes"
+NO_REFERENCE = "no reference table for the requested format"
+RANGE, CAP, NON_INTEGER = "out-of-range code", "memory cap exceeded", "a non-integer `--code` or p"
+FAILURES = {
+    # the stored 31-orbit row, kept verbatim, against the 30 computed
+    "mismatch": failure("verification or conjecture mismatch",
+                        "verify --format 2x2x2x2 --flavor large", 1,
+                        "orbit count: computed 30 (with zero orbit) != reference 31"),
+    "one-mode-dim": failure("bad format", "classify --format 1x2x2", 1, "at least 2"),
+    "32-entries": failure("bad format", "classify --format 4x4x2", 1, "32 entries, limit is 27"),
+    "code-300": failure(RANGE, "show-orbit --format 2x2x2 --code 300", 1, "300 out of range"),
+    "code-0": failure(RANGE, "show-orbit --format 2x2x2 --code 0", 1, "out of range"),
+    # the code is checked before the cap or any enumeration
+    "code-0-cap": failure(RANGE, "show-orbit --format 3x3x3 --code 0 --mem-cap 1", 1,
+                          "out of range"),
+    "p-3": failure("p < 4", "conjecture 3", 1, "p >= 4"),
     # the flag and the environment share one parser: a cap that is not a
     # number is invalid input, not an argparse usage error
-    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--mem-cap", "abc")
-    assert code == 1 and out == ""
-    assert "--mem-cap" in err and "'abc'" in err
-    monkeypatch.setenv("F2TO_MEM_CAP", "-3")
-    code, out, err = run(capsys, "classify", "--format", "2x2x2")
-    assert code == 1 and out == ""
-    assert "F2TO_MEM_CAP" in err and "'-3'" in err
-    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--mem-cap", "0")
-    assert code == 2 and "cap is 0 bytes" in err
+    "cap-minus-1": failure("such as `-1`", "classify --format 2x2x2 --mem-cap -1", 1,
+                           "--mem-cap", "'-1'"),
+    "cap-abc": failure("or `abc`", "classify --format 2x2x2 --mem-cap abc", 1,
+                       "--mem-cap", "'abc'"),
+    "env-lots": failure(NOT_BYTES, "F2TO_MEM_CAP=lots classify --format 3x3x2", 1,
+                        "F2TO_MEM_CAP", "'lots'"),
+    "env-minus-3": failure(NOT_BYTES, "F2TO_MEM_CAP=-3 classify --format 2x2x2", 1,
+                           "F2TO_MEM_CAP", "'-3'"),
+    # the shape is checked before the cap, so a cap too small for either
+    # format still reports the mismatch, not the other format's table
+    "snap-format": failure(BAD_SNAPSHOT, f"classify --format 3x2x2 {SNAP}", 1,
+                           "holds 2x2x2, expected 3x2x2"),
+    "snap-format-cap": failure(BAD_SNAPSHOT, f"classify --format 3x2x2 {SNAP} --mem-cap 1", 1,
+                               "holds 2x2x2, expected 3x2x2"),
+    # the id of the zero subspace becomes 1, under the old CRC and a fresh one
+    "snap-crc": failure(BAD_SNAPSHOT, LOAD, 1, "fails its CRC check", edit=(0, 0, 1, False)),
+    "snap-zero-id": failure(BAD_SNAPSHOT, LOAD, 1, "orbit id 1 at the zero subspace",
+                            edit=(0, 0, 1, True)),
+    # the last of the 51 subspace ids (orbit 5) moved to a new orbit 8: the
+    # ids ascend and skip nothing, but orbit 5 keeps 8 of its 9 planes,
+    # and 8 does not divide the order 36 of GL(2,2) x GL(2,2)
+    "snap-split-orbit": failure(BAD_SNAPSHOT, LOAD, 1, "orbit 5 has 8 subspaces, which does not "
+                                "divide |G'| = 36", edit=(50, 5, 8, True)),
+    # plane 25 moved from orbit 4 to orbit 2, whose 6 lines span 18
+    # tensors: orbit 2 then has 24 and orbit 4 12, both divisors of 216, so
+    # a check of sizes alone loads it, but an orbit keeps to one dimension
+    "snap-two-dims": failure("ids that give an orbit subspaces of two dimensions", LOAD, 1,
+                             "orbit 2 has subspaces of more than one dimension",
+                             edit=(25, 4, 2, True)),
+    "cap-1000": failure(CAP, "classify --format 3x3x2 --mem-cap 1000", 2, "cap is 1000 bytes"),
+    "env-1000": failure(CAP, "F2TO_MEM_CAP=1000 classify --format 3x3x2", 2, "cap is 1000 bytes"),
+    # 0 is a valid cap, which refuses every run
+    "cap-0": failure(CAP, "classify --format 2x2x2 --mem-cap 0", 2, "cap is 0 bytes"),
+    "no-reference": failure(NO_REFERENCE, "verify --format 9x9x9", 2, "no reference"),
+    # flavor matters: only the large table exists for this format
+    "small-only": failure(NO_REFERENCE, "verify --format 2x2x2x2", 2, "2x2x2x2 (small group)"),
+    # argparse's exits, the only ones that print its usage line
+    "no-command": failure("a usage error that argparse reports with its usage line", "", 2,
+                          "required: command"),
+    "missing-option": failure("a missing or unknown option", "classify", 2, "required: --format"),
+    "unknown-option": failure("a missing or unknown option", "classify --format 2x2x2 --bogus", 2,
+                              "unrecognized arguments: --bogus"),
+    "invalid-choice": failure("an invalid choice", "classify --format 2x2x2 --emit yaml", 2,
+                              "invalid choice: 'yaml'"),
+    "code-1.5": failure(NON_INTEGER, "show-orbit --format 2x2x2 --code 1.5", 2, "value: '1.5'"),
+    "p-four": failure(NON_INTEGER, "conjecture four", 2, "invalid int value: 'four'"),
+    "output": failure("could not read or write a file", "classify --format 2x2x2 --output {dir}",
+                      3, "f2orbits:"),
+}
+
+
+@pytest.mark.parametrize("cause, command, code, err, edit", FAILURES.values(), ids=FAILURES)
+def test_exit_contract(capsys, tmp_path, monkeypatch, engine, cause, command, code, err, edit):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert re.search(rf"^\| {code} \| .*{re.escape(cause)}.* \|$", readme, re.M)
+    monkeypatch.delenv("F2TO_MEM_CAP", raising=False)
+    argv = [arg.format(dir=tmp_path) for arg in command.split()]
+    while argv and "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    snap = tmp_path / "a.snap"
+    if "--snapshot" in argv:
+        save_atlas(engine.atlas("2x2x2"), str(snap))
+    if edit:
+        # 2-byte ids follow the 9 bytes of magic, version, mode count and
+        # dims; the CRC is the last 4 bytes
+        index, old, new, reseal = edit
+        blob = bytearray(snap.read_bytes())
+        assert blob[9 + 2 * index:11 + 2 * index] == old.to_bytes(2, "little")
+        blob[9 + 2 * index:11 + 2 * index] = new.to_bytes(2, "little")
+        if reseal:
+            blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
+        snap.write_bytes(bytes(blob))
+    try:
+        exit_code, usage = main(argv), False
+    except SystemExit as exc:
+        exit_code, usage = exc.code, True
+    out = capsys.readouterr()
+    assert (exit_code, out.out, "usage: f2orbits" in out.err) == (code, "", usage)
+    assert [fragment for fragment in err if fragment not in out.err] == []
 
 
 def test_snapshot_reuse(capsys, tmp_path):
@@ -239,87 +303,17 @@ def test_compute_peak_within_checked_figures(tmp_path, monkeypatch, engine):
             assert len(rows) + 1 == sum(d.orbits for d in dist)
 
 
-def test_snapshot_format_mismatch(capsys, tmp_path):
-    snap = tmp_path / "a.snap"
-    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
-    code, _, err = run(capsys, "classify", "--format", "3x2x2",
-                       "--snapshot", str(snap))
-    assert code == 1
-    assert "2x2x2" in err
-    # the shape is checked before the cap, so a cap too small for either
-    # format still reports the mismatch, not the other format's table
-    code, out, err = run(capsys, "classify", "--format", "3x2x2",
-                         "--snapshot", str(snap), "--mem-cap", "1")
-    assert code == 1 and out == ""
-    assert "holds 2x2x2, expected 3x2x2" in err
-
-
-def test_snapshot_bad_ids_refused(capsys, tmp_path):
-    snap = tmp_path / "a.snap"
-    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
-    blob = bytearray(snap.read_bytes())
-    # the id of the zero subspace, after magic, version, mode count and
-    # dims, becomes 1
-    blob[9] ^= 1
-    snap.write_bytes(bytes(blob))
-    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
-    assert code == 1 and out == ""
-    assert "fails its CRC check" in err
-    blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
-    snap.write_bytes(bytes(blob))
-    code, out, err = run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
-    assert code == 1 and out == ""
-    assert "orbit id 1 at the zero subspace" in err
-
-
-def resealed_2x2x2(capsys, tmp_path, index, old, new):
-    """classify on a 2x2x2 snapshot it wrote, whose id old at subspace
-    index, after the 9 header bytes, is set to new under a fresh CRC."""
-    snap = tmp_path / "a.snap"
-    assert run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))[0] == 0
-    blob = bytearray(snap.read_bytes())
-    assert blob[9 + 2 * index:11 + 2 * index] == old.to_bytes(2, "little")
-    blob[9 + 2 * index:11 + 2 * index] = new.to_bytes(2, "little")
-    blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
-    snap.write_bytes(bytes(blob))
-    return run(capsys, "classify", "--format", "2x2x2", "--snapshot", str(snap))
-
-
-def test_snapshot_split_orbit_refused(capsys, tmp_path):
-    # the last of the 51 subspace ids (orbit 5) moved to a new orbit 8: the
-    # ids ascend and skip nothing, but orbit 5 keeps 8 of its 9 planes,
-    # and 8 does not divide the order 36 of GL(2,2) x GL(2,2)
-    code, out, err = resealed_2x2x2(capsys, tmp_path, 50, 5, 8)
-    assert code == 1 and out == ""
-    assert "orbit 5 has 8 subspaces, which does not divide |G'| = 36" in err
-
-
-def test_snapshot_orbit_of_two_dimensions_refused(capsys, tmp_path):
-    # plane 25 moved from orbit 4 to orbit 2, whose 6 lines span 18 tensors:
-    # orbit 2 then has 24 and orbit 4 12, both divisors of 216, so a check
-    # of sizes alone loads it, but an orbit keeps to one dimension
-    code, out, err = resealed_2x2x2(capsys, tmp_path, 25, 4, 2)
-    assert code == 1 and out == ""
-    assert "orbit 2 has subspaces of more than one dimension" in err
-
-
-def test_cell_width_option_is_gone(capsys):
-    # cells are always 2 bytes, so no subcommand offers a width
-    for command in ("classify", "verify", "conjecture", "show-orbit"):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        assert "--cell-width" not in capsys.readouterr().out
-
-
 def test_every_subcommand_explains_its_options(capsys):
     # --mem-cap is declared once, with its help, for all four subcommands,
     # and conjecture explains its positional p (whitespace as argparse wraps it)
+    # cells are always 2 bytes, so no subcommand offers a width
     texts = {}
     for command in ("classify", "verify", "conjecture", "show-orbit"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         texts[command] = " ".join(capsys.readouterr().out.split())
         assert "--mem-cap BYTES refuse runs whose tables exceed this many bytes" in texts[command]
+        assert "--cell-width" not in texts[command]
     assert "p first-mode dimensions to check (default 4 5 6)" in texts["conjecture"]
 
 
@@ -329,26 +323,11 @@ def test_verify_pass(capsys):
     assert "pass, 10 rows matched" in out
 
 
-def test_verify_missing_reference(capsys):
-    code, _, err = run(capsys, "verify", "--format", "9x9x9")
-    assert code == 2
-    assert "no reference" in err
-    # flavor matters: only the large table exists for this format
-    code, _, err = run(capsys, "verify", "--format", "2x2x2x2")
-    assert code == 2
-
-
 def test_conjecture(capsys):
     code, out, _ = run(capsys, "conjecture", "4")
     assert code == 0
     assert "10/10 canonical forms match (pass)" in out
     assert "20160/2^16 = 0.3076" in out
-
-
-def test_conjecture_rejects_small_p(capsys):
-    code, _, err = run(capsys, "conjecture", "3")
-    assert code == 1
-    assert "p >= 4" in err
 
 
 def test_conjecture_beyond_27_entries(capsys):
@@ -474,26 +453,6 @@ def test_show_orbit_members_threshold(capsys):
     assert code == 0
     assert "size 108" in out
     assert "members:" not in out
-
-
-def test_show_orbit_range_error(capsys):
-    code, _, err = run(capsys, "show-orbit", "--format", "2x2x2",
-                       "--code", "300")
-    assert code == 1
-    assert "out of range" in err
-    assert run(capsys, "show-orbit", "--format", "2x2x2", "--code", "0")[0] == 1
-    # the code is checked before the cap or any enumeration
-    code, _, err = run(capsys, "show-orbit", "--format", "3x3x3",
-                       "--code", "0", "--mem-cap", "1")
-    assert code == 1
-    assert "out of range" in err
-
-
-def test_usage_error_exits_via_argparse(capsys):
-    with pytest.raises(SystemExit):
-        main(["classify", "--format", "2x2x2", "--emit", "yaml"])
-    with pytest.raises(SystemExit):
-        main([])
 
 
 def test_cli_imports_numpy_only():

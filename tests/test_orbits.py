@@ -108,6 +108,10 @@ def test_orbit_id_takes_arrays(engine):
             atlas.orbit_id(np.array([1, bad, 2]))
         with pytest.raises(ValueError, match="out of range"):
             atlas.orbit_id(bad)
+    # a non-integer code is refused, not truncated to the code below it
+    for bad in (6.9, np.array([6.9, 107.2]), True, np.array([True, False])):
+        with pytest.raises(ValueError, match="must be integers"):
+            atlas.orbit_id(bad)
 
 
 def test_members_are_the_orbit(engine):

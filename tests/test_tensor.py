@@ -5,6 +5,7 @@ tests/entry_oracle.py, which the other tests build on."""
 
 import random
 
+import numpy as np
 import pytest
 from entry_oracle import get_entry, index_of, position_of, simple_tensors, transpose
 
@@ -44,6 +45,11 @@ def test_shape_validation():
         Shape((1, 2, 2))
     with pytest.raises(ValueError):
         Shape((4, 4, 2))               # 32 entries is past the cap
+    for dims in ((2.9, 2, 2), ("3", 2, 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            Shape(dims)                # not truncated or parsed
+    dims = Shape((np.uint8(3), np.int64(2), 2)).dims
+    assert dims == (3, 2, 2) and all(type(d) is int for d in dims)
     Shape((3, 3, 3))                   # 27 = MAX_ENTRIES is allowed
     assert MAX_ENTRIES == 27
 
