@@ -303,17 +303,23 @@ def test_compute_peak_within_checked_figures(tmp_path, monkeypatch, engine):
             assert len(rows) + 1 == sum(d.orbits for d in dist)
 
 
+def test_cell_width_option_is_gone(capsys):
+    # cells are always 2 bytes, so no subcommand offers a width
+    for command in ("classify", "verify", "conjecture", "show-orbit"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--cell-width" not in capsys.readouterr().out
+
+
 def test_every_subcommand_explains_its_options(capsys):
     # --mem-cap is declared once, with its help, for all four subcommands,
     # and conjecture explains its positional p (whitespace as argparse wraps it)
-    # cells are always 2 bytes, so no subcommand offers a width
     texts = {}
     for command in ("classify", "verify", "conjecture", "show-orbit"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         texts[command] = " ".join(capsys.readouterr().out.split())
         assert "--mem-cap BYTES refuse runs whose tables exceed this many bytes" in texts[command]
-        assert "--cell-width" not in texts[command]
     assert "p first-mode dimensions to check (default 4 5 6)" in texts["conjecture"]
 
 

@@ -217,6 +217,13 @@ def test_verify_catches_distribution(engine):
         assert diff.mismatches == (f"distribution rows: computed {computed} != reference 4",)
 
 
+def test_stable_forms_p4(engine):
+    rep = check_conjecture_p22(engine.shape("4x2x2"), engine.rows("4x2x2"))
+    assert rep.ok
+    assert rep.rank4_size == 20160
+    assert rep.fraction_str == "0.3076"
+
+
 def test_stable_forms_padding(engine):
     # the stable forms of 5x2x2 are the rows of the stored 4x2x2 table,
     # each padded with 4 leading zero entries; the check accepts exactly
